@@ -1,0 +1,71 @@
+"""Byte-exact CLI output on the fixture files.
+
+Every (fixture, command) pair is run in-process and its exit code, stdout
+and stderr are compared with the stored golden values in
+``golden/cli.json``.  Regenerate them (only when an output change is
+intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from subseq.cli import main
+
+HERE = Path(__file__).parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = HERE / "golden" / "cli.json"
+
+COMMANDS = [
+    ["classify"],
+    ["classify", "--json"],
+    ["classify", "--witness"],
+    ["mplus"],
+    ["mplus", "--json"],
+    ["patterns"],
+    ["patterns", "--json"],
+    ["decompose"],
+    ["decompose", "--json"],
+]
+
+CASES = [
+    (fixture, command)
+    for fixture in sorted(p.name for p in FIXTURES.glob("*.dfa"))
+    for command in COMMANDS
+]
+
+
+def case_id(fixture, command):
+    return " ".join([command[0], fixture] + command[1:])
+
+
+def run_case(fixture, command):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command[0], str(FIXTURES / fixture)] + command[1:])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize(
+    "fixture,command", CASES, ids=[case_id(f, c) for f, c in CASES]
+)
+def test_cli_output_matches_golden(fixture, command):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_case(fixture, command) == golden[case_id(fixture, command)]
+
+
+def test_golden_file_covers_exactly_the_cases():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(case_id(f, c) for f, c in CASES)
+
+
+if __name__ == "__main__":
+    results = {case_id(f, c): run_case(f, c) for f, c in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {len(results)} cases to {GOLDEN}")
