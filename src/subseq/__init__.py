@@ -5,19 +5,12 @@ and piecewise-testability, with brute-force oracles for cross-checking.
 """
 
 from .alternation import (
-    ENGINE_CHAIN_NFA,
-    ENGINE_ITERATE,
     AlternationMeasure,
-    BooleanLevelReport,
-    ChainLevel,
-    build_chain_nfa,
-    chain_core_iterate,
     in_boolean_level,
     l_minus,
     l_plus,
     m_minus,
     m_plus,
-    minimal_boolean_level,
     mk_witness,
     normal_form_decomposition,
     reassemble_normal_form,

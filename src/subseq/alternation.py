@@ -8,21 +8,15 @@ m with a nonempty level is the alternation measure, and comparing it with
 k decides membership in the k-th class of the difference hierarchy built
 over the upward closed languages (plus measure below k).
 
-Two engines compute level automata:
-
-* ``iterate`` (default): a closure-and-intersect recursion that stays
-  within minimized automata, one step per level;
-* ``chain-nfa``: a tuple-state automaton that guesses the whole chain at
-  once, kept as an independent cross-check.
-
-The two are required to agree; the test suite verifies that on random and
-exhaustive corpora.
+Level automata come from one closure-and-intersect recursion that stays
+within minimized automata, one step per level.  The tests cross-check it
+against an independent tuple-state construction that guesses the whole
+chain at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
@@ -30,9 +24,7 @@ from typing import Iterator
 from .automata import (
     Alphabet,
     Dfa,
-    Nfa,
     complement,
-    determinize,
     difference,
     empty_language,
     intersection,
@@ -45,33 +37,16 @@ from .patterns import detect_p3
 from .subword import upward_closure
 
 __all__ = [
-    "ENGINE_ITERATE",
-    "ENGINE_CHAIN_NFA",
     "AlternationMeasure",
-    "ChainLevel",
-    "build_chain_nfa",
-    "chain_core_iterate",
     "l_plus",
     "l_minus",
     "m_plus",
     "m_minus",
     "in_boolean_level",
-    "BooleanLevelReport",
-    "minimal_boolean_level",
     "mk_witness",
     "normal_form_decomposition",
     "reassemble_normal_form",
 ]
-
-ENGINE_ITERATE = "iterate"
-ENGINE_CHAIN_NFA = "chain-nfa"
-_ENGINES = (ENGINE_ITERATE, ENGINE_CHAIN_NFA)
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise InputError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-
 
 @total_ordering
 @dataclass(frozen=True, eq=True)
@@ -114,38 +89,6 @@ class AlternationMeasure:
         return "inf" if self.value is None else self.value
 
 
-@dataclass(frozen=True)
-class ChainLevel:
-    """One level of the chain hierarchy: its index, which side it lives on
-    and the minimal automaton for it.
-
-    Levels are upward closed and shrink as the index grows; ``check``
-    verifies the first, ``compute`` builds a level through the selected
-    engine.
-    """
-
-    index: int
-    sign: str  # "plus" | "minus"
-    automaton: Dfa
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise InputError("chain level must be nonnegative")
-        if self.sign not in ("plus", "minus"):
-            raise InputError(f"sign must be 'plus' or 'minus', not {self.sign!r}")
-
-    @classmethod
-    def compute(cls, dfa: Dfa, m: int, sign: str = "plus", engine: str = ENGINE_ITERATE) -> "ChainLevel":
-        builders = {"plus": l_plus, "minus": l_minus}
-        if sign not in builders:
-            raise InputError(f"sign must be 'plus' or 'minus', not {sign!r}")
-        return cls(m, sign, builders[sign](dfa, m, engine))
-
-    def check(self) -> bool:
-        """Whether the level's language is upward closed, as it must be."""
-        return upward_closure(self.automaton) == self.automaton
-
-
 def _levels(dfa: Dfa) -> Iterator[Dfa]:
     """Minimal automata for the plus-side levels 0, 1, 2, ... in order.
 
@@ -163,74 +106,33 @@ def _levels(dfa: Dfa) -> Iterator[Dfa]:
         step += 1
 
 
-def chain_core_iterate(dfa: Dfa, m: int) -> Dfa:
-    """Plus-side level m by the iterated closure recursion."""
+def l_plus(dfa: Dfa, m: int) -> Dfa:
+    """Minimal automaton for the plus-side level m."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
     return next(itertools.islice(_levels(dfa), m, None))
 
 
-def build_chain_nfa(dfa: Dfa, m: int) -> Nfa:
-    """Tuple-state automaton accepting the plus-side level m directly.
-
-    A state is an (m+1)-tuple of runs, one per guessed chain word from
-    smallest to largest.  Reading a letter advances some suffix of the
-    runs: later chain words contain earlier ones, so a letter belongs to
-    every word from some index on, possibly none (the letter only pads the
-    final extension).  A tuple accepts when its components alternate
-    acceptance starting accepting, which pins the membership flips of the
-    chain.  Only tuples reachable from the all-start tuple are built.
-    """
-    if m < 0:
-        raise InputError("chain level must be nonnegative")
-    width = len(dfa.alphabet)
-    start = (dfa.start,) * (m + 1)
-    ids: dict[tuple[int, ...], int] = {start: 0}
-    tuples = [start]
-    rows: list[tuple[frozenset[int], ...]] = []
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        row = []
-        for j in range(width):
-            targets = []
-            local = set()
-            for keep in range(m + 2):
-                successor = current[:keep] + tuple(
-                    dfa.delta[s][j] for s in current[keep:]
-                )
-                if successor in local:
-                    continue
-                local.add(successor)
-                if successor not in ids:
-                    ids[successor] = len(tuples)
-                    tuples.append(successor)
-                    queue.append(successor)
-                targets.append(ids[successor])
-            row.append(frozenset(targets))
-        rows.append(tuple(row))
-    accepting = frozenset(
-        ids[t]
-        for t in tuples
-        if all((s in dfa.accepting) == (i % 2 == 0) for i, s in enumerate(t))
-    )
-    return Nfa(dfa.alphabet, len(tuples), tuple(rows), frozenset({0}), accepting)
-
-
-def l_plus(dfa: Dfa, m: int, engine: str = ENGINE_ITERATE) -> Dfa:
-    """Minimal automaton for the plus-side level m."""
-    _check_engine(engine)
-    if engine == ENGINE_CHAIN_NFA:
-        return minimize(determinize(build_chain_nfa(dfa, m)))
-    return chain_core_iterate(dfa, m)
-
-
-def l_minus(dfa: Dfa, m: int, engine: str = ENGINE_ITERATE) -> Dfa:
+def l_minus(dfa: Dfa, m: int) -> Dfa:
     """Minimal automaton for the minus-side level m (chains starting outside)."""
-    return l_plus(complement(dfa), m, engine)
+    return l_plus(complement(dfa), m)
 
 
-def m_plus(dfa: Dfa, engine: str = ENGINE_ITERATE) -> AlternationMeasure:
+def _level_depth(dfa: Dfa) -> AlternationMeasure:
+    """Plus measure of a piecewise testable language: the index of the
+    first empty level, less one.
+
+    Callers must have ruled out the forbidden pattern first (``detect_p3``
+    found no witness); only then is an empty level guaranteed at a
+    practical depth.
+    """
+    for depth, level in enumerate(_levels(dfa)):
+        if is_empty(level):
+            return AlternationMeasure.finite(depth - 1)
+    raise AssertionError("unreachable")
+
+
+def m_plus(dfa: Dfa) -> AlternationMeasure:
     """Maximal depth of an alternating extension chain starting inside.
 
     Infinity is decided up front by forbidden-pattern detection; the level
@@ -239,75 +141,25 @@ def m_plus(dfa: Dfa, engine: str = ENGINE_ITERATE) -> AlternationMeasure:
     an exponential depth bound in the automaton size, which is not a
     practical algorithm.)
     """
-    _check_engine(engine)
     if detect_p3(dfa) is not None:
         return AlternationMeasure.infinite()
-    if engine == ENGINE_CHAIN_NFA:
-        depth = 0
-        while True:
-            if is_empty(build_chain_nfa(dfa, depth)):
-                return AlternationMeasure.finite(depth - 1)
-            depth += 1
-    depth = 0
-    for level in _levels(dfa):
-        if is_empty(level):
-            return AlternationMeasure.finite(depth - 1)
-        depth += 1
-    raise AssertionError("unreachable")
+    return _level_depth(dfa)
 
 
-def m_minus(dfa: Dfa, engine: str = ENGINE_ITERATE) -> AlternationMeasure:
+def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return m_plus(complement(dfa), engine)
+    return m_plus(complement(dfa))
 
 
-def in_boolean_level(dfa: Dfa, k: int, side: str = "plus", engine: str = ENGINE_ITERATE) -> bool:
+def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
     """Membership in the k-th difference-hierarchy class ("plus") or in
     the complement class ("co")."""
     if k < 1:
         raise InputError("hierarchy level k must be positive")
     if side not in ("plus", "co"):
         raise InputError(f"side must be 'plus' or 'co', not {side!r}")
-    measure = m_plus(dfa, engine) if side == "plus" else m_minus(dfa, engine)
+    measure = m_plus(dfa) if side == "plus" else m_minus(dfa)
     return measure < AlternationMeasure.finite(k)
-
-
-@dataclass(frozen=True)
-class BooleanLevelReport:
-    """Where a language sits in the difference hierarchy over level 1/2.
-
-    ``minimal_k_plus`` is the least k whose class contains the language
-    (always the plus measure plus one); ``strict_side`` says which of the
-    two classes at that depth the language occupies exclusively.  All
-    three are None when the measures are infinite, i.e. when the language
-    lies outside the boolean closure entirely.
-    """
-
-    m_plus: AlternationMeasure
-    m_minus: AlternationMeasure
-    minimal_k_plus: int | None
-    minimal_k_co: int | None
-    strict_side: str | None
-
-    @property
-    def in_boolean_closure(self) -> bool:
-        return self.m_plus.is_finite
-
-
-def minimal_boolean_level(dfa: Dfa, engine: str = ENGINE_ITERATE) -> BooleanLevelReport:
-    """Minimal hierarchy levels on both sides, or the verdict that the
-    language is not piecewise testable at all."""
-    plus = m_plus(dfa, engine)
-    minus = m_minus(dfa, engine)
-    if not plus.is_finite:
-        return BooleanLevelReport(plus, minus, None, None, None)
-    return BooleanLevelReport(
-        plus,
-        minus,
-        plus.value + 1,
-        minus.value + 1,
-        "plus" if plus < minus else "co",
-    )
 
 
 def mk_witness(k: int, alphabet: Alphabet | None = None, letter: str = "a") -> Dfa:
@@ -336,7 +188,7 @@ def mk_witness(k: int, alphabet: Alphabet | None = None, letter: str = "a") -> D
     return Dfa(alphabet, k + 2, tuple(rows), 0, accepting)
 
 
-def normal_form_decomposition(dfa: Dfa, engine: str = ENGINE_ITERATE) -> list[Dfa]:
+def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     """Nested chain of minus-side levels whose alternating differences
     rebuild the language (see ``reassemble_normal_form``).
 
@@ -345,24 +197,10 @@ def normal_form_decomposition(dfa: Dfa, engine: str = ENGINE_ITERATE) -> list[Df
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    _check_engine(engine)
     if detect_p3(dfa) is not None:
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    comp = complement(dfa)
-    levels: list[Dfa] = []
-    if engine == ENGINE_CHAIN_NFA:
-        depth = 0
-        while True:
-            level = minimize(determinize(build_chain_nfa(comp, depth)))
-            if is_empty(level):
-                return levels
-            levels.append(level)
-            depth += 1
-    for level in _levels(comp):
-        if is_empty(level):
-            return levels
-        levels.append(level)
-    raise AssertionError("unreachable")
+    levels = _levels(complement(dfa))
+    return list(itertools.takewhile(lambda level: not is_empty(level), levels))
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .alternation import (
-    ENGINE_CHAIN_NFA,
-    ENGINE_ITERATE,
     AlternationMeasure,
+    _level_depth,
     m_minus,
     m_plus,
     mk_witness,
@@ -177,6 +176,20 @@ def export(dfa: Dfa, fmt: str = "native") -> str:
     raise InputError(f"unknown export format {fmt!r}")
 
 
+def _witness_fields(w: PatternWitness) -> dict:
+    """A pattern witness as JSON values, without its kind."""
+    return {
+        "letter": w.letter,
+        "x": w.x,
+        "v": w.v,
+        "y": w.y,
+        "z": w.z,
+        "u": w.u,
+        "z_prime": w.z_prime,
+        "states": list(w.states),
+    }
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Full verdict for one language."""
@@ -196,17 +209,7 @@ class ClassificationReport:
         witness = None
         if self.pattern_witness is not None:
             w = self.pattern_witness
-            witness = {
-                "kind": w.kind,
-                "letter": w.letter,
-                "x": w.x,
-                "v": w.v,
-                "y": w.y,
-                "z": w.z,
-                "u": w.u,
-                "z_prime": w.z_prime,
-                "states": list(w.states),
-            }
+            witness = {"kind": w.kind, **_witness_fields(w)}
         return {
             "language": self.language,
             "in_level_one_half": self.in_level_one_half,
@@ -253,14 +256,22 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
         )
 
 
-def classify(dfa: Dfa, name: str = "language", engine: str = ENGINE_ITERATE) -> ClassificationReport:
-    """Run every classification the toolkit offers on one automaton."""
+def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
+    """Run every classification the toolkit offers on one automaton.
+
+    One piecewise-testability verdict settles both measures: level 1 is
+    closed under complement, so the measures are infinite together, and
+    otherwise each is the depth of its own level chain.
+    """
     in_half = is_level_one_half(dfa)
     in_co_half = is_co_level_one_half(dfa)
     decomposition = decompose_level_half(dfa).words if in_half else None
     witness = detect_p3(dfa)
-    plus = m_plus(dfa, engine)
-    minus = m_minus(dfa, engine)
+    if witness is None:
+        plus = _level_depth(dfa)
+        minus = _level_depth(complement(dfa))
+    else:
+        plus = minus = AlternationMeasure.infinite()
     report = ClassificationReport(
         language=name,
         in_level_one_half=in_half,
@@ -317,8 +328,14 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _read_dfa(path: str) -> Dfa:
-    return parse_dfa(Path(path).read_text(encoding="utf-8"))
+def _read_dfa(path: str | Path) -> Dfa:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_dfa(text)
 
 
 def _word_cap() -> int:
@@ -351,13 +368,11 @@ def _cmd_classify(args) -> int:
     dicts = []
     texts = []
     for path in paths:
-        dfa = parse_dfa(path.read_text(encoding="utf-8"))
-        report = classify(dfa, name=path.stem, engine=args.engine)
+        dfa = _read_dfa(path)
+        report = classify(dfa, name=path.stem)
         entry = report.to_dict()
         if args.oracle_check is not None:
-            problems = cross_check(
-                dfa, args.oracle_check, cap=_word_cap(), engine=args.engine
-            )
+            problems = cross_check(dfa, args.oracle_check, cap=_word_cap())
             entry["oracle_check"] = {
                 "max_len": args.oracle_check,
                 "ok": not problems,
@@ -387,8 +402,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus = m_plus(dfa, args.engine)
-    minus = m_minus(dfa, args.engine)
+    plus = m_plus(dfa)
+    minus = m_minus(dfa)
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})
@@ -403,20 +418,7 @@ def _cmd_patterns(args) -> int:
     witnesses = {"P1": detect_p1(dfa), "P2": detect_p2(dfa), "P3": detect_p3(dfa)}
     if args.json:
         payload = {
-            kind: (
-                None
-                if w is None
-                else {
-                    "letter": w.letter,
-                    "x": w.x,
-                    "v": w.v,
-                    "y": w.y,
-                    "z": w.z,
-                    "u": w.u,
-                    "z_prime": w.z_prime,
-                    "states": list(w.states),
-                }
-            )
+            kind: None if w is None else _witness_fields(w)
             for kind, w in witnesses.items()
         }
         payload["piecewise_testable"] = witnesses["P3"] is None
@@ -454,9 +456,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     dfa = _read_dfa(args.file)
-    problems = cross_check(
-        dfa, args.max_len, max_m=args.max_m, cap=_word_cap(), engine=args.engine
-    )
+    problems = cross_check(dfa, args.max_len, max_m=args.max_m, cap=_word_cap())
     if problems:
         for problem in problems:
             sys.stdout.write(f"MISMATCH: {problem}\n")
@@ -489,14 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine(p):
-        p.add_argument(
-            "--engine",
-            choices=[ENGINE_ITERATE, ENGINE_CHAIN_NFA],
-            default=ENGINE_ITERATE,
-            help="how to compute level automata (default: %(default)s)",
-        )
-
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("file", nargs="?", metavar="FILE")
     p.add_argument("--batch", metavar="DIR", help="classify every .dfa file in DIR")
@@ -508,13 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cross-validate against brute force on words up to length N",
     )
-    add_engine(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("mplus", help="alternation measures only")
     p.add_argument("file", metavar="FILE")
     p.add_argument("--json", action="store_true")
-    add_engine(p)
     p.set_defaults(func=_cmd_mplus)
 
     p = sub.add_parser("patterns", help="forbidden-pattern detection with witnesses")
@@ -536,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--max-len", type=int, default=6, metavar="N")
     p.add_argument("--max-m", type=int, default=3, metavar="M")
-    add_engine(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("export", help="re-serialize an automaton")

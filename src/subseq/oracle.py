@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .automata import Alphabet, Dfa
-from .errors import WordCapExceededError
+from .errors import InputError, WordCapExceededError
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -39,6 +39,8 @@ def enumerate_words(alphabet: Alphabet, max_len: int, cap: int = DEFAULT_WORD_CA
     """Every word of length up to max_len, shortest first, alphabet order
     within a length.  Raises WordCapExceededError when the longest
     generation alone would exceed ``cap`` words."""
+    if max_len < 0:
+        raise InputError(f"word length bound must be nonnegative, got {max_len}")
     letters = alphabet.letters
     if len(letters) ** max_len > cap:
         raise WordCapExceededError(
@@ -189,7 +191,6 @@ def cross_check(
     max_len: int,
     max_m: int = 3,
     cap: int = DEFAULT_WORD_CAP,
-    engine: str = "iterate",
 ) -> list[str]:
     """Compare the automata pipeline against this module on one machine.
 
@@ -200,11 +201,13 @@ def cross_check(
     """
     from .alternation import l_minus, l_plus, m_minus, m_plus
 
+    if max_m < 0:
+        raise InputError(f"level bound must be nonnegative, got {max_m}")
     table = chain_table(dfa.accepts, dfa.alphabet, max_len, cap)
     problems: list[str] = []
     for side, depths, levels in (
-        ("plus", table.plus_depth, lambda m: l_plus(dfa, m, engine)),
-        ("minus", table.minus_depth, lambda m: l_minus(dfa, m, engine)),
+        ("plus", table.plus_depth, lambda m: l_plus(dfa, m)),
+        ("minus", table.minus_depth, lambda m: l_minus(dfa, m)),
     ):
         for m in range(max_m + 1):
             expected = _bounded_level(table, depths, m)
@@ -216,8 +219,8 @@ def cross_check(
                     f"{side} level {m}: bounded sets disagree, e.g. {sample}"
                 )
     for side, depths, measure in (
-        ("plus", table.plus_depth, m_plus(dfa, engine)),
-        ("minus", table.minus_depth, m_minus(dfa, engine)),
+        ("plus", table.plus_depth, m_plus(dfa)),
+        ("minus", table.minus_depth, m_minus(dfa)),
     ):
         bound = max(depths.values())
         if measure.is_finite and bound > measure.value:

@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the library's own algorithms: subword
 checks go through explicit position subsets, language slices through
-direct simulation, so agreement is meaningful.
+direct simulation, and chain levels through a tuple-state automaton that
+guesses the whole chain at once, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from subseq.automata import Alphabet, Dfa
+from subseq.automata import Alphabet, Dfa, Nfa
+from subseq.errors import InputError
 
 AB = Alphabet("ab")
 
@@ -61,6 +64,53 @@ def all_dfas(n_states: int, alphabet=AB):
         for acc_bits in range(2**n_states):
             accepting = frozenset(s for s in range(n_states) if acc_bits >> s & 1)
             yield Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+def build_chain_nfa(dfa: Dfa, m: int) -> Nfa:
+    """Tuple-state automaton accepting the plus-side level m directly.
+
+    A state is an (m+1)-tuple of runs, one per guessed chain word from
+    smallest to largest.  Reading a letter advances some suffix of the
+    runs: later chain words contain earlier ones, so a letter belongs to
+    every word from some index on, possibly none (the letter only pads the
+    final extension).  A tuple accepts when its components alternate
+    acceptance starting accepting, which pins the membership flips of the
+    chain.  Only tuples reachable from the all-start tuple are built.
+    """
+    if m < 0:
+        raise InputError("chain level must be nonnegative")
+    width = len(dfa.alphabet)
+    start = (dfa.start,) * (m + 1)
+    ids: dict[tuple[int, ...], int] = {start: 0}
+    tuples = [start]
+    rows: list[tuple[frozenset[int], ...]] = []
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        row = []
+        for j in range(width):
+            targets = []
+            local = set()
+            for keep in range(m + 2):
+                successor = current[:keep] + tuple(
+                    dfa.delta[s][j] for s in current[keep:]
+                )
+                if successor in local:
+                    continue
+                local.add(successor)
+                if successor not in ids:
+                    ids[successor] = len(tuples)
+                    tuples.append(successor)
+                    queue.append(successor)
+                targets.append(ids[successor])
+            row.append(frozenset(targets))
+        rows.append(tuple(row))
+    accepting = frozenset(
+        ids[t]
+        for t in tuples
+        if all((s in dfa.accepting) == (i % 2 == 0) for i, s in enumerate(t))
+    )
+    return Nfa(dfa.alphabet, len(tuples), tuple(rows), frozenset({0}), accepting)
 
 
 def ab_star() -> Dfa:

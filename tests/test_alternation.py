@@ -3,18 +3,12 @@ import random
 import pytest
 
 from subseq.alternation import (
-    ENGINE_CHAIN_NFA,
-    ENGINE_ITERATE,
     AlternationMeasure,
-    ChainLevel,
-    build_chain_nfa,
-    chain_core_iterate,
     in_boolean_level,
     l_minus,
     l_plus,
     m_minus,
     m_plus,
-    minimal_boolean_level,
     mk_witness,
     normal_form_decomposition,
     reassemble_normal_form,
@@ -30,14 +24,33 @@ from subseq.automata import (
     union,
     universal_language,
 )
+from subseq.cli import classify
 from subseq.errors import InfiniteMeasureError, InputError
+from subseq.patterns import detect_p3
 from subseq.subword import shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, mk_predicate, random_dfa, words_up_to
+from helpers import (
+    AB,
+    ab_star,
+    build_chain_nfa,
+    mk_predicate,
+    random_dfa,
+    words_up_to,
+)
 
 
 def empty_dfa():
     return complement(universal_language(AB))
+
+
+def chain_nfa_m_plus(d):
+    """Plus measure with every level built by the tuple-state automaton."""
+    if detect_p3(d) is not None:
+        return AlternationMeasure.infinite()
+    depth = 0
+    while not is_empty(build_chain_nfa(d, depth)):
+        depth += 1
+    return AlternationMeasure.finite(depth - 1)
 
 
 def test_measure_ordering_and_edges():
@@ -81,7 +94,7 @@ def test_iterate_level_zero_is_upward_closure():
     rng = random.Random(301)
     for _ in range(10):
         d = random_dfa(rng, rng.randint(1, 4))
-        assert chain_core_iterate(d, 0) == upward_closure(d)
+        assert l_plus(d, 0) == upward_closure(d)
 
 
 def test_iterate_matches_chain_nfa_on_random_machines():
@@ -91,12 +104,12 @@ def test_iterate_matches_chain_nfa_on_random_machines():
         for m in range(4):
             assert equivalent(
                 minimize(determinize(build_chain_nfa(d, m))),
-                chain_core_iterate(d, m),
+                l_plus(d, m),
             )
 
 
 def test_iterate_empties_at_witness_depth():
-    assert is_empty(chain_core_iterate(mk_witness(2), 2))
+    assert is_empty(l_plus(mk_witness(2), 2))
 
 
 def test_level_automata_agree_between_engines_via_l_plus():
@@ -104,7 +117,7 @@ def test_level_automata_agree_between_engines_via_l_plus():
     for _ in range(10):
         d = random_dfa(rng, rng.randint(1, 3))
         for m in range(3):
-            assert l_plus(d, m, ENGINE_ITERATE) == l_plus(d, m, ENGINE_CHAIN_NFA)
+            assert l_plus(d, m) == minimize(determinize(build_chain_nfa(d, m)))
 
 
 def test_l_plus_level_zero_and_l_minus_identity():
@@ -148,7 +161,7 @@ def test_measures_agree_between_engines():
     rng = random.Random(305)
     for _ in range(15):
         d = random_dfa(rng, rng.randint(1, 3))
-        assert m_plus(d, ENGINE_ITERATE) == m_plus(d, ENGINE_CHAIN_NFA)
+        assert m_plus(d) == chain_nfa_m_plus(d)
 
 
 def test_in_boolean_level_for_witness_family():
@@ -171,17 +184,17 @@ def test_in_boolean_level_edges():
 
 
 def test_minimal_boolean_level_of_witness():
-    report = minimal_boolean_level(mk_witness(3))
+    report = classify(mk_witness(3))
     assert report.minimal_k_plus == 3
     assert report.minimal_k_co == 4
-    assert report.strict_side == "plus"
-    assert report.in_boolean_closure
+    assert report.m_plus < report.m_minus  # strictly on the plus side
+    assert report.m_plus.is_finite
 
 
 def test_minimal_boolean_level_of_single_letter_ideal():
     # every extension of a member stays inside, so the plus depth is zero;
     # the empty word extends into a member, giving minus depth one
-    report = minimal_boolean_level(shuffle_ideal("a", AB))
+    report = classify(shuffle_ideal("a", AB))
     assert report.m_plus == AlternationMeasure.finite(0)
     assert report.m_minus == AlternationMeasure.finite(1)
     assert report.minimal_k_plus == 1
@@ -189,11 +202,11 @@ def test_minimal_boolean_level_of_single_letter_ideal():
 
 
 def test_minimal_boolean_level_outside_the_hierarchy():
-    report = minimal_boolean_level(ab_star())
-    assert not report.in_boolean_closure
+    report = classify(ab_star())
+    assert not report.m_plus.is_finite
+    assert not report.m_minus.is_finite
     assert report.minimal_k_plus is None
     assert report.minimal_k_co is None
-    assert report.strict_side is None
 
 
 def test_mk_witness_languages_match_their_arithmetic():
@@ -299,18 +312,16 @@ def test_levels_are_upward_closed():
     for _ in range(12):
         d = random_dfa(rng, rng.randint(1, 3))
         for m in range(3):
-            for sign in ("plus", "minus"):
-                level = ChainLevel.compute(d, m, sign)
-                assert level.check()
-                assert level.automaton == (l_plus if sign == "plus" else l_minus)(d, m)
+            for level in (l_plus(d, m), l_minus(d, m)):
+                assert upward_closure(level) == level
 
 
 def test_chain_level_validation():
     d = mk_witness(1)
     with pytest.raises(InputError):
-        ChainLevel.compute(d, -1)
+        l_plus(d, -1)
     with pytest.raises(InputError):
-        ChainLevel.compute(d, 0, sign="sideways")
+        l_minus(d, -1)
 
 
 def test_finite_measures_differ_by_one_off_the_edges():
@@ -351,8 +362,8 @@ def test_engines_agree_over_three_letters():
     for _ in range(15):
         d = random_dfa(rng, rng.randint(1, 3), alphabet=abc)
         for m in range(3):
-            assert l_plus(d, m, ENGINE_ITERATE) == l_plus(d, m, ENGINE_CHAIN_NFA)
-        assert m_plus(d, ENGINE_ITERATE) == m_plus(d, ENGINE_CHAIN_NFA)
+            assert l_plus(d, m) == minimize(determinize(build_chain_nfa(d, m)))
+        assert m_plus(d) == chain_nfa_m_plus(d)
 
 
 def test_unary_alphabet_is_supported():
@@ -367,6 +378,6 @@ def test_unary_alphabet_is_supported():
     assert m_plus(threshold) == AlternationMeasure.finite(0)
     assert m_minus(threshold) == AlternationMeasure.finite(1)
     for m in range(3):
-        assert l_plus(threshold, m, ENGINE_ITERATE) == l_plus(
-            threshold, m, ENGINE_CHAIN_NFA
+        assert l_plus(threshold, m) == minimize(
+            determinize(build_chain_nfa(threshold, m))
         )

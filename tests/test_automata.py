@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subseq.alternation import build_chain_nfa, chain_core_iterate, mk_witness
+from subseq.alternation import l_plus, mk_witness
 from subseq.automata import (
     Alphabet,
     Dfa,
@@ -26,7 +26,7 @@ from subseq.automata import (
 from subseq.errors import AlphabetMismatchError, InputError
 from subseq.subword import shuffle_ideal
 
-from helpers import AB, dfa_from_rows, random_dfa, words_up_to
+from helpers import AB, build_chain_nfa, dfa_from_rows, random_dfa, words_up_to
 
 
 def test_alphabet_validation():
@@ -290,7 +290,7 @@ def test_equivalent_of_the_two_level_engines():
         for m in range(4):
             assert equivalent(
                 minimize(determinize(build_chain_nfa(d, m))),
-                chain_core_iterate(d, m),
+                l_plus(d, m),
             )
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from subseq import cli
 from subseq.alternation import AlternationMeasure, mk_witness
 from subseq.automata import minimize
 from subseq.cli import classify, export, main, parse_dfa
@@ -184,11 +188,6 @@ def test_cli_classify_oracle_check(capsys):
     assert "oracle check (n=5): ok" in capsys.readouterr().out
 
 
-def test_cli_classify_engine_flag(capsys):
-    assert main(["classify", str(FIXTURES / "m2.dfa"), "--engine", "chain-nfa"]) == 0
-    assert "m_plus: 1" in capsys.readouterr().out
-
-
 def test_cli_classify_batch(capsys, tmp_path):
     (tmp_path / "one.dfa").write_text(export(mk_witness(1)))
     (tmp_path / "two.dfa").write_text(export(mk_witness(2)))
@@ -267,3 +266,60 @@ def test_cli_word_cap_env_exit_code(capsys, monkeypatch):
 def test_cli_word_cap_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("SUBSEQ_WORD_CAP", "lots")
     assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "6"]) == 1
+
+
+def test_cli_oracle_check_rejects_negative_max_len(capsys):
+    assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_classify_rejects_negative_oracle_check(capsys):
+    assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_oracle_check_rejects_negative_max_m(capsys):
+    assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-m", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.dfa"
+    bad.write_bytes(b"# caf\xe9\n" + fixture_text("m2.dfa").encode())
+    with pytest.raises(ParseError) as err:
+        cli._read_dfa(bad)
+    assert str(bad) in str(err.value)
+    assert main(["mplus", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_cli_batch_reads_files_like_single_file_mode(capsys, tmp_path):
+    (tmp_path / "good.dfa").write_text(export(mk_witness(1)))
+    bad = tmp_path / "latin1.dfa"
+    bad.write_bytes(b"# caf\xe9\n" + export(mk_witness(2)).encode())
+    assert main(["classify", "--batch", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(bad) in captured.err
+
+
+def test_python_dash_m_subseq_runs_the_cli():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "subseq", "gen-mk", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert parse_dfa(result.stdout) == mk_witness(2)

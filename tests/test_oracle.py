@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subseq.alternation import ENGINE_CHAIN_NFA, l_plus, m_plus, mk_witness
+from subseq.alternation import l_plus, m_plus, mk_witness
 from subseq.automata import Alphabet, complement, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import (
@@ -152,10 +152,6 @@ def test_bounded_minus_levels_match_complement_plus():
 def test_cross_check_is_clean_on_fixtures():
     for d in (mk_witness(1), mk_witness(3), shuffle_ideal("ab", AB), ab_star()):
         assert cross_check(d, 5) == []
-
-
-def test_cross_check_clean_with_chain_nfa_engine():
-    assert cross_check(mk_witness(2), 5, engine=ENGINE_CHAIN_NFA) == []
 
 
 def test_bounded_levels_match_explicit_chain_enumeration():

@@ -1,7 +1,13 @@
 import random
 
 from subseq.alternation import m_plus, mk_witness
-from subseq.automata import complement, minimize, reverse_det, universal_language
+from subseq.automata import (
+    Alphabet,
+    complement,
+    minimize,
+    reverse_det,
+    universal_language,
+)
 from subseq.patterns import (
     PatternWitness,
     detect_p1,
@@ -209,6 +215,18 @@ def test_pattern_equivalences_hold_over_three_letters():
         w = detect_p3(d)
         if w is not None:
             assert w.holds_in(d)
+
+
+def test_piecewise_testability_is_closed_under_complement():
+    # classify takes one P3 verdict for both measures; this is the
+    # closure property that makes that sound
+    corpus = list(all_dfas(1)) + list(all_dfas(2))
+    rng = random.Random(406)
+    for letters in ("ab", "abc"):
+        alphabet = Alphabet(letters)
+        corpus += [random_dfa(rng, rng.randint(3, 5), alphabet=alphabet) for _ in range(40)]
+    for d in corpus:
+        assert (detect_p3(d) is None) == (detect_p3(complement(d)) is None)
 
 
 def test_witness_replay_rejects_corrupted_witness():
