@@ -33,7 +33,7 @@ from .automata import (
     union,
 )
 from .errors import InfiniteMeasureError, InputError
-from .patterns import detect_p3
+from .patterns import is_piecewise_testable
 from .subword import upward_closure
 
 __all__ = [
@@ -122,9 +122,9 @@ def _level_depth(dfa: Dfa) -> AlternationMeasure:
     """Plus measure of a piecewise testable language: the index of the
     first empty level, less one.
 
-    Callers must have ruled out the forbidden pattern first (``detect_p3``
-    found no witness); only then is an empty level guaranteed at a
-    practical depth.
+    Callers must have decided piecewise testability first
+    (``is_piecewise_testable``); only then is an empty level guaranteed at
+    a practical depth.
     """
     for depth, level in enumerate(_levels(dfa)):
         if is_empty(level):
@@ -132,16 +132,27 @@ def _level_depth(dfa: Dfa) -> AlternationMeasure:
     raise AssertionError("unreachable")
 
 
+def _measures(dfa: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
+    """Plus and minus measures from one piecewise-testability verdict.
+
+    Level 1 is closed under complement, so the measures are infinite
+    together; otherwise each is the depth of its own level chain.
+    """
+    if not is_piecewise_testable(dfa):
+        return AlternationMeasure.infinite(), AlternationMeasure.infinite()
+    return _level_depth(dfa), _level_depth(complement(dfa))
+
+
 def m_plus(dfa: Dfa) -> AlternationMeasure:
     """Maximal depth of an alternating extension chain starting inside.
 
-    Infinity is decided up front by forbidden-pattern detection; the level
-    iteration then runs only in the finite case, where it is guaranteed to
-    hit an empty level.  (Iterating alone would terminate too, but only at
-    an exponential depth bound in the automaton size, which is not a
-    practical algorithm.)
+    Infinity is decided up front by the polynomial piecewise-testability
+    test on the minimal automaton; the level iteration then runs only in
+    the finite case, where it is guaranteed to hit an empty level.
+    (Iterating alone would terminate too, but only at an exponential depth
+    bound in the automaton size, which is not a practical algorithm.)
     """
-    if detect_p3(dfa) is not None:
+    if not is_piecewise_testable(dfa):
         return AlternationMeasure.infinite()
     return _level_depth(dfa)
 
@@ -197,7 +208,7 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    if detect_p3(dfa) is not None:
+    if not is_piecewise_testable(dfa):
         raise InfiniteMeasureError("language has unbounded alternation depth")
     levels = _levels(complement(dfa))
     return list(itertools.takewhile(lambda level: not is_empty(level), levels))

@@ -28,13 +28,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alternation import (
-    AlternationMeasure,
-    _level_depth,
-    m_minus,
-    m_plus,
-    mk_witness,
-)
+from .alternation import AlternationMeasure, _measures, mk_witness
 from .automata import Alphabet, Dfa, complement, is_empty, minimize
 from .errors import (
     InputError,
@@ -259,19 +253,21 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
 def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     """Run every classification the toolkit offers on one automaton.
 
-    One piecewise-testability verdict settles both measures: level 1 is
-    closed under complement, so the measures are infinite together, and
-    otherwise each is the depth of its own level chain.
+    One piecewise-testability verdict settles both measures; the pattern
+    search runs only when that verdict is no, to extract the witness.
     """
     in_half = is_level_one_half(dfa)
     in_co_half = is_co_level_one_half(dfa)
     decomposition = decompose_level_half(dfa).words if in_half else None
-    witness = detect_p3(dfa)
-    if witness is None:
-        plus = _level_depth(dfa)
-        minus = _level_depth(complement(dfa))
-    else:
-        plus = minus = AlternationMeasure.infinite()
+    plus, minus = _measures(dfa)
+    witness = None
+    if not plus.is_finite:
+        witness = detect_p3(dfa)
+        if witness is None:
+            raise AssertionError(
+                f"piecewise-testability verdicts disagree on {name!r}: "
+                "is_piecewise_testable says no, detect_p3 finds no witness"
+            )
     report = ClassificationReport(
         language=name,
         in_level_one_half=in_half,
@@ -281,7 +277,7 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
         m_minus=minus,
         minimal_k_plus=plus.value + 1 if plus.is_finite else None,
         minimal_k_co=minus.value + 1 if minus.is_finite else None,
-        piecewise_testable=witness is None,
+        piecewise_testable=plus.is_finite,
         pattern_witness=witness,
     )
     _check_report(report, dfa)
@@ -329,13 +325,19 @@ def _json_dump(obj) -> str:
 
 
 def _read_dfa(path: str | Path) -> Dfa:
+    """Read and parse one automaton file; every failure names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            f"not UTF-8 text ({exc.reason} at byte {exc.start})", path=path
         ) from None
-    return parse_dfa(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    try:
+        return parse_dfa(text)
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, exc.column, path) from None
 
 
 def _word_cap() -> int:
@@ -367,8 +369,16 @@ def _cmd_classify(args) -> int:
 
     dicts = []
     texts = []
+    failed = False
     for path in paths:
-        dfa = _read_dfa(path)
+        try:
+            dfa = _read_dfa(path)
+        except InputError as exc:
+            if not args.batch:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+            continue
         report = classify(dfa, name=path.stem)
         entry = report.to_dict()
         if args.oracle_check is not None:
@@ -392,7 +402,7 @@ def _cmd_classify(args) -> int:
         sys.stdout.write(_json_dump(payload))
     else:
         sys.stdout.write("\n".join(texts) if args.batch else texts[0])
-    if any(
+    if failed or any(
         args.oracle_check is not None and not entry["oracle_check"]["ok"]
         for entry in dicts
     ):
@@ -402,8 +412,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus = m_plus(dfa)
-    minus = m_minus(dfa)
+    plus, minus = _measures(dfa)
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})

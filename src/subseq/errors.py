@@ -16,14 +16,16 @@ class AlphabetMismatchError(InputError):
 class ParseError(InputError):
     """An automaton file could not be parsed.
 
-    ``line`` and ``column`` are 1-based when known.
+    ``line`` and ``column`` are 1-based when known; ``path`` names the file
+    when the text came from one; ``message`` is the bare description.
     """
 
-    def __init__(self, message, line=None, column=None):
-        where = ""
+    def __init__(self, message, line=None, column=None, path=None):
+        where = "" if path is None else f"{path}: "
         if line is not None:
-            where = f"line {line}: " if column is None else f"line {line}, column {column}: "
+            where += f"line {line}: " if column is None else f"line {line}, column {column}: "
         super().__init__(where + message)
+        self.message = message
         self.line = line
         self.column = column
 

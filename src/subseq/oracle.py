@@ -199,7 +199,7 @@ def cross_check(
     never exceed the computed measures.  Returns human-readable mismatch
     descriptions; an empty list means full agreement.
     """
-    from .alternation import l_minus, l_plus, m_minus, m_plus
+    from .alternation import _measures, l_minus, l_plus
 
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
@@ -218,9 +218,10 @@ def cross_check(
                 problems.append(
                     f"{side} level {m}: bounded sets disagree, e.g. {sample}"
                 )
+    plus, minus = _measures(dfa)
     for side, depths, measure in (
-        ("plus", table.plus_depth, m_plus(dfa)),
-        ("minus", table.minus_depth, m_minus(dfa)),
+        ("plus", table.plus_depth, plus),
+        ("minus", table.minus_depth, minus),
     ):
         bound = max(depths.values())
         if measure.is_finite and bound > measure.value:

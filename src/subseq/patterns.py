@@ -1,11 +1,19 @@
-"""Forbidden-pattern detection in DFA transition graphs.
+"""Piecewise testability: a polynomial decision procedure, and
+forbidden-pattern detection for witnesses.
 
 A regular language is piecewise testable (a boolean combination of shuffle
-ideals) exactly when its automaton is free of three interlocking
-loop-plus-distinguisher configurations.  Whenever one is present, pumping
-the loop while inserting the pivot letter builds membership-alternating
-extension chains of unbounded depth, so these detectors are also how the
-toolkit decides whether the alternation measures are infinite.
+ideals, level 1) exactly when its minimal automaton is acyclic apart from
+self-loops and locally confluent (Klíma and Polák, DLT 2013, building on
+Simon's theorem).  ``is_piecewise_testable`` checks those two properties in
+polynomial time, and it is the toolkit's only yes/no test for level 1, so
+also for whether the alternation measures are infinite.
+
+The same languages are exactly those whose automaton is free of three
+interlocking loop-plus-distinguisher configurations.  Whenever one is
+present, pumping the loop while inserting the pivot letter builds
+membership-alternating extension chains of unbounded depth.  The detectors
+for them extract that evidence when the test says no, and serve as an
+independent cross-check of the test.
 
 Each detector returns a fully instantiated witness (words and states) that
 can be replayed against the automaton, or None.  Detection is
@@ -18,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Dfa, distinguishing_words
+from .automata import Dfa, distinguishing_words, minimize
 from .subword import is_subword
 
 __all__ = [
@@ -295,6 +303,58 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     return None
 
 
+def _acyclic_but_self_loops(dfa: Dfa) -> bool:
+    """Kahn's algorithm over the edges s -> t with s != t."""
+    successors = [{t for t in row if t != s} for s, row in enumerate(dfa.delta)]
+    indegree = [0] * dfa.n_states
+    for targets in successors:
+        for t in targets:
+            indegree[t] += 1
+    ready = [s for s in range(dfa.n_states) if indegree[s] == 0]
+    removed = 0
+    while ready:
+        s = ready.pop()
+        removed += 1
+        for t in successors[s]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return removed == dfa.n_states
+
+
+def _joinable(dfa: Dfa, p: int, q: int, i: int, j: int) -> bool:
+    """Some word w over letters i and j gives p.w == q.w: breadth-first
+    search over state pairs driven by the same letter."""
+    delta = dfa.delta
+    seen = {(p, q)}
+    queue = deque(seen)
+    while queue:
+        s, t = queue.popleft()
+        if s == t:
+            return True
+        for c in (i, j):
+            pair = (delta[s][c], delta[t][c])
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return False
+
+
 def is_piecewise_testable(dfa: Dfa) -> bool:
-    """Boolean combination of shuffle ideals, i.e. no third pattern."""
-    return detect_p3(dfa) is None
+    """Boolean combination of shuffle ideals, decided on the minimal
+    automaton: every cycle is a self-loop, and for every state q and
+    letters a < b some w over {a, b} gives q.aw == q.bw.
+
+    O(k^2 n^3) at worst for n minimal states over k letters; the pattern
+    detectors decide the same question by exhaustive search.
+    """
+    dfa = minimize(dfa)
+    if not _acyclic_but_self_loops(dfa):
+        return False
+    width = len(dfa.alphabet)
+    return all(
+        _joinable(dfa, row[i], row[j], i, j)
+        for row in dfa.delta
+        for i in range(width)
+        for j in range(i + 1, width)
+    )

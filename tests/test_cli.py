@@ -127,6 +127,14 @@ def test_classify_alternating_language_carries_valid_witness():
     assert report.minimal_k_plus is None
 
 
+def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
+    # the level walk never ends on a language that is not piecewise
+    # testable, so a missing witness must stop classify, not fall through
+    monkeypatch.setattr(cli, "detect_p3", lambda dfa: None)
+    with pytest.raises(AssertionError, match="detect_p3 finds no witness"):
+        classify(ab_star(), name="abstar")
+
+
 def test_classify_empty_language():
     from subseq.automata import empty_language
 
@@ -305,8 +313,34 @@ def test_cli_batch_reads_files_like_single_file_mode(capsys, tmp_path):
     bad.write_bytes(b"# caf\xe9\n" + export(mk_witness(2)).encode())
     assert main(["classify", "--batch", str(tmp_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(bad) in captured.err
+    assert captured.out == (
+        "language: good\n"
+        "level 1/2 (union of shuffle ideals): yes\n"
+        "  shuffle ideals: a\n"
+        "co level 1/2: no\n"
+        "m_plus: 0\n"
+        "m_minus: 1\n"
+        "minimal k, plus side: 1\n"
+        "minimal k, co side: 2\n"
+        "piecewise testable (level 1): yes\n"
+    )
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_batch_json_reports_good_files_past_a_bad_one(capsys, tmp_path):
+    (tmp_path / "a.dfa").write_text(export(mk_witness(1)))
+    (tmp_path / "b.dfa").write_text("alphabet: ab\nstates: 1\nstart: 0\naccepting:\n0 a 0\n")
+    (tmp_path / "c.dfa").write_text(export(mk_witness(2)))
+    (tmp_path / "d.dfa").mkdir()
+    assert main(["classify", "--batch", str(tmp_path), "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [entry["language"] for entry in payload] == ["a", "c"]
+    assert captured.err == (
+        f"error: {tmp_path / 'b.dfa'}: missing transition for state 0 on 'b'\n"
+        f"error: {tmp_path / 'd.dfa'}: Is a directory\n"
+    )
 
 
 def test_python_dash_m_subseq_runs_the_cli():

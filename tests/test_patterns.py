@@ -1,8 +1,10 @@
 import random
+import time
 
-from subseq.alternation import m_plus, mk_witness
+from subseq.alternation import AlternationMeasure, m_plus, mk_witness
 from subseq.automata import (
     Alphabet,
+    Dfa,
     complement,
     minimize,
     reverse_det,
@@ -16,6 +18,7 @@ from subseq.patterns import (
     find_loop_with_embedded_extension,
     is_piecewise_testable,
 )
+from subseq.cli import classify
 from subseq.subword import is_subword, shuffle_ideal
 
 from helpers import AB, ab_star, all_dfas, ba_star, dfa_from_rows, random_dfa
@@ -236,3 +239,52 @@ def test_witness_replay_rejects_corrupted_witness():
         kind="P1", letter=w.letter, x=w.x, v=w.v + "a", y=w.y, z=w.z, states=w.states
     )
     assert not broken.holds_in(d)
+
+
+def _forward_dfa(rng, n_states, alphabet):
+    # mostly forward edges keep many of these acyclic apart from
+    # self-loops, so both piecewise-testability verdicts come up often
+    rows = tuple(
+        tuple(
+            rng.randrange(s, n_states) if rng.random() < 0.9 else rng.randrange(n_states)
+            for _ in alphabet.letters
+        )
+        for s in range(n_states)
+    )
+    accepting = frozenset(s for s in range(n_states) if rng.random() < 0.5)
+    return Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+def test_decision_procedure_agrees_with_pattern_search():
+    abc = Alphabet("abc")
+    corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
+    corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
+    rng = random.Random(407)
+    alphabets = (AB, abc)
+    corpus += [
+        _forward_dfa(rng, rng.randint(3, 6), rng.choice(alphabets)) for _ in range(500)
+    ]
+    verdicts = {True: 0, False: 0}
+    for d in corpus:
+        verdict = is_piecewise_testable(d)
+        assert verdict == (detect_p3(d) is None), d
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_decision_procedure_is_polynomial_on_the_witness_family():
+    started = time.perf_counter()
+    assert is_piecewise_testable(mk_witness(256))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_classify_is_fast_on_a_deep_piecewise_testable_language():
+    for d, plus, minus in (
+        (mk_witness(32), 31, 32),
+        (complement(mk_witness(32)), 32, 31),
+    ):
+        started = time.perf_counter()
+        report = classify(d)
+        assert time.perf_counter() - started < 2.0
+        assert report.m_plus == AlternationMeasure.finite(plus)
+        assert report.m_minus == AlternationMeasure.finite(minus)
