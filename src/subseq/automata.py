@@ -441,6 +441,26 @@ def shortest_accepted_word(auto: Dfa | Nfa) -> str | None:
     return None
 
 
+def _topological_order(dfa: Dfa) -> list[int] | None:
+    """States ordered so that every edge s -> t with s != t points forward,
+    by Kahn's algorithm; None when some cycle is not a self-loop."""
+    successors = [{t for t in row if t != s} for s, row in enumerate(dfa.delta)]
+    indegree = [0] * dfa.n_states
+    for targets in successors:
+        for t in targets:
+            indegree[t] += 1
+    ready = [s for s in range(dfa.n_states) if indegree[s] == 0]
+    order = []
+    while ready:
+        s = ready.pop()
+        order.append(s)
+        for t in successors[s]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return order if len(order) == dfa.n_states else None
+
+
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality, via emptiness of the symmetric difference."""
     return is_empty(symmetric_difference(d1, d2))

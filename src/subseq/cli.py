@@ -32,18 +32,14 @@ from .alternation import AlternationMeasure, _measures, mk_witness
 from .automata import Alphabet, Dfa, complement, is_empty, minimize
 from .errors import (
     InputError,
+    NotUpwardClosedError,
     ParseError,
     ToolkitError,
     WordCapExceededError,
 )
 from .oracle import DEFAULT_WORD_CAP, cross_check
-from .patterns import PatternWitness, detect_p1, detect_p2, detect_p3
-from .subword import (
-    decompose_level_half,
-    is_co_level_one_half,
-    is_level_one_half,
-    upward_closure,
-)
+from .patterns import PatternWitness, _lift_to_p3, detect_p1, detect_p2, detect_p3
+from .subword import decompose_level_half, is_co_level_one_half, upward_closure
 
 __all__ = [
     "parse_dfa",
@@ -256,9 +252,12 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     One piecewise-testability verdict settles both measures; the pattern
     search runs only when that verdict is no, to extract the witness.
     """
-    in_half = is_level_one_half(dfa)
+    try:
+        decomposition = decompose_level_half(dfa).words
+    except NotUpwardClosedError:
+        decomposition = None
+    in_half = decomposition is not None
     in_co_half = is_co_level_one_half(dfa)
-    decomposition = decompose_level_half(dfa).words if in_half else None
     plus, minus = _measures(dfa)
     witness = None
     if not plus.is_finite:
@@ -424,7 +423,8 @@ def _cmd_mplus(args) -> int:
 
 def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
-    witnesses = {"P1": detect_p1(dfa), "P2": detect_p2(dfa), "P3": detect_p3(dfa)}
+    first, second = detect_p1(dfa), detect_p2(dfa)
+    witnesses = {"P1": first, "P2": second, "P3": _lift_to_p3(dfa, first, second)}
     if args.json:
         payload = {
             kind: None if w is None else _witness_fields(w)

@@ -28,6 +28,7 @@ class ParseError(InputError):
         self.message = message
         self.line = line
         self.column = column
+        self.path = path
 
 
 class NotUpwardClosedError(ToolkitError):

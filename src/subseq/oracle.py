@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .automata import Alphabet, Dfa
+from .automata import Alphabet, Dfa, complement
 from .errors import InputError, WordCapExceededError
 
 __all__ = [
@@ -199,19 +199,18 @@ def cross_check(
     never exceed the computed measures.  Returns human-readable mismatch
     descriptions; an empty list means full agreement.
     """
-    from .alternation import _measures, l_minus, l_plus
+    from .alternation import _levels, _measures
 
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
     table = chain_table(dfa.accepts, dfa.alphabet, max_len, cap)
     problems: list[str] = []
-    for side, depths, levels in (
-        ("plus", table.plus_depth, lambda m: l_plus(dfa, m)),
-        ("minus", table.minus_depth, lambda m: l_minus(dfa, m)),
+    for side, depths, language in (
+        ("plus", table.plus_depth, dfa),
+        ("minus", table.minus_depth, complement(dfa)),
     ):
-        for m in range(max_m + 1):
+        for m, machine in enumerate(itertools.islice(_levels(language), max_m + 1)):
             expected = _bounded_level(table, depths, m)
-            machine = levels(m)
             actual = {w for w in table.words if machine.accepts(w)}
             if expected != actual:
                 sample = sorted(expected ^ actual, key=lambda w: (len(w), w))[:3]

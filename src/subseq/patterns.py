@@ -24,9 +24,9 @@ breadth-first shortest words with alphabet-order tie-breaking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .automata import Dfa, distinguishing_words, minimize
+from .automata import Dfa, _topological_order, distinguishing_words, minimize
 from .subword import is_subword
 
 __all__ = [
@@ -277,49 +277,22 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     two to be present, so the disjunction is exact.
     """
     first = detect_p1(dfa)
+    return _lift_to_p3(dfa, first, None if first is not None else detect_p2(dfa))
+
+
+def _lift_to_p3(
+    dfa: Dfa, first: PatternWitness | None, second: PatternWitness | None
+) -> PatternWitness | None:
+    """The third-pattern witness built from the first-pattern witness if
+    there is one, else from the second-pattern witness, else None."""
     if first is not None:
         s1, s2, s3 = first.states
-        return PatternWitness(
-            kind="P3",
-            letter=first.letter,
-            x=first.x,
-            v=first.v,
-            y=first.y,
-            z=first.z,
-            states=(s1, s2, s3, dfa.run(first.z, s2), dfa.run(first.z, s3)),
-        )
-    second = detect_p2(dfa)
+        states = (s1, s2, s3, dfa.run(first.z, s2), dfa.run(first.z, s3))
+        return replace(first, kind="P3", states=states)
     if second is not None:
         s1, s2, s3, s4 = second.states
-        return PatternWitness(
-            kind="P3",
-            letter=second.letter,
-            x=second.x,
-            z=second.z,
-            u=second.u,
-            z_prime=second.z_prime,
-            states=(s1, s1, s2, s3, s4),
-        )
+        return replace(second, kind="P3", states=(s1, s1, s2, s3, s4))
     return None
-
-
-def _acyclic_but_self_loops(dfa: Dfa) -> bool:
-    """Kahn's algorithm over the edges s -> t with s != t."""
-    successors = [{t for t in row if t != s} for s, row in enumerate(dfa.delta)]
-    indegree = [0] * dfa.n_states
-    for targets in successors:
-        for t in targets:
-            indegree[t] += 1
-    ready = [s for s in range(dfa.n_states) if indegree[s] == 0]
-    removed = 0
-    while ready:
-        s = ready.pop()
-        removed += 1
-        for t in successors[s]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-    return removed == dfa.n_states
 
 
 def _joinable(dfa: Dfa, p: int, q: int, i: int, j: int) -> bool:
@@ -349,7 +322,7 @@ def is_piecewise_testable(dfa: Dfa) -> bool:
     detectors decide the same question by exhaustive search.
     """
     dfa = minimize(dfa)
-    if not _acyclic_but_self_loops(dfa):
+    if _topological_order(dfa) is None:
         return False
     width = len(dfa.alphabet)
     return all(

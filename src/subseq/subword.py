@@ -12,6 +12,7 @@ from .automata import (
     Alphabet,
     Dfa,
     Nfa,
+    _topological_order,
     complement,
     determinize,
     equivalent,
@@ -113,38 +114,42 @@ class IdealDecomposition:
 def decompose_level_half(dfa: Dfa) -> IdealDecomposition:
     """Canonical shuffle-ideal decomposition of an upward closed language.
 
-    The returned words are the subword-minimal members of the language:
-    label sequences of simple start-to-accepting paths (loops contribute
-    nothing once every letter may be skipped), pruned to an antichain.
+    The returned words are the subword-minimal members of the language,
+    computed on its upward closure, which is minimal and, once the check
+    passes, accepts the same language.  Let Min(q) be the minimal words
+    of the residual language L_q: [""] when q accepts, otherwise the
+    subword-minimal words among a + w with q.a != q and w in Min(q.a).
+    In an upward closed language L_q is contained in L_{q.a}, so states on
+    a cycle have equal residuals, and in a minimal automaton every cycle
+    is a self-loop; the states therefore have a topological order, and
+    Min is filled in one pass in reverse of it.  A word starting with a
+    self-loop letter is never minimal, since the word without that letter
+    is still in L_q; and if a + w is minimal in L_q, w is minimal in
+    L_{q.a}.
+    Every residual of a union of k ideals is a union of at most k ideals,
+    so |Min(q)| <= k and the pass is polynomial in the states and k.
 
     Raises NotUpwardClosedError, carrying a shortest counterexample word,
     when the language is not upward closed.
     """
     closed = upward_closure(dfa)
-    if not equivalent(closed, dfa):
-        witness = shortest_accepted_word(symmetric_difference(closed, dfa))
+    witness = shortest_accepted_word(symmetric_difference(closed, dfa))
+    if witness is not None:
         raise NotUpwardClosedError(
             f"language is not upward closed: {witness!r} extends an accepted word "
             "but is not accepted",
             witness=witness,
         )
 
-    machine = minimize(dfa)
-    width = len(machine.alphabet)
-    letters = machine.alphabet.letters
-    found: set[str] = set()
-
-    def walk(state: int, label: list[str], visited: set[int]) -> None:
-        if state in machine.accepting:
-            found.add("".join(label))
-        for j in range(width):
-            target = machine.delta[state][j]
-            if target not in visited:
-                label.append(letters[j])
-                walk(target, label, visited | {target})
-                label.pop()
-
-    walk(machine.start, [], {machine.start})
-    minimal = [w for w in found if not any(u != w and is_subword(u, w) for u in found)]
-    minimal.sort(key=lambda w: (len(w), w))
-    return IdealDecomposition(tuple(minimal))
+    letters = closed.alphabet.letters
+    minimal: dict[int, list[str]] = {}
+    for q in reversed(_topological_order(closed)):
+        kept = [""] if q in closed.accepting else []
+        candidates = {
+            a + w for a, t in zip(letters, closed.delta[q]) if t != q for w in minimal[t]
+        }
+        for w in sorted(candidates, key=lambda w: (len(w), w)):
+            if not any(is_subword(u, w) for u in kept):
+                kept.append(w)
+        minimal[q] = kept
+    return IdealDecomposition(tuple(minimal[closed.start]))

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import deque
 
-from subseq.automata import Alphabet, Dfa, Nfa
+from subseq.automata import Alphabet, Dfa, Nfa, minimize
 from subseq.errors import InputError
+from subseq.subword import is_subword
 
 AB = Alphabet("ab")
 
@@ -111,6 +113,50 @@ def build_chain_nfa(dfa: Dfa, m: int) -> Nfa:
         if all((s in dfa.accepting) == (i % 2 == 0) for i, s in enumerate(t))
     )
     return Nfa(dfa.alphabet, len(tuples), tuple(rows), frozenset({0}), accepting)
+
+
+def walk_decomposition(dfa: Dfa) -> tuple[str, ...]:
+    """Subword-minimal words of an upward closed language, by listing the
+    label of every simple start-to-accepting path of the minimal automaton
+    and pruning the labels pairwise to an antichain.
+
+    Exponential in the worst case and recursive, so only for small inputs;
+    the reference that decompose_level_half is checked against.
+    """
+    machine = minimize(dfa)
+    width = len(machine.alphabet)
+    letters = machine.alphabet.letters
+    found: set[str] = set()
+
+    def walk(state: int, label: list[str], visited: set[int]) -> None:
+        if state in machine.accepting:
+            found.add("".join(label))
+        for j in range(width):
+            target = machine.delta[state][j]
+            if target not in visited:
+                label.append(letters[j])
+                walk(target, label, visited | {target})
+                label.pop()
+
+    walk(machine.start, [], {machine.start})
+    minimal = [w for w in found if not any(u != w and is_subword(u, w) for u in found)]
+    minimal.sort(key=lambda w: (len(w), w))
+    return tuple(minimal)
+
+
+def count_calls(monkeypatch, function) -> list[tuple]:
+    """Record every call of a library function, through whichever module
+    of the package names it; returns the growing list of argument tuples."""
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "subseq" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
 
 
 def ab_star() -> Dfa:

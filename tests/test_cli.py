@@ -11,9 +11,10 @@ from subseq.alternation import AlternationMeasure, mk_witness
 from subseq.automata import minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import ParseError
-from subseq.subword import shuffle_ideal
+from subseq.patterns import detect_p1, detect_p2
+from subseq.subword import shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star
+from helpers import AB, ab_star, count_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -220,6 +221,21 @@ def test_cli_patterns(capsys):
     assert "P3: none" in out and "piecewise testable: yes" in out
 
 
+def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
+    first = count_calls(monkeypatch, detect_p1)
+    second = count_calls(monkeypatch, detect_p2)
+    assert main(["patterns", str(FIXTURES / "m3.dfa")]) == 0
+    assert "piecewise testable: yes" in capsys.readouterr().out
+    assert (len(first), len(second)) == (1, 1)
+
+
+def test_classify_closes_a_level_half_language_once_for_its_check(monkeypatch):
+    closures = count_calls(monkeypatch, upward_closure)
+    report = classify(parse_dfa(fixture_text("a_ideal.dfa")))
+    assert report.ideal_decomposition == ("a",)
+    assert len(closures) == 7
+
+
 def test_cli_closure(capsys):
     assert main(["closure", str(FIXTURES / "m2.dfa")]) == 0
     assert parse_dfa(capsys.readouterr().out) == shuffle_ideal("a", AB)
@@ -305,6 +321,17 @@ def test_cli_non_utf8_file_is_a_parse_error(capsys, tmp_path):
     assert str(bad) in str(err.value)
     assert main(["mplus", str(bad)]) == 1
     assert str(bad) in capsys.readouterr().err
+
+
+def test_parse_error_keeps_the_file_path(tmp_path):
+    assert ParseError("x", path="f").path == "f"
+    assert ParseError("x").path is None
+    bad = tmp_path / "bad.dfa"
+    bad.write_text(fixture_text("m2.dfa").replace("0 b 0", "0 c 0"), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        cli._read_dfa(bad)
+    assert err.value.path == bad
+    assert err.value.line is not None
 
 
 def test_cli_batch_reads_files_like_single_file_mode(capsys, tmp_path):

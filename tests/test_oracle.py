@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +15,13 @@ from subseq.oracle import (
     m_minus_lower_bound,
     m_plus_lower_bound,
 )
-from subseq.subword import is_subword, shuffle_ideal
+from subseq.cli import main
+from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, lang_slice, random_dfa, words_up_to
+from helpers import AB, ab_star, count_calls, lang_slice, random_dfa, words_up_to
 
 A_ONLY = Alphabet("a")
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def never(_):
@@ -192,6 +195,15 @@ def test_bounded_levels_match_explicit_chain_enumeration():
             assert l_plus_bounded(d.accepts, AB, m, 4) == expected
             machine = l_plus(d, m)
             assert {w for w in words_up_to("ab", 4) if machine.accepts(w)} == expected
+
+
+def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
+    closures = count_calls(monkeypatch, upward_closure)
+    assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
+    assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
+    # levels 0..3 on each side, then m3's two measure chains (levels
+    # 0..3 and 0..4, each ending at its first empty level)
+    assert len(closures) == 17
 
 
 def test_cross_check_reports_wrong_predicate():

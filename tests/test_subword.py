@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from subseq.automata import (
+    Alphabet,
     complement,
     difference,
     equivalent,
@@ -12,6 +14,7 @@ from subseq.automata import (
     union,
     universal_language,
 )
+from subseq.cli import export, main
 from subseq.errors import InputError, NotUpwardClosedError
 from subseq.subword import (
     IdealDecomposition,
@@ -25,14 +28,17 @@ from subseq.subword import (
 
 from helpers import (
     AB,
+    all_dfas,
     lang_slice,
     naive_is_subword,
     random_dfa,
     single_word,
+    walk_decomposition,
     words_up_to,
 )
 from subseq.alternation import mk_witness
 
+ABC = Alphabet("abc")
 ab_words = st.text(alphabet="ab", max_size=7)
 
 
@@ -195,3 +201,60 @@ def test_decomposition_words_are_subword_minimal_members():
     assert d.words == ("a", "b")
     with pytest.raises(ValueError):
         IdealDecomposition(("a", "ab"))
+
+
+@pytest.mark.parametrize("n_states, n_closures", [(1, 2), (2, 5), (3, 16)])
+def test_decompose_agrees_with_path_walk_on_all_small_closures(n_states, n_closures):
+    closures = {upward_closure(d) for d in all_dfas(n_states)}
+    assert len(closures) == n_closures
+    for closed in closures:
+        assert decompose_level_half(closed).words == walk_decomposition(closed)
+
+
+def test_decompose_agrees_with_path_walk_on_random_unions_of_ideals():
+    rng = random.Random(203)
+    for i in range(240):
+        alphabet = AB if i % 2 == 0 else ABC
+        letters = "".join(alphabet.letters)
+        words = [
+            "".join(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        language = shuffle_ideal(words[0], alphabet)
+        for w in words[1:]:
+            language = minimize(union(language, shuffle_ideal(w, alphabet)))
+        expected = sorted(
+            {w for w in words if not any(u != w and is_subword(u, w) for u in words)},
+            key=lambda w: (len(w), w),
+        )
+        got = decompose_level_half(language).words
+        assert got == walk_decomposition(language) == tuple(expected), words
+
+
+def test_decompose_is_polynomial_on_a_union_of_two_letter_powers():
+    both = union(shuffle_ideal("a" * 8, AB), shuffle_ideal("b" * 8, AB))
+    start = time.perf_counter()
+    words = decompose_level_half(both).words
+    elapsed = time.perf_counter() - start
+    assert words == ("aaaaaaaa", "bbbbbbbb")
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+def _long_word():
+    rng = random.Random(204)
+    return "".join(rng.choice("ab") for _ in range(1100))
+
+
+def test_decompose_long_word_ideal_without_recursion():
+    word = _long_word()
+    assert decompose_level_half(shuffle_ideal(word, AB)).words == (word,)
+
+
+def test_cli_decompose_long_word_ideal(capsys, tmp_path):
+    word = _long_word()
+    path = tmp_path / "long.dfa"
+    path.write_text(export(shuffle_ideal(word, AB)), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == word + "\n"
+    assert captured.err == ""
