@@ -221,9 +221,10 @@ class ClassificationReport:
 def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
     """Internal consistency constraints, asserted on every classification.
 
-    They tie independent code paths together: the upward-closure tests
-    must agree with the measures at level one, and witness presence must
-    agree with finiteness.
+    They tie independent constructions together: the level-1/2 booleans
+    come from the single-letter insertion test and the measures from the
+    level chain of upward closures, so the two must agree at level one;
+    witness presence must agree with finiteness.
     """
     plus, minus = report.m_plus, report.m_minus
     one = AlternationMeasure.finite(1)

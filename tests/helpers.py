@@ -13,9 +13,16 @@ import random
 import sys
 from collections import deque
 
-from subseq.automata import Alphabet, Dfa, Nfa, minimize
+from subseq.automata import (
+    Alphabet,
+    Dfa,
+    Nfa,
+    minimize,
+    shortest_accepted_word,
+    symmetric_difference,
+)
 from subseq.errors import InputError
-from subseq.subword import is_subword
+from subseq.subword import is_subword, upward_closure
 
 AB = Alphabet("ab")
 
@@ -142,6 +149,13 @@ def walk_decomposition(dfa: Dfa) -> tuple[str, ...]:
     minimal = [w for w in found if not any(u != w and is_subword(u, w) for u in found)]
     minimal.sort(key=lambda w: (len(w), w))
     return tuple(minimal)
+
+
+def closure_witness(dfa: Dfa) -> str | None:
+    """Shortlex-least word of the upward closure that the language rejects,
+    None when the language is upward closed; through the subset
+    construction, the reference for the single-letter insertion test."""
+    return shortest_accepted_word(symmetric_difference(upward_closure(dfa), dfa))
 
 
 def count_calls(monkeypatch, function) -> list[tuple]:

@@ -233,7 +233,18 @@ def test_classify_closes_a_level_half_language_once_for_its_check(monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     report = classify(parse_dfa(fixture_text("a_ideal.dfa")))
     assert report.ideal_decomposition == ("a",)
-    assert len(closures) == 7
+    # the level-1/2 checks close nothing; the 5 closures are the level
+    # chains, levels 0-1 of the language and 0-2 of its complement
+    assert len(closures) == 5
+
+
+@pytest.mark.parametrize("name, expected", [("ab_star.dfa", 0), ("m3.dfa", 9)])
+def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
+    closures = count_calls(monkeypatch, upward_closure)
+    report = classify(parse_dfa(fixture_text(name)))
+    if report.piecewise_testable:
+        assert expected == (report.m_plus.value + 2) + (report.m_minus.value + 2)
+    assert len(closures) == expected
 
 
 def test_cli_closure(capsys):

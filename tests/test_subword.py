@@ -14,7 +14,7 @@ from subseq.automata import (
     union,
     universal_language,
 )
-from subseq.cli import export, main
+from subseq.cli import classify, export, main
 from subseq.errors import InputError, NotUpwardClosedError
 from subseq.subword import (
     IdealDecomposition,
@@ -29,6 +29,7 @@ from subseq.subword import (
 from helpers import (
     AB,
     all_dfas,
+    closure_witness,
     lang_slice,
     naive_is_subword,
     random_dfa,
@@ -258,3 +259,82 @@ def test_cli_decompose_long_word_ideal(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == word + "\n"
     assert captured.err == ""
+
+
+def _insertion_verdicts(dfas):
+    """Check the level-1/2 test and the decomposition's counterexample
+    against the closure construction; returns how many were closed."""
+    closed = 0
+    for d in dfas:
+        expected = closure_witness(d)
+        assert is_level_one_half(d) == (expected is None), d
+        try:
+            decompose_level_half(d)
+        except NotUpwardClosedError as exc:
+            got = exc.witness
+        else:
+            got = None
+        assert got == expected, d
+        closed += expected is None
+    return closed
+
+
+def _random_dfas(seed, count, max_states):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_dfa(rng, rng.randint(1, max_states), AB if i % 2 == 0 else ABC)
+
+
+INSERTION_CORPORA = {
+    "ab-1-3-states": lambda: [d for n in (1, 2, 3) for d in all_dfas(n)],
+    "abc-1-2-states": lambda: [d for n in (1, 2) for d in all_dfas(n, ABC)],
+    "random-1-7-states": lambda: list(_random_dfas(205, 3000, 7)),
+}
+
+
+@pytest.mark.parametrize(
+    "corpus, size, n_closed",
+    [
+        ("ab-1-3-states", 5898, 2663),
+        ("abc-1-2-states", 258, 153),
+        ("random-1-7-states", 3000, 1109),
+    ],
+)
+def test_insertion_test_agrees_with_closure_construction(corpus, size, n_closed):
+    dfas = INSERTION_CORPORA[corpus]()
+    assert len(dfas) == size
+    assert _insertion_verdicts(dfas) == n_closed
+
+
+def _union_of_random_ideals(k):
+    """The unminimized product automaton of k seeded ideals of 8-letter words."""
+    rng = random.Random(7)
+    words = ["".join(rng.choice("ab") for _ in range(8)) for _ in range(k)]
+    language = shuffle_ideal(words[0], AB)
+    for w in words[1:]:
+        language = union(language, shuffle_ideal(w, AB))
+    return tuple(sorted(words)), language
+
+
+def test_classify_is_polynomial_on_a_union_of_four_ideals():
+    words, language = _union_of_random_ideals(4)
+    assert language.n_states == 269
+    start = time.perf_counter()
+    report = classify(language)
+    elapsed = time.perf_counter() - start
+    assert report.ideal_decomposition == words
+    assert not report.in_co_level_one_half
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+def test_level_half_checks_are_polynomial_on_a_union_of_twelve_ideals():
+    words, language = _union_of_random_ideals(12)
+    assert language.n_states == 11871
+    start = time.perf_counter()
+    assert not is_co_level_one_half(language)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"co check took {elapsed:.2f} s"
+    start = time.perf_counter()
+    assert decompose_level_half(language).words == words
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"decomposition took {elapsed:.2f} s"
