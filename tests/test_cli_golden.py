@@ -29,6 +29,7 @@ COMMANDS = [
     ["patterns", "--json"],
     ["decompose"],
     ["decompose", "--json"],
+    ["closure"],
 ]
 
 CASES = [
