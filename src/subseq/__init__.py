@@ -18,22 +18,14 @@ from .alternation import (
 from .automata import (
     Alphabet,
     Dfa,
-    Nfa,
     complement,
-    determinize,
     difference,
-    distinguishable_pairs,
     distinguishing_words,
     empty_language,
-    equivalent,
     intersection,
     is_empty,
     minimize,
     product,
-    reverse,
-    reverse_det,
-    shortest_accepted_word,
-    symmetric_difference,
     union,
     universal_language,
 )

@@ -1,7 +1,8 @@
-"""Finite-automaton algebra everything else is built on: ordered alphabets,
-complete deterministic automata, nondeterministic automata, and the classic
-constructions (subset construction, canonical minimization, boolean
-products, reversal, emptiness, equivalence, state distinguishability).
+"""Deterministic-automaton algebra everything else is built on: ordered
+alphabets, complete deterministic automata, canonical minimization,
+boolean products, complement, emptiness and separating words for state
+pairs.  The one nondeterministic construction the hierarchy needs, the
+upward closure, lives in ``subword``.
 
 Deterministic automata are complete by construction: the transition table
 is dense, so completeness is structural, and every operation returns a
@@ -25,21 +26,13 @@ from .errors import AlphabetMismatchError, InputError
 __all__ = [
     "Alphabet",
     "Dfa",
-    "Nfa",
-    "determinize",
     "minimize",
     "product",
     "complement",
     "intersection",
     "union",
     "difference",
-    "symmetric_difference",
-    "reverse",
-    "reverse_det",
     "is_empty",
-    "shortest_accepted_word",
-    "equivalent",
-    "distinguishable_pairs",
     "distinguishing_words",
     "empty_language",
     "universal_language",
@@ -145,98 +138,11 @@ class Dfa:
         return self.run(word) in self.accepting
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic finite automaton with a set of start states.
-
-    Transition sets may be empty; there is no completeness requirement.
-    """
-
-    alphabet: Alphabet
-    n_states: int
-    delta: tuple[tuple[frozenset[int], ...], ...]
-    starts: frozenset[int]
-    accepting: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.n_states < 1:
-            raise InputError("automaton needs at least one state")
-        if len(self.delta) != self.n_states:
-            raise InputError("transition table must have one row per state")
-        width = len(self.alphabet)
-        for s, row in enumerate(self.delta):
-            if len(row) != width:
-                raise InputError(f"state {s}: transition row must cover every letter")
-            for targets in row:
-                for t in targets:
-                    if not 0 <= t < self.n_states:
-                        raise InputError(f"state {s}: transition target {t} out of range")
-        for s in self.starts | self.accepting:
-            if not 0 <= s < self.n_states:
-                raise InputError(f"state {s} out of range")
-
-    def accepts(self, word: str) -> bool:
-        current = set(self.starts)
-        for ch in word:
-            j = self.alphabet.index(ch)
-            current = {t for s in current for t in self.delta[s][j]}
-            if not current:
-                return False
-        return any(s in self.accepting for s in current)
-
-
 def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {d1.alphabet!r} vs {d2.alphabet!r}"
         )
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction, materializing only reachable subsets.
-
-    State sets are handled as bit masks; the empty subset doubles as the
-    sink, so the result is complete even when the input has dead moves or
-    no start state at all.  Subsets are numbered in discovery order
-    (breadth-first, letters in alphabet order), which is deterministic.
-    """
-    width = len(nfa.alphabet)
-    move = [[0] * width for _ in range(nfa.n_states)]
-    for s in range(nfa.n_states):
-        for j in range(width):
-            mask = 0
-            for t in nfa.delta[s][j]:
-                mask |= 1 << t
-            move[s][j] = mask
-    accept_mask = 0
-    for s in nfa.accepting:
-        accept_mask |= 1 << s
-    start_mask = 0
-    for s in nfa.starts:
-        start_mask |= 1 << s
-
-    ids = {start_mask: 0}
-    subsets = [start_mask]
-    rows: list[tuple[int, ...]] = []
-    queue = deque([start_mask])
-    while queue:
-        mask = queue.popleft()
-        row = []
-        for j in range(width):
-            target = 0
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                target |= move[low.bit_length() - 1][j]
-                remaining ^= low
-            if target not in ids:
-                ids[target] = len(subsets)
-                subsets.append(target)
-                queue.append(target)
-            row.append(ids[target])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, m in enumerate(subsets) if m & accept_mask)
-    return Dfa(nfa.alphabet, len(subsets), tuple(rows), 0, accepting)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -344,101 +250,25 @@ def difference(d1: Dfa, d2: Dfa) -> Dfa:
     return product(d1, d2, lambda a, b: a and not b)
 
 
-def symmetric_difference(d1: Dfa, d2: Dfa) -> Dfa:
-    return product(d1, d2, lambda a, b: a != b)
-
-
 def complement(dfa: Dfa) -> Dfa:
     """Same machine with the accepting set inverted."""
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
     return Dfa(dfa.alphabet, dfa.n_states, dfa.delta, dfa.start, accepting)
 
 
-def reverse(dfa: Dfa) -> Nfa:
-    """Edge-reversed machine: accepts exactly the mirror images."""
-    width = len(dfa.alphabet)
-    backward: list[list[set[int]]] = [
-        [set() for _ in range(width)] for _ in range(dfa.n_states)
-    ]
-    for s in range(dfa.n_states):
-        for j in range(width):
-            backward[dfa.delta[s][j]][j].add(s)
-    delta = tuple(tuple(frozenset(cell) for cell in row) for row in backward)
-    return Nfa(dfa.alphabet, dfa.n_states, delta, frozenset(dfa.accepting), frozenset({dfa.start}))
-
-
-def reverse_det(dfa: Dfa) -> Dfa:
-    """Canonical minimal automaton for the reversed language."""
-    return minimize(determinize(reverse(dfa)))
-
-
-def is_empty(auto: Dfa | Nfa) -> bool:
-    """True when no accepting state is reachable from the start state(s)."""
-    is_dfa = isinstance(auto, Dfa)
-    frontier = [auto.start] if is_dfa else list(auto.starts)
-    accepting = auto.accepting
-    if any(s in accepting for s in frontier):
-        return False
-    seen = set(frontier)
-    width = len(auto.alphabet)
-    while frontier:
-        next_frontier = []
-        for s in frontier:
-            row = auto.delta[s]
-            for j in range(width):
-                targets = (row[j],) if is_dfa else row[j]
-                for t in targets:
-                    if t not in seen:
-                        if t in accepting:
-                            return False
-                        seen.add(t)
-                        next_frontier.append(t)
-        frontier = next_frontier
+def is_empty(dfa: Dfa) -> bool:
+    """True when no accepting state is reachable from the start state."""
+    seen = {dfa.start}
+    stack = [dfa.start]
+    while stack:
+        s = stack.pop()
+        if s in dfa.accepting:
+            return False
+        for t in dfa.delta[s]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     return True
-
-
-def shortest_accepted_word(auto: Dfa | Nfa) -> str | None:
-    """Shortest accepted word, length ties broken in alphabet order.
-
-    None when the language is empty.
-    """
-    is_dfa = isinstance(auto, Dfa)
-    letters = auto.alphabet.letters
-    width = len(letters)
-    accepting = auto.accepting
-    starts = [auto.start] if is_dfa else sorted(auto.starts)
-
-    parent: dict[int, tuple[int, str] | None] = {}
-    queue: deque[int] = deque()
-    for s in starts:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-
-    def build(state: int) -> str:
-        parts = []
-        link = parent[state]
-        while link is not None:
-            prev, ch = link
-            parts.append(ch)
-            link = parent[prev]
-        return "".join(reversed(parts))
-
-    for s in starts:
-        if s in accepting:
-            return ""
-    while queue:
-        s = queue.popleft()
-        row = auto.delta[s]
-        for j in range(width):
-            targets = (row[j],) if is_dfa else sorted(row[j])
-            for t in targets:
-                if t not in parent:
-                    parent[t] = (s, letters[j])
-                    if t in accepting:
-                        return build(t)
-                    queue.append(t)
-    return None
 
 
 def _topological_order(dfa: Dfa) -> list[int] | None:
@@ -459,11 +289,6 @@ def _topological_order(dfa: Dfa) -> list[int] | None:
             if indegree[t] == 0:
                 ready.append(t)
     return order if len(order) == dfa.n_states else None
-
-
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality, via emptiness of the symmetric difference."""
-    return is_empty(symmetric_difference(d1, d2))
 
 
 def distinguishing_words(dfa: Dfa) -> dict[tuple[int, int], str]:
@@ -502,11 +327,6 @@ def distinguishing_words(dfa: Dfa) -> dict[tuple[int, int], str]:
                         words[pair] = letters[j] + suffix
                         queue.append(pair)
     return words
-
-
-def distinguishable_pairs(dfa: Dfa) -> set[tuple[int, int]]:
-    """Unordered pairs (p, q), p < q, separated by some word."""
-    return set(distinguishing_words(dfa))
 
 
 def empty_language(alphabet: Alphabet) -> Dfa:

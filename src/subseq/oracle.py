@@ -38,14 +38,19 @@ Membership = Callable[[str], bool]
 def enumerate_words(alphabet: Alphabet, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[str]:
     """Every word of length up to max_len, shortest first, alphabet order
     within a length.  Raises WordCapExceededError when the longest
-    generation alone would exceed ``cap`` words."""
+    generation alone, or the max_len + 1 generations together, would
+    exceed ``cap`` words."""
     if max_len < 0:
         raise InputError(f"word length bound must be nonnegative, got {max_len}")
     letters = alphabet.letters
-    if len(letters) ** max_len > cap:
+    # two or more letters give len(letters) ** cap.bit_length() > cap, so
+    # the exponent never needs to pass cap.bit_length()
+    if len(letters) ** min(max_len, cap.bit_length()) > cap:
         raise WordCapExceededError(
             f"{len(letters)}^{max_len} words exceed the cap of {cap}"
         )
+    if max_len + 1 > cap:
+        raise WordCapExceededError(f"{max_len + 1} words exceed the cap of {cap}")
     words: list[str] = []
     for n in range(max_len + 1):
         words.extend("".join(t) for t in itertools.product(letters, repeat=n))

@@ -16,15 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import (
-    Alphabet,
-    Dfa,
-    Nfa,
-    _topological_order,
-    complement,
-    determinize,
-    minimize,
-)
+from .automata import Alphabet, Dfa, _topological_order, complement, minimize
 from .errors import NotUpwardClosedError
 
 __all__ = [
@@ -70,17 +62,35 @@ def shuffle_ideal(word: str, alphabet: Alphabet) -> Dfa:
 def upward_closure(dfa: Dfa) -> Dfa:
     """Minimal automaton for the words with some accepted word as a subword.
 
-    A self-loop on every letter at every state lets the machine skip
-    letters at will, so a word is accepted exactly when some subsequence of
-    it was; determinize and minimize the result.
+    These are the words the input accepts when it may skip letters at
+    will, that is, with a self-loop on every letter at every state; this
+    is the subset construction of that machine, done directly.  Subsets
+    are bit masks on the input states, built breadth-first from {start} in
+    alphabet order, only the reachable ones, and S steps on letter a to
+    S | S.a through the per-state masks (1 << s) | (1 << s.a).  The number
+    of subsets can be exponential in the states; the result is minimized.
     """
-    width = len(dfa.alphabet)
-    delta = tuple(
-        tuple(frozenset({dfa.delta[s][j], s}) for j in range(width))
-        for s in range(dfa.n_states)
-    )
-    looped = Nfa(dfa.alphabet, dfa.n_states, delta, frozenset({dfa.start}), dfa.accepting)
-    return minimize(determinize(looped))
+    move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
+    accept_mask = sum(1 << s for s in dfa.accepting)
+    ids = {1 << dfa.start: 0}
+    subsets = [1 << dfa.start]
+    rows = []
+    for mask in subsets:
+        targets = [0] * len(dfa.alphabet)
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            for j, bits in enumerate(move[low.bit_length() - 1]):
+                targets[j] |= bits
+        for j, target in enumerate(targets):
+            if target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+            targets[j] = ids[target]
+        rows.append(tuple(targets))
+    accepting = frozenset(i for i, mask in enumerate(subsets) if mask & accept_mask)
+    return minimize(Dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting))
 
 
 def _is_upward_closed(dfa: Dfa) -> bool:

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms: subword
 checks go through explicit position subsets, language slices through
 direct simulation, and chain levels through a tuple-state automaton that
-guesses the whole chain at once, so agreement is meaningful.
+guesses the whole chain at once, so agreement is meaningful.  The general
+nondeterministic automaton, its subset construction, reversal and language
+equivalence live here too: the library needs none of them, and the tests
+use them as second constructions.
 """
 
 from __future__ import annotations
@@ -12,15 +15,9 @@ import itertools
 import random
 import sys
 from collections import deque
+from dataclasses import dataclass
 
-from subseq.automata import (
-    Alphabet,
-    Dfa,
-    Nfa,
-    minimize,
-    shortest_accepted_word,
-    symmetric_difference,
-)
+from subseq.automata import Alphabet, Dfa, is_empty, minimize, product
 from subseq.errors import InputError
 from subseq.subword import is_subword, upward_closure
 
@@ -73,6 +70,104 @@ def all_dfas(n_states: int, alphabet=AB):
         for acc_bits in range(2**n_states):
             accepting = frozenset(s for s in range(n_states) if acc_bits >> s & 1)
             yield Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+@dataclass(frozen=True)
+class Nfa:
+    """Nondeterministic finite automaton with a set of start states; a
+    transition set may be empty.  A plain record: the tests build only
+    well-formed ones."""
+
+    alphabet: Alphabet
+    n_states: int
+    delta: tuple[tuple[frozenset[int], ...], ...]
+    starts: frozenset[int]
+    accepting: frozenset[int]
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Subset construction over the reachable subsets, numbered in
+    discovery order (breadth-first, letters in alphabet order).  The empty
+    subset is the sink, so the result is complete even when the input has
+    dead moves or no start state at all."""
+    ids = {nfa.starts: 0}
+    subsets = [nfa.starts]
+    rows = []
+    for subset in subsets:
+        row = []
+        for j in range(len(nfa.alphabet)):
+            target = frozenset(t for s in subset for t in nfa.delta[s][j])
+            if target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+            row.append(ids[target])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, subset in enumerate(subsets) if subset & nfa.accepting)
+    return Dfa(nfa.alphabet, len(subsets), tuple(rows), 0, accepting)
+
+
+def nfa_is_empty(nfa: Nfa) -> bool:
+    """True when no accepting state is reachable from a start state; plain
+    reachability, without the subset construction."""
+    reached = set(nfa.starts)
+    frontier = reached
+    while frontier:
+        frontier = {t for s in frontier for cell in nfa.delta[s] for t in cell} - reached
+        reached |= frontier
+    return not reached & nfa.accepting
+
+
+def reference_upward_closure(dfa: Dfa) -> Dfa:
+    """Upward closure by the general subset construction on the input with
+    a self-loop on every letter at every state; the reference for
+    subword.upward_closure."""
+    width = len(dfa.alphabet)
+    delta = tuple(
+        tuple(frozenset({dfa.delta[s][j], s}) for j in range(width))
+        for s in range(dfa.n_states)
+    )
+    looped = Nfa(dfa.alphabet, dfa.n_states, delta, frozenset({dfa.start}), dfa.accepting)
+    return minimize(determinize(looped))
+
+
+def reverse_det(dfa: Dfa) -> Dfa:
+    """Canonical minimal automaton for the reversed language, by the subset
+    construction on the edge-reversed machine."""
+    states = range(dfa.n_states)
+    width = len(dfa.alphabet)
+    delta = tuple(
+        tuple(frozenset(s for s in states if dfa.delta[s][j] == t) for j in range(width))
+        for t in states
+    )
+    backward = Nfa(dfa.alphabet, dfa.n_states, delta, dfa.accepting, frozenset({dfa.start}))
+    return minimize(determinize(backward))
+
+
+def symmetric_difference(d1: Dfa, d2: Dfa) -> Dfa:
+    return product(d1, d2, lambda a, b: a != b)
+
+
+def equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """Language equality, via emptiness of the symmetric difference."""
+    return is_empty(symmetric_difference(d1, d2))
+
+
+def shortest_accepted_word(dfa: Dfa) -> str | None:
+    """Shortest accepted word, length ties broken in alphabet order; None
+    when the language is empty.  Breadth-first search with letters in
+    alphabet order reaches every state of a deterministic automaton first
+    by its shortlex-least word."""
+    words = {dfa.start: ""}
+    queue = deque([dfa.start])
+    while queue:
+        s = queue.popleft()
+        if s in dfa.accepting:
+            return words[s]
+        for ch, t in zip(dfa.alphabet.letters, dfa.delta[s]):
+            if t not in words:
+                words[t] = words[s] + ch
+                queue.append(t)
+    return None
 
 
 def build_chain_nfa(dfa: Dfa, m: int) -> Nfa:

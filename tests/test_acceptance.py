@@ -24,13 +24,10 @@ from subseq.alternation import (
 )
 from subseq.automata import (
     complement,
-    determinize,
     difference,
-    equivalent,
     intersection,
     is_empty,
     minimize,
-    reverse_det,
     union,
     universal_language,
 )
@@ -44,7 +41,17 @@ from subseq.subword import (
     upward_closure,
 )
 
-from helpers import AB, ab_star, all_dfas, ba_star, build_chain_nfa, random_dfa
+from helpers import (
+    AB,
+    ab_star,
+    all_dfas,
+    ba_star,
+    build_chain_nfa,
+    determinize,
+    equivalent,
+    random_dfa,
+    reverse_det,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

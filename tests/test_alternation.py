@@ -15,9 +15,7 @@ from subseq.alternation import (
 )
 from subseq.automata import (
     complement,
-    determinize,
     difference,
-    equivalent,
     intersection,
     is_empty,
     minimize,
@@ -33,7 +31,10 @@ from helpers import (
     AB,
     ab_star,
     build_chain_nfa,
+    determinize,
+    equivalent,
     mk_predicate,
+    nfa_is_empty,
     random_dfa,
     words_up_to,
 )
@@ -48,7 +49,7 @@ def chain_nfa_m_plus(d):
     if detect_p3(d) is not None:
         return AlternationMeasure.infinite()
     depth = 0
-    while not is_empty(build_chain_nfa(d, depth)):
+    while not nfa_is_empty(build_chain_nfa(d, depth)):
         depth += 1
     return AlternationMeasure.finite(depth - 1)
 
@@ -75,13 +76,13 @@ def test_chain_nfa_level_zero_is_upward_closure():
 
 def test_chain_nfa_of_empty_language_is_empty():
     for m in range(4):
-        assert is_empty(build_chain_nfa(empty_dfa(), m))
+        assert nfa_is_empty(build_chain_nfa(empty_dfa(), m))
 
 
 def test_chain_nfa_of_witness_dies_at_its_depth():
     m2 = mk_witness(2)
-    assert not is_empty(build_chain_nfa(m2, 1))
-    assert is_empty(build_chain_nfa(m2, 2))
+    assert not nfa_is_empty(build_chain_nfa(m2, 1))
+    assert nfa_is_empty(build_chain_nfa(m2, 2))
 
 
 def test_chain_nfa_states_are_reachable_tuples_only():

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,21 @@ def test_enumerate_words_respects_cap():
     with pytest.raises(WordCapExceededError):
         enumerate_words(AB, 8, cap=100)
     assert len(enumerate_words(AB, 8, cap=256)) == 511
+
+
+def test_enumerate_words_refuses_a_huge_length_without_computing_its_power():
+    message = r"^3\^10000000 words exceed the cap of 1000000$"
+    start = time.perf_counter()
+    with pytest.raises(WordCapExceededError, match=message):
+        enumerate_words(Alphabet("abc"), 10**7)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
+def test_enumerate_words_caps_a_one_letter_alphabet():
+    with pytest.raises(WordCapExceededError, match="^21 words exceed the cap of 10$"):
+        enumerate_words(A_ONLY, 20, cap=10)
+    assert enumerate_words(A_ONLY, 9, cap=10) == ["a" * n for n in range(10)]
 
 
 def test_chain_table_single_letter_ideal():

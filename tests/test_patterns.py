@@ -2,14 +2,7 @@ import random
 import time
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
-from subseq.automata import (
-    Alphabet,
-    Dfa,
-    complement,
-    minimize,
-    reverse_det,
-    universal_language,
-)
+from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
 from subseq.patterns import (
     PatternWitness,
     detect_p1,
@@ -21,7 +14,7 @@ from subseq.patterns import (
 from subseq.cli import classify
 from subseq.subword import is_subword, shuffle_ideal
 
-from helpers import AB, ab_star, all_dfas, ba_star, dfa_from_rows, random_dfa
+from helpers import AB, ab_star, all_dfas, ba_star, dfa_from_rows, random_dfa, reverse_det
 
 
 def test_find_loop_on_alternating_loop():

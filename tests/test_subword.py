@@ -8,7 +8,6 @@ from subseq.automata import (
     Alphabet,
     complement,
     difference,
-    equivalent,
     is_empty,
     minimize,
     union,
@@ -30,9 +29,11 @@ from helpers import (
     AB,
     all_dfas,
     closure_witness,
+    equivalent,
     lang_slice,
     naive_is_subword,
     random_dfa,
+    reference_upward_closure,
     single_word,
     walk_decomposition,
     words_up_to,
@@ -285,10 +286,11 @@ def _random_dfas(seed, count, max_states):
         yield random_dfa(rng, rng.randint(1, max_states), AB if i % 2 == 0 else ABC)
 
 
-INSERTION_CORPORA = {
+CORPORA = {
     "ab-1-3-states": lambda: [d for n in (1, 2, 3) for d in all_dfas(n)],
     "abc-1-2-states": lambda: [d for n in (1, 2) for d in all_dfas(n, ABC)],
     "random-1-7-states": lambda: list(_random_dfas(205, 3000, 7)),
+    "random-1-12-states": lambda: list(_random_dfas(206, 2000, 12)),
 }
 
 
@@ -301,9 +303,20 @@ INSERTION_CORPORA = {
     ],
 )
 def test_insertion_test_agrees_with_closure_construction(corpus, size, n_closed):
-    dfas = INSERTION_CORPORA[corpus]()
+    dfas = CORPORA[corpus]()
     assert len(dfas) == size
     assert _insertion_verdicts(dfas) == n_closed
+
+
+@pytest.mark.parametrize(
+    "corpus, size",
+    [("ab-1-3-states", 5898), ("abc-1-2-states", 258), ("random-1-12-states", 2000)],
+)
+def test_upward_closure_agrees_with_general_subset_construction(corpus, size):
+    dfas = CORPORA[corpus]()
+    assert len(dfas) == size
+    for d in dfas:
+        assert upward_closure(d) == reference_upward_closure(d), d
 
 
 def _union_of_random_ideals(k):
