@@ -30,6 +30,8 @@ COMMANDS = [
     ["decompose"],
     ["decompose", "--json"],
     ["closure"],
+    ["oracle-check", "--max-len", "6"],
+    ["classify", "--json", "--oracle-check", "5"],
 ]
 
 CASES = [
