@@ -253,6 +253,15 @@ def closure_witness(dfa: Dfa) -> str | None:
     return shortest_accepted_word(symmetric_difference(upward_closure(dfa), dfa))
 
 
+def substitute(monkeypatch, function, replacement) -> None:
+    """Rebind a library function to ``replacement`` in every module of the
+    package that names it, so callers see the substitute wherever they
+    import it from."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "subseq" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, replacement)
+
+
 def count_calls(monkeypatch, function) -> list[tuple]:
     """Record every call of a library function, through whichever module
     of the package names it; returns the growing list of argument tuples."""
@@ -262,9 +271,7 @@ def count_calls(monkeypatch, function) -> list[tuple]:
         calls.append(args)
         return function(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "subseq" and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counted)
+    substitute(monkeypatch, function, counted)
     return calls
 
 

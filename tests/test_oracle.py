@@ -1,10 +1,18 @@
+import itertools
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from subseq.alternation import l_plus, m_plus, mk_witness
+from subseq.alternation import (
+    AlternationMeasure,
+    _levels,
+    _measures,
+    l_plus,
+    m_plus,
+    mk_witness,
+)
 from subseq.automata import Alphabet, complement, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import (
@@ -19,7 +27,15 @@ from subseq.oracle import (
 from subseq.cli import main
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, count_calls, lang_slice, random_dfa, words_up_to
+from helpers import (
+    AB,
+    ab_star,
+    count_calls,
+    lang_slice,
+    random_dfa,
+    substitute,
+    words_up_to,
+)
 
 A_ONLY = Alphabet("a")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,3 +249,20 @@ def test_cross_check_reports_wrong_predicate():
     expected = oracle._bounded_level(table, table.plus_depth, 1)
     actual = {w for w in table.words if l_plus(m1, 1).accepts(w)}
     assert expected != actual
+
+
+def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
+    # a level chain that starts one level late and measures that are too
+    # small must each be reported, with the shortlex-first sample words
+    substitute(monkeypatch, _levels, lambda dfa: itertools.islice(_levels(dfa), 1, None))
+    zero = AlternationMeasure.finite(0)
+    substitute(monkeypatch, _measures, lambda dfa: (zero, zero))
+    assert cross_check(mk_witness(2), 4) == [
+        "plus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
+        "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "minus level 0: bounded sets disagree, e.g. ['', 'b', 'bb']",
+        "minus level 1: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
+        "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "plus measure 0 is below the brute-force bound 1",
+        "minus measure 0 is below the brute-force bound 2",
+    ]
