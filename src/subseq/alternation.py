@@ -94,9 +94,12 @@ def _levels(dfa: Dfa) -> Iterator[Dfa]:
 
     Level m is the upward closure of the set of valid chain endpoints,
     which even steps push out of the language and odd steps pull back in.
+    The complement of a complete minimal automaton is minimal, and
+    canonical numbering ignores acceptance, so ``complement(base)`` is
+    already the complement's canonical form.
     """
     base = minimize(dfa)
-    flip = (minimize(complement(dfa)), base)
+    flip = (complement(base), base)
     current = base
     step = 0
     while True:

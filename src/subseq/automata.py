@@ -54,8 +54,11 @@ class Alphabet:
             raise InputError("alphabet must contain at least one letter")
         index: dict[str, int] = {}
         for i, ch in enumerate(letters):
-            if not isinstance(ch, str) or len(ch) != 1 or not ch.isprintable():
-                raise InputError(f"alphabet letter {ch!r} is not a single printable character")
+            # whitespace separates the tokens of the native format
+            if not isinstance(ch, str) or len(ch) != 1 or not ch.isprintable() or ch.isspace():
+                raise InputError(
+                    f"alphabet letter {ch!r} is not a single printable non-space character"
+                )
             if ch in index:
                 raise InputError(f"duplicate alphabet letter {ch!r}")
             index[ch] = i

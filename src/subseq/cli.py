@@ -160,7 +160,8 @@ def export(dfa: Dfa, fmt: str = "native") -> str:
         lines.append(f"  __start -> {dfa.start};")
         for s in range(dfa.n_states):
             for j, ch in enumerate(dfa.alphabet.letters):
-                lines.append(f'  {s} -> {dfa.delta[s][j]} [label="{ch}"];')
+                label = ch.replace("\\", "\\\\").replace('"', '\\"')
+                lines.append(f'  {s} -> {dfa.delta[s][j]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise InputError(f"unknown export format {fmt!r}")

@@ -7,6 +7,11 @@ restricted to words up to a length bound; single-letter deletions generate
 the covering relation of that lattice, which keeps the tables cheap.  A
 chain ending at a word only ever uses subwords of it, so the bounded
 tables are self-contained and every reported depth is a true lower bound.
+
+One pass per side walks each word's deletions once and records two numbers
+per word: its depth, and its reach, the deepest chain ending at any of its
+subwords.  Every bounded level m is then the set of words whose reach is at
+least m, with no further pass.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .alternation import _levels, _measures
 from .automata import Alphabet, Dfa, complement
 from .errors import InputError, WordCapExceededError
 
@@ -23,10 +29,6 @@ __all__ = [
     "enumerate_words",
     "BoundedChainTable",
     "chain_table",
-    "m_plus_lower_bound",
-    "m_minus_lower_bound",
-    "l_plus_bounded",
-    "l_minus_bounded",
     "cross_check",
 ]
 
@@ -64,6 +66,9 @@ class BoundedChainTable:
     ``plus_depth[w]`` is the length of the longest membership-alternating
     subword chain that ends at w and starts inside the language, -1 when
     none exists; ``minus_depth`` is the same for chains starting outside.
+    ``plus_reach[w]`` is the largest plus depth of any subword of w, w
+    included, so the bounded plus-side level m is exactly the words with
+    ``plus_reach[w] >= m``; ``minus_reach`` is the same for the minus side.
     """
 
     max_len: int
@@ -71,6 +76,8 @@ class BoundedChainTable:
     member: dict[str, bool]
     plus_depth: dict[str, int]
     minus_depth: dict[str, int]
+    plus_reach: dict[str, int]
+    minus_reach: dict[str, int]
 
 
 def _deletions(word: str) -> Iterator[str]:
@@ -82,9 +89,12 @@ def _deletions(word: str) -> Iterator[str]:
             yield shorter
 
 
-def _depths(words: list[str], member: dict[str, bool], start_inside: bool) -> dict[str, int]:
+def _depths(
+    words: list[str], member: dict[str, bool], start_inside: bool
+) -> tuple[dict[str, int], dict[str, int]]:
     # best_in / best_out track the deepest chain ending at any member /
     # non-member subword seen so far; deletions cover all proper subwords.
+    # A word's reach is the larger of the two once the word itself is in.
     depth: dict[str, int] = {}
     best_in: dict[str, int] = {}
     best_out: dict[str, int] = {}
@@ -108,7 +118,8 @@ def _depths(words: list[str], member: dict[str, bool], start_inside: bool) -> di
             depth[w] = max(base, via)
             best_out[w] = max(proper_out, depth[w])
             best_in[w] = proper_in
-    return depth
+    reach = {w: max(best_in[w], best_out[w]) for w in words}
+    return depth, reach
 
 
 def chain_table(
@@ -117,78 +128,14 @@ def chain_table(
     max_len: int,
     cap: int = DEFAULT_WORD_CAP,
 ) -> BoundedChainTable:
-    """Tabulate chain depths for all words up to max_len."""
+    """Tabulate chain depths and reaches for all words up to max_len."""
     words = enumerate_words(alphabet, max_len, cap)
     member = {w: bool(membership(w)) for w in words}
-    plus = _depths(words, member, start_inside=True)
-    minus = _depths(words, member, start_inside=False)
-    return BoundedChainTable(max_len, tuple(words), member, plus, minus)
-
-
-def m_plus_lower_bound(
-    membership: Membership,
-    alphabet: Alphabet,
-    max_len: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> int:
-    """Deepest plus-side chain visible among words up to max_len.
-
-    Monotone in max_len and never larger than the true measure; equal to
-    it once max_len covers the shortest deepest chain.
-    """
-    table = chain_table(membership, alphabet, max_len, cap)
-    return max(table.plus_depth.values())
-
-
-def m_minus_lower_bound(
-    membership: Membership,
-    alphabet: Alphabet,
-    max_len: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> int:
-    table = chain_table(membership, alphabet, max_len, cap)
-    return max(table.minus_depth.values())
-
-
-def _bounded_level(table: BoundedChainTable, depth: dict[str, int], m: int) -> set[str]:
-    # A word belongs to level m exactly when some subword of it ends a
-    # chain of depth >= m (depth parity is forced by membership, so no
-    # separate parity check is needed).
-    best: dict[str, int] = {}
-    out: set[str] = set()
-    for w in table.words:
-        b = depth[w]
-        for d in _deletions(w):
-            if best[d] > b:
-                b = best[d]
-        best[w] = b
-        if b >= m:
-            out.add(w)
-    return out
-
-
-def l_plus_bounded(
-    membership: Membership,
-    alphabet: Alphabet,
-    m: int,
-    max_len: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> set[str]:
-    """Words of length up to max_len lying in the plus-side level m."""
-    table = chain_table(membership, alphabet, max_len, cap)
-    return _bounded_level(table, table.plus_depth, m)
-
-
-def l_minus_bounded(
-    membership: Membership,
-    alphabet: Alphabet,
-    m: int,
-    max_len: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> set[str]:
-    """Words of length up to max_len lying in the minus-side level m."""
-    table = chain_table(membership, alphabet, max_len, cap)
-    return _bounded_level(table, table.minus_depth, m)
+    plus, plus_reach = _depths(words, member, start_inside=True)
+    minus, minus_reach = _depths(words, member, start_inside=False)
+    return BoundedChainTable(
+        max_len, tuple(words), member, plus, minus, plus_reach, minus_reach
+    )
 
 
 def cross_check(
@@ -204,21 +151,18 @@ def cross_check(
     never exceed the computed measures.  Returns human-readable mismatch
     descriptions; an empty list means full agreement.
     """
-    from .alternation import _levels, _measures
-
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
     table = chain_table(dfa.accepts, dfa.alphabet, max_len, cap)
     problems: list[str] = []
-    for side, depths, language in (
-        ("plus", table.plus_depth, dfa),
-        ("minus", table.minus_depth, complement(dfa)),
+    for side, reach, language in (
+        ("plus", table.plus_reach, dfa),
+        ("minus", table.minus_reach, complement(dfa)),
     ):
         for m, machine in enumerate(itertools.islice(_levels(language), max_m + 1)):
-            expected = _bounded_level(table, depths, m)
-            actual = {w for w in table.words if machine.accepts(w)}
-            if expected != actual:
-                sample = sorted(expected ^ actual, key=lambda w: (len(w), w))[:3]
+            wrong = [w for w in table.words if (reach[w] >= m) != machine.accepts(w)]
+            if wrong:
+                sample = sorted(wrong, key=lambda w: (len(w), w))[:3]
                 problems.append(
                     f"{side} level {m}: bounded sets disagree, e.g. {sample}"
                 )

@@ -6,7 +6,8 @@ direct simulation, and chain levels through a tuple-state automaton that
 guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
-use them as second constructions.
+use them as second constructions, as does a per-level walk over word
+deletions that the chain table's reach fields are checked against.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
+from subseq.alternation import mk_witness
 from subseq.automata import Alphabet, Dfa, is_empty, minimize, product
 from subseq.errors import InputError
+from subseq.oracle import BoundedChainTable, _deletions
 from subseq.subword import is_subword, upward_closure
 
 AB = Alphabet("ab")
@@ -70,6 +73,42 @@ def all_dfas(n_states: int, alphabet=AB):
         for acc_bits in range(2**n_states):
             accepting = frozenset(s for s in range(n_states) if acc_bits >> s & 1)
             yield Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+def oracle_corpus() -> list[Dfa]:
+    """469 small machines for differential tests of the chain table: 300
+    random ``ab`` DFAs with 1-6 states, 100 random ``abc`` DFAs with 1-4
+    states, every 2-state ``ab`` DFA and the witnesses for k = 1..5."""
+    rng = random.Random(507)
+    corpus = [random_dfa(rng, rng.randint(1, 6)) for _ in range(300)]
+    corpus += [random_dfa(rng, rng.randint(1, 4), Alphabet("abc")) for _ in range(100)]
+    corpus += list(all_dfas(2))
+    corpus += [mk_witness(k) for k in range(1, 6)]
+    return corpus
+
+
+def reach_level(reach: dict[str, int], m: int) -> set[str]:
+    """The bounded level m read off a chain table's reach field."""
+    return {w for w, r in reach.items() if r >= m}
+
+
+def bounded_level(table: BoundedChainTable, depth: dict[str, int], m: int) -> set[str]:
+    """Bounded level m by a second walk over every word's deletions, per
+    level; the reference for the reach fields of the chain table."""
+    # A word belongs to level m exactly when some subword of it ends a
+    # chain of depth >= m (depth parity is forced by membership, so no
+    # separate parity check is needed).
+    best: dict[str, int] = {}
+    out: set[str] = set()
+    for w in table.words:
+        b = depth[w]
+        for d in _deletions(w):
+            if best[d] > b:
+                b = best[d]
+        best[w] = b
+        if b >= m:
+            out.add(w)
+    return out
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from subseq.automata import (
     universal_language,
 )
 from subseq.cli import export, main, parse_dfa
-from subseq.oracle import chain_table, m_plus_lower_bound, _bounded_level
+from subseq.oracle import chain_table
 from subseq.patterns import detect_p1, detect_p2, detect_p3
 from subseq.subword import (
     decompose_level_half,
@@ -50,6 +50,7 @@ from helpers import (
     determinize,
     equivalent,
     random_dfa,
+    reach_level,
     reverse_det,
 )
 
@@ -168,7 +169,8 @@ def test_criterion_5_pattern_characterization_sweep():
                         assert witness.holds_in(machine)
                 if has_p3:
                     if infinite_seen % 100 == 0:
-                        sampled_bounds.append(m_plus_lower_bound(d.accepts, AB, 10))
+                        table = chain_table(d.accepts, AB, 10)
+                        sampled_bounds.append(max(table.plus_depth.values()))
                     infinite_seen += 1
         assert sampled_bounds and min(sampled_bounds) >= 4
         print(
@@ -196,19 +198,19 @@ def test_criterion_7_oracle_agreement():
         for d in corpus:
             table = chain_table(d.accepts, AB, 7)
             for m in range(4):
-                expected = _bounded_level(table, table.plus_depth, m)
+                expected = reach_level(table.plus_reach, m)
                 machine = l_plus(d, m)
                 actual = {w for w in table.words if machine.accepts(w)}
                 assert expected == actual, (d, m)
         for d in corpus:
-            bound = m_plus_lower_bound(d.accepts, AB, 8)
+            bound = max(chain_table(d.accepts, AB, 8).plus_depth.values())
             measure = m_plus(d)
             if measure.is_finite:
                 assert bound <= measure.value
         finite_fixtures = [d for d in _curated_corpus() if m_plus(d).is_finite]
         assert len(finite_fixtures) >= 8
         for d in finite_fixtures:
-            assert m_plus_lower_bound(d.accepts, AB, 8) == m_plus(d).value
+            assert max(chain_table(d.accepts, AB, 8).plus_depth.values()) == m_plus(d).value
 
 
 def test_criterion_8_cli_round_trip_and_json(capsys):

@@ -22,6 +22,7 @@ from subseq.subword import shuffle_ideal
 from helpers import (
     AB,
     Nfa,
+    all_dfas,
     build_chain_nfa,
     determinize,
     dfa_from_rows,
@@ -216,6 +217,16 @@ def test_complement_twice_is_identity_on_acceptance():
 
 def test_complement_of_empty_accepts_empty_word():
     assert complement(empty_language(AB)).accepts("")
+
+
+def test_complement_commutes_with_minimize():
+    # the level chain complements the minimized input instead of minimizing
+    # the complement; exhaustive over small tables, both must be canonical
+    machines = [d for n in (1, 2, 3) for d in all_dfas(n)]
+    machines += [d for n in (1, 2) for d in all_dfas(n, Alphabet("abc"))]
+    assert len(machines) == 5898 + 258
+    for d in machines:
+        assert complement(minimize(d)) == minimize(complement(d))
 
 
 def test_complement_of_witness_matches_brute_force():

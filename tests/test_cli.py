@@ -8,9 +8,9 @@ import pytest
 
 from subseq import cli
 from subseq.alternation import AlternationMeasure, mk_witness
-from subseq.automata import minimize
+from subseq.automata import Alphabet, Dfa, minimize
 from subseq.cli import classify, export, main, parse_dfa
-from subseq.errors import ParseError
+from subseq.errors import InputError, ParseError
 from subseq.patterns import detect_p1, detect_p2
 from subseq.subword import shuffle_ideal, upward_closure
 
@@ -106,6 +106,28 @@ def test_export_dot_has_one_edge_per_state_letter_pair():
     edges = [line for line in dot.splitlines() if "->" in line and "label=" in line]
     assert len(edges) == d.n_states * len(d.alphabet)
     assert dot.count("doublecircle") == len(d.accepting)
+
+
+def test_space_is_not_a_letter_so_native_files_round_trip():
+    # a space letter would be written as "0   0", which no parser can split
+    with pytest.raises(InputError, match="not a single printable non-space character"):
+        Alphabet("a b")
+    text = "alphabet: a b\nstates: 1\nstart: 0\naccepting: 0\n0 a 0\n0 b 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_dfa(text)
+    assert err.value.line == 1
+    assert "' '" in err.value.message
+
+
+def test_export_dot_escapes_quote_and_backslash_letters():
+    d = Dfa(Alphabet('a"\\'), 1, ((0, 0, 0),), 0, frozenset({0}))
+    dot = export(d, "dot")
+    edges = [line for line in dot.splitlines() if "->" in line and "label=" in line]
+    assert edges == [
+        '  0 -> 0 [label="a"];',
+        '  0 -> 0 [label="\\""];',
+        '  0 -> 0 [label="\\\\"];',
+    ]
 
 
 def test_classify_witness_three():

@@ -15,24 +15,19 @@ from subseq.alternation import (
 )
 from subseq.automata import Alphabet, complement, universal_language
 from subseq.errors import WordCapExceededError
-from subseq.oracle import (
-    chain_table,
-    cross_check,
-    enumerate_words,
-    l_minus_bounded,
-    l_plus_bounded,
-    m_minus_lower_bound,
-    m_plus_lower_bound,
-)
+from subseq.oracle import chain_table, cross_check, enumerate_words
 from subseq.cli import main
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
     ab_star,
+    bounded_level,
     count_calls,
     lang_slice,
+    oracle_corpus,
     random_dfa,
+    reach_level,
     substitute,
     words_up_to,
 )
@@ -107,19 +102,19 @@ def test_chain_table_empty_language():
 
 
 def test_lower_bound_examples():
-    m2 = mk_witness(2)
-    assert m_plus_lower_bound(m2.accepts, AB, 5) == 1
-    assert m_minus_lower_bound(m2.accepts, AB, 5) == 2
-    assert m_plus_lower_bound(ab_star().accepts, AB, 12) >= 5
-    assert m_plus_lower_bound(always, AB, 4) == 0
-    assert m_plus_lower_bound(never, AB, 4) == -1
+    m2 = chain_table(mk_witness(2).accepts, AB, 5)
+    assert max(m2.plus_depth.values()) == 1
+    assert max(m2.minus_depth.values()) == 2
+    assert max(chain_table(ab_star().accepts, AB, 12).plus_depth.values()) >= 5
+    assert max(chain_table(always, AB, 4).plus_depth.values()) == 0
+    assert max(chain_table(never, AB, 4).plus_depth.values()) == -1
 
 
 def test_lower_bound_monotone_in_length():
     rng = random.Random(500)
     for _ in range(10):
         d = random_dfa(rng, rng.randint(1, 4))
-        bounds = [m_plus_lower_bound(d.accepts, AB, n) for n in range(7)]
+        bounds = [max(chain_table(d.accepts, AB, n).plus_depth.values()) for n in range(7)]
         assert bounds == sorted(bounds)
 
 
@@ -128,7 +123,7 @@ def test_lower_bound_never_exceeds_measure():
     for _ in range(20):
         d = random_dfa(rng, rng.randint(1, 4))
         measure = m_plus(d)
-        bound = m_plus_lower_bound(d.accepts, AB, 7)
+        bound = max(chain_table(d.accepts, AB, 7).plus_depth.values())
         if measure.is_finite:
             assert bound <= measure.value
 
@@ -140,7 +135,7 @@ def test_lower_bound_attains_small_finite_measures():
     for d in fixtures:
         measure = m_plus(d)
         assert measure.is_finite and measure.value <= 4
-        assert m_plus_lower_bound(d.accepts, AB, 8) == measure.value
+        assert max(chain_table(d.accepts, AB, 8).plus_depth.values()) == measure.value
 
 
 def test_level_zero_bounded_set_is_subword_upward_closure():
@@ -151,37 +146,54 @@ def test_level_zero_bounded_set_is_subword_upward_closure():
         for v in words_up_to("ab", 5)
         if any(is_subword(w, v) for w in members if len(w) <= len(v))
     }
-    assert l_plus_bounded(m2.accepts, AB, 0, 5) == expected
+    assert reach_level(chain_table(m2.accepts, AB, 5).plus_reach, 0) == expected
 
 
 def test_level_two_of_witness_is_empty():
-    assert l_plus_bounded(mk_witness(2).accepts, AB, 2, 6) == set()
+    assert reach_level(chain_table(mk_witness(2).accepts, AB, 6).plus_reach, 2) == set()
 
 
 def test_levels_of_empty_language_are_empty():
+    table = chain_table(never, AB, 4)
     for m in range(3):
-        assert l_plus_bounded(never, AB, m, 4) == set()
+        assert reach_level(table.plus_reach, m) == set()
 
 
 def test_bounded_levels_match_level_automata():
     rng = random.Random(502)
     for _ in range(12):
         d = random_dfa(rng, rng.randint(1, 4))
+        table = chain_table(d.accepts, AB, 6)
         for m in range(4):
             machine = l_plus(d, m)
             expected = {w for w in words_up_to("ab", 6) if machine.accepts(w)}
-            assert l_plus_bounded(d.accepts, AB, m, 6) == expected
+            assert reach_level(table.plus_reach, m) == expected
 
 
 def test_bounded_minus_levels_match_complement_plus():
     rng = random.Random(503)
     for _ in range(8):
         d = random_dfa(rng, rng.randint(1, 4))
-        comp = complement(d)
+        minus = chain_table(d.accepts, AB, 5).minus_reach
+        plus_of_comp = chain_table(complement(d).accepts, AB, 5).plus_reach
         for m in range(3):
-            assert l_minus_bounded(d.accepts, AB, m, 5) == l_plus_bounded(
-                comp.accepts, AB, m, 5
-            )
+            assert reach_level(minus, m) == reach_level(plus_of_comp, m)
+
+
+def test_reach_levels_match_a_second_walk_over_deletions():
+    # the reach fields against a separate walk per level, for levels
+    # 0..5 on both sides of every machine in the corpus
+    corpus = oracle_corpus()
+    assert len(corpus) == 469
+    for d in corpus:
+        table = chain_table(d.accepts, d.alphabet, 6 if len(d.alphabet) == 2 else 4)
+        for depth, reach in (
+            (table.plus_depth, table.plus_reach),
+            (table.minus_depth, table.minus_reach),
+        ):
+            assert max(reach.values()) == max(depth.values())
+            for m in range(6):
+                assert reach_level(reach, m) == bounded_level(table, depth, m), (d, m)
 
 
 def test_cross_check_is_clean_on_fixtures():
@@ -222,9 +234,10 @@ def test_bounded_levels_match_explicit_chain_enumeration():
     rng = random.Random(504)
     for _ in range(6):
         d = random_dfa(rng, rng.randint(1, 3))
+        table = chain_table(d.accepts, AB, 4)
         for m in range(3):
             expected = level_by_enumeration(d.accepts, m, 4)
-            assert l_plus_bounded(d.accepts, AB, m, 4) == expected
+            assert reach_level(table.plus_reach, m) == expected
             machine = l_plus(d, m)
             assert {w for w in words_up_to("ab", 4) if machine.accepts(w)} == expected
 
@@ -241,12 +254,10 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
 def test_cross_check_reports_wrong_predicate():
     # a deliberately inconsistent pairing: the automaton for one language,
     # checked against level sets of another, must be flagged
-    from subseq import oracle
-
     m1 = mk_witness(1)
     m2 = mk_witness(2)
-    table = oracle.chain_table(m2.accepts, AB, 4)
-    expected = oracle._bounded_level(table, table.plus_depth, 1)
+    table = chain_table(m2.accepts, AB, 4)
+    expected = reach_level(table.plus_reach, 1)
     actual = {w for w in table.words if l_plus(m1, 1).accepts(w)}
     assert expected != actual
 
