@@ -8,10 +8,11 @@ m with a nonempty level is the alternation measure, and comparing it with
 k decides membership in the k-th class of the difference hierarchy built
 over the upward closed languages (plus measure below k).
 
-Level automata come from one closure-and-intersect recursion that stays
-within minimized automata, one step per level.  The tests cross-check it
-against an independent tuple-state construction that guesses the whole
-chain at once.
+Level automata come from one closure-and-intersect walk that stays within
+minimized automata, one step per level, and stops at the first empty
+level; the measures, the normal form and the oracle all read that walk.
+The tests cross-check it against an independent tuple-state construction
+that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .automata import (
     difference,
     empty_language,
     intersection,
-    is_empty,
     minimize,
     union,
 )
@@ -90,30 +90,34 @@ class AlternationMeasure:
 
 
 def _levels(dfa: Dfa) -> Iterator[Dfa]:
-    """Minimal automata for the plus-side levels 0, 1, 2, ... in order.
+    """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... in
+    order, stopping at the first empty level.
 
     Level m is the upward closure of the set of valid chain endpoints,
     which even steps push out of the language and odd steps pull back in.
-    The complement of a complete minimal automaton is minimal, and
-    canonical numbering ignores acceptance, so ``complement(base)`` is
+    A minimal automaton is empty exactly when it has no accepting state.
+    The walk ends after m_plus + 1 levels when the language is piecewise
+    testable and never ends otherwise, so its length less one is the plus
+    measure.  The complement of a complete minimal automaton is minimal,
+    and canonical numbering ignores acceptance, so ``complement(base)`` is
     already the complement's canonical form.
     """
     base = minimize(dfa)
     flip = (complement(base), base)
     current = base
-    step = 0
-    while True:
+    for step in itertools.count():
         closed = upward_closure(current)
+        if not closed.accepting:
+            return
         yield closed
         current = minimize(intersection(closed, flip[step % 2]))
-        step += 1
 
 
 def l_plus(dfa: Dfa, m: int) -> Dfa:
     """Minimal automaton for the plus-side level m."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
-    return next(itertools.islice(_levels(dfa), m, None))
+    return next(itertools.islice(_levels(dfa), m, None), empty_language(dfa.alphabet))
 
 
 def l_minus(dfa: Dfa, m: int) -> Dfa:
@@ -121,43 +125,31 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-def _level_depth(dfa: Dfa) -> AlternationMeasure:
-    """Plus measure of a piecewise testable language: the index of the
-    first empty level, less one.
-
-    Callers must have decided piecewise testability first
-    (``is_piecewise_testable``); only then is an empty level guaranteed at
-    a practical depth.
-    """
-    for depth, level in enumerate(_levels(dfa)):
-        if is_empty(level):
-            return AlternationMeasure.finite(depth - 1)
-    raise AssertionError("unreachable")
-
-
 def _measures(dfa: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
     """Plus and minus measures from one piecewise-testability verdict.
 
     Level 1 is closed under complement, so the measures are infinite
-    together; otherwise each is the depth of its own level chain.
+    together; otherwise each is the length of its own level walk, less one.
     """
     if not is_piecewise_testable(dfa):
         return AlternationMeasure.infinite(), AlternationMeasure.infinite()
-    return _level_depth(dfa), _level_depth(complement(dfa))
+    plus, minus = (len(list(_levels(d))) - 1 for d in (dfa, complement(dfa)))
+    return AlternationMeasure.finite(plus), AlternationMeasure.finite(minus)
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
     """Maximal depth of an alternating extension chain starting inside.
 
     Infinity is decided up front by the polynomial piecewise-testability
-    test on the minimal automaton; the level iteration then runs only in
-    the finite case, where it is guaranteed to hit an empty level.
-    (Iterating alone would terminate too, but only at an exponential depth
-    bound in the automaton size, which is not a practical algorithm.)
+    test on the minimal automaton; the level walk then runs only in the
+    finite case, where it ends after m_plus + 1 levels.  (Walking alone
+    never ends on a language that is not piecewise testable; only a depth
+    bound exponential in the automaton size would then settle infinity,
+    which is not a practical algorithm.)
     """
     if not is_piecewise_testable(dfa):
         return AlternationMeasure.infinite()
-    return _level_depth(dfa)
+    return AlternationMeasure.finite(len(list(_levels(dfa))) - 1)
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
@@ -213,8 +205,7 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     """
     if not is_piecewise_testable(dfa):
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    levels = _levels(complement(dfa))
-    return list(itertools.takewhile(lambda level: not is_empty(level), levels))
+    return list(_levels(complement(dfa)))
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:

@@ -5,17 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from subseq.alternation import (
-    AlternationMeasure,
-    _levels,
-    _measures,
-    l_plus,
-    m_plus,
-    mk_witness,
-)
+from subseq.alternation import _levels, l_plus, m_plus, mk_witness
 from subseq.automata import Alphabet, complement, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import chain_table, cross_check, enumerate_words
+from subseq.patterns import is_piecewise_testable
 from subseq.cli import main
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
@@ -23,8 +17,10 @@ from helpers import (
     AB,
     ab_star,
     bounded_level,
+    build_chain_nfa,
     count_calls,
     lang_slice,
+    nfa_is_empty,
     oracle_corpus,
     random_dfa,
     reach_level,
@@ -246,28 +242,31 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
-    # levels 0..3 on each side, then m3's two measure chains (levels
-    # 0..3 and 0..4, each ending at its first empty level)
-    assert len(closures) == 17
+    # m3 is piecewise testable, so each side's chain is walked once to its
+    # end: nonempty levels 0..2 and 0..3, each closing one empty level more
+    assert len(closures) == 9
 
 
-def test_cross_check_reports_wrong_predicate():
-    # a deliberately inconsistent pairing: the automaton for one language,
-    # checked against level sets of another, must be flagged
+def test_cross_check_reports_wrong_predicate(monkeypatch):
+    # a deliberately inconsistent pairing: the level chains of one
+    # language, checked against the bounded sets of another, must be
+    # flagged level by level and measure by measure
     m1 = mk_witness(1)
     m2 = mk_witness(2)
-    table = chain_table(m2.accepts, AB, 4)
-    expected = reach_level(table.plus_reach, 1)
-    actual = {w for w in table.words if l_plus(m1, 1).accepts(w)}
-    assert expected != actual
+    substitute(monkeypatch, _levels, lambda dfa: _levels(m1 if dfa == m2 else complement(m1)))
+    assert cross_check(m2, 4) == [
+        "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "plus measure 0 is below the brute-force bound 1",
+        "minus measure 1 is below the brute-force bound 2",
+    ]
 
 
 def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
-    # a level chain that starts one level late and measures that are too
-    # small must each be reported, with the shortlex-first sample words
+    # a level chain that starts one level late is reported level by level,
+    # with the shortlex-first sample words, and so are the measures that
+    # its shortened walks give
     substitute(monkeypatch, _levels, lambda dfa: itertools.islice(_levels(dfa), 1, None))
-    zero = AlternationMeasure.finite(0)
-    substitute(monkeypatch, _measures, lambda dfa: (zero, zero))
     assert cross_check(mk_witness(2), 4) == [
         "plus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
@@ -275,5 +274,24 @@ def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
         "minus level 1: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "plus measure 0 is below the brute-force bound 1",
-        "minus measure 0 is below the brute-force bound 2",
+        "minus measure 1 is below the brute-force bound 2",
     ]
+
+
+def test_level_walks_end_exactly_on_piecewise_testable_corpus_machines():
+    # cross_check agrees with the brute force on every corpus machine; a
+    # piecewise testable walk of k levels ends where the chain NFA first
+    # turns empty, and every other walk keeps going
+    finite = 0
+    for d in oracle_corpus():
+        assert cross_check(d, 4 if len(d.alphabet) == 2 else 3, max_m=5) == [], d
+        if not is_piecewise_testable(d):
+            assert len(list(itertools.islice(_levels(d), 6))) == 6, d
+            continue
+        finite += 1
+        for side in (d, complement(d)):
+            k = len(list(_levels(side)))
+            assert nfa_is_empty(build_chain_nfa(side, k)), side
+            if k > 0:
+                assert not nfa_is_empty(build_chain_nfa(side, k - 1)), side
+    assert finite == 256
