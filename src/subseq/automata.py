@@ -6,10 +6,11 @@ upward closure, lives in ``subword``.
 
 Deterministic automata are complete by construction: the transition table
 is dense, so completeness is structural, and every operation returns a
-machine that is still complete.  Minimization renumbers states
-breadth-first from the start state following alphabet order, which makes
-equal languages minimize to structurally identical values; golden tests
-rely on that.
+machine that is still complete.  Minimization is Hopcroft's partition
+refinement, O(k·n log n) for k letters and n states, followed by a
+breadth-first renumbering from the start state following alphabet order.
+The renumbering, not the order of the splits, makes equal languages
+minimize to structurally identical values; golden tests rely on that.
 
 All types are immutable after construction and operations are pure
 functions, so values can be shared freely between threads.
@@ -151,57 +152,81 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
 def minimize(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal automaton in canonical form.
 
-    Partition refinement over the reachable states, then a breadth-first
-    renumbering from the start state with letters in alphabet order.
-    Idempotent, and two inputs with the same language come out structurally
-    equal.
+    Hopcroft's partition refinement over the reachable states, in
+    O(k·n log n) for k letters and n states, then a breadth-first
+    renumbering from the start state with letters in alphabet order.  The
+    refinement fixes only which states merge; the renumbering fixes their
+    numbers, so two inputs with the same language come out structurally
+    equal whatever order the blocks were split in.  Idempotent.
     """
     width = len(dfa.alphabet)
+    delta = dfa.delta
     order = [dfa.start]
     seen = {dfa.start}
-    queue = deque(order)
-    while queue:
-        s = queue.popleft()
-        for j in range(width):
-            t = dfa.delta[s][j]
+    for s in order:
+        for t in delta[s]:
             if t not in seen:
                 seen.add(t)
                 order.append(t)
-                queue.append(t)
 
-    block = {s: 1 if s in dfa.accepting else 0 for s in order}
-    n_blocks = len(set(block.values()))
-    while True:
-        signatures: dict[tuple, int] = {}
-        refined: dict[int, int] = {}
+    # Start from {accepting, rejecting}; pop a pending block B and split
+    # every block by the preimage a⁻¹B, for every letter a.  A split keeps
+    # the larger part under the old id and queues the smaller one, so a
+    # pending id still covers the larger part, and a settled whole with its
+    # queued part settles the larger part too.  A state is queued only
+    # when its block at least halves, so O(log n) times, and costs its k
+    # preimage lists each time.
+    final = [s for s in order if s in dfa.accepting]
+    block = [1] * dfa.n_states
+    for s in final:
+        block[s] = 0
+    blocks = [set(final), seen.difference(final)]
+    if 0 < len(final) < len(order):
+        inverse = [[[] for _ in delta] for _ in range(width)]
         for s in order:
-            sig = (block[s], tuple(block[dfa.delta[s][j]] for j in range(width)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            refined[s] = signatures[sig]
-        block = refined
-        if len(signatures) == n_blocks:
-            break
-        n_blocks = len(signatures)
+            for pre, t in zip(inverse, delta[s]):
+                pre[t].append(s)
+        pending = [0 if 2 * len(final) <= len(order) else 1]
+        while pending:
+            splitter = tuple(blocks[pending.pop()])
+            for pre in inverse:
+                touched: dict[int, list[int]] = {}
+                for t in splitter:
+                    for p in pre[t]:
+                        if block[p] in touched:
+                            touched[block[p]].append(p)
+                        else:
+                            touched[block[p]] = [p]
+                for b, hit in touched.items():
+                    members = blocks[b]
+                    if len(hit) == len(members):
+                        continue
+                    part = set(hit)
+                    if 2 * len(part) <= len(members):
+                        members -= part
+                    else:
+                        part, blocks[b] = members - part, part
+                    pending.append(len(blocks))
+                    for p in part:
+                        block[p] = len(blocks)
+                    blocks.append(part)
 
-    representative: dict[int, int] = {}
-    for s in order:
-        representative.setdefault(block[s], s)
+    # the first reachable state of each block represents it
+    representative = [-1] * len(blocks)
+    for s in reversed(order):
+        representative[block[s]] = s
 
-    canonical = {block[dfa.start]: 0}
+    canonical = [-1] * len(blocks)
+    canonical[block[dfa.start]] = 0
     block_order = [block[dfa.start]]
     rows = []
-    queue = deque(block_order)
-    while queue:
-        b = queue.popleft()
-        rep = representative[b]
+    for b in block_order:
         row = []
-        for j in range(width):
-            tb = block[dfa.delta[rep][j]]
-            if tb not in canonical:
+        for t in delta[representative[b]]:
+            tb = block[t]
+            if canonical[tb] < 0:
                 canonical[tb] = len(block_order)
                 block_order.append(tb)
-                queue.append(tb)
             row.append(canonical[tb])
         rows.append(tuple(row))
     accepting = frozenset(

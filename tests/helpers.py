@@ -7,7 +7,8 @@ guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
 use them as second constructions, as does a per-level walk over word
-deletions that the chain table's reach fields are checked against.
+deletions that the chain table's reach fields are checked against, and
+Moore's minimization, the reference for the library's Hopcroft one.
 """
 
 from __future__ import annotations
@@ -167,6 +168,65 @@ def reference_upward_closure(dfa: Dfa) -> Dfa:
     )
     looped = Nfa(dfa.alphabet, dfa.n_states, delta, frozenset({dfa.start}), dfa.accepting)
     return minimize(determinize(looped))
+
+
+def moore_minimize(dfa: Dfa) -> Dfa:
+    """Minimal automaton by Moore's refinement, one full pass over the
+    states per round that splits a block, so O(k·n²) on long chains; the
+    same breadth-first renumbering as ``minimize``, so the two agree
+    structurally.  The reference for the library's Hopcroft refinement."""
+    width = len(dfa.alphabet)
+    order = [dfa.start]
+    seen = {dfa.start}
+    queue = deque(order)
+    while queue:
+        s = queue.popleft()
+        for j in range(width):
+            t = dfa.delta[s][j]
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                queue.append(t)
+
+    block = {s: 1 if s in dfa.accepting else 0 for s in order}
+    n_blocks = len(set(block.values()))
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined: dict[int, int] = {}
+        for s in order:
+            sig = (block[s], tuple(block[dfa.delta[s][j]] for j in range(width)))
+            if sig not in signatures:
+                signatures[sig] = len(signatures)
+            refined[s] = signatures[sig]
+        block = refined
+        if len(signatures) == n_blocks:
+            break
+        n_blocks = len(signatures)
+
+    representative: dict[int, int] = {}
+    for s in order:
+        representative.setdefault(block[s], s)
+
+    canonical = {block[dfa.start]: 0}
+    block_order = [block[dfa.start]]
+    rows = []
+    queue = deque(block_order)
+    while queue:
+        b = queue.popleft()
+        rep = representative[b]
+        row = []
+        for j in range(width):
+            tb = block[dfa.delta[rep][j]]
+            if tb not in canonical:
+                canonical[tb] = len(block_order)
+                block_order.append(tb)
+                queue.append(tb)
+            row.append(canonical[tb])
+        rows.append(tuple(row))
+    accepting = frozenset(
+        canonical[b] for b in block_order if representative[b] in dfa.accepting
+    )
+    return Dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
 
 
 def reverse_det(dfa: Dfa) -> Dfa:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from helpers import (
     determinize,
     dfa_from_rows,
     equivalent,
+    moore_minimize,
     nfa_is_empty,
     random_dfa,
     reverse_det,
@@ -167,6 +169,36 @@ def test_minimize_preserves_language():
     for _ in range(25):
         d = random_dfa(rng, rng.randint(1, 5))
         assert equivalent(minimize(d), d)
+
+
+def test_minimize_agrees_with_moore_on_every_small_dfa():
+    for n in range(1, 4):
+        for d in all_dfas(n):
+            assert minimize(d) == moore_minimize(d)
+
+
+def test_minimize_agrees_with_moore_on_random_dfas():
+    # random_dfa draws the start state too, so some states are unreachable
+    rng = random.Random(102)
+    for letters in ("a", "ab", "abc"):
+        alphabet = Alphabet(letters)
+        for _ in range(600):
+            d = random_dfa(rng, rng.randint(1, 24), alphabet)
+            assert minimize(d) == moore_minimize(d)
+
+
+def test_minimize_scales_on_long_chains():
+    # Moore refinement needs one round per state on these chains and takes
+    # seconds at half this length; 4000 states also exceed the default
+    # recursion limit, so the refinement must not recurse.
+    rng = random.Random(103)
+    ideal = shuffle_ideal("".join(rng.choice("ab") for _ in range(4000)), AB)
+    witness = mk_witness(4000)
+    began = time.perf_counter()
+    assert minimize(ideal).n_states == 4001
+    # the two saturated counts, 4000 and 4001, reject every suffix
+    assert minimize(witness).n_states == witness.n_states - 1 == 4001
+    assert time.perf_counter() - began < 1.0
 
 
 def test_product_with_self_xor_is_empty():
