@@ -20,7 +20,6 @@ from .automata import (
     Dfa,
     complement,
     difference,
-    distinguishing_words,
     empty_language,
     intersection,
     is_empty,

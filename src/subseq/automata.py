@@ -1,8 +1,7 @@
 """Deterministic-automaton algebra everything else is built on: ordered
 alphabets, complete deterministic automata, canonical minimization,
-boolean products, complement, emptiness and separating words for state
-pairs.  The one nondeterministic construction the hierarchy needs, the
-upward closure, lives in ``subword``.
+boolean products, complement and emptiness.  The one nondeterministic
+construction the hierarchy needs, the upward closure, lives in ``subword``.
 
 Deterministic automata are complete by construction: the transition table
 is dense, so completeness is structural, and every operation returns a
@@ -34,7 +33,6 @@ __all__ = [
     "union",
     "difference",
     "is_empty",
-    "distinguishing_words",
     "empty_language",
     "universal_language",
 ]
@@ -317,44 +315,6 @@ def _topological_order(dfa: Dfa) -> list[int] | None:
             if indegree[t] == 0:
                 ready.append(t)
     return order if len(order) == dfa.n_states else None
-
-
-def distinguishing_words(dfa: Dfa) -> dict[tuple[int, int], str]:
-    """A separating word for every distinguishable unordered state pair.
-
-    Keys are pairs (p, q) with p < q; the word's runs from p and from q
-    disagree on acceptance.  Computed backward from the pairs already
-    separated by the empty word, so the recorded words are short.
-    """
-    width = len(dfa.alphabet)
-    letters = dfa.alphabet.letters
-    predecessors: list[list[list[int]]] = [
-        [[] for _ in range(width)] for _ in range(dfa.n_states)
-    ]
-    for s in range(dfa.n_states):
-        for j in range(width):
-            predecessors[dfa.delta[s][j]][j].append(s)
-
-    words: dict[tuple[int, int], str] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for p in range(dfa.n_states):
-        for q in range(p + 1, dfa.n_states):
-            if (p in dfa.accepting) != (q in dfa.accepting):
-                words[(p, q)] = ""
-                queue.append((p, q))
-    while queue:
-        p, q = queue.popleft()
-        suffix = words[(p, q)]
-        for j in range(width):
-            for a in predecessors[p][j]:
-                for b in predecessors[q][j]:
-                    if a == b:
-                        continue
-                    pair = (a, b) if a < b else (b, a)
-                    if pair not in words:
-                        words[pair] = letters[j] + suffix
-                        queue.append(pair)
-    return words
 
 
 def empty_language(alphabet: Alphabet) -> Dfa:

@@ -225,7 +225,7 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
     They tie independent constructions together: the level-1/2 booleans
     come from the single-letter insertion test and the measures from the
     level chain of upward closures, so the two must agree at level one;
-    witness presence must agree with finiteness.
+    witness presence must agree with finiteness, and a witness must replay.
     """
     plus, minus = report.m_plus, report.m_minus
     one = AlternationMeasure.finite(1)
@@ -235,6 +235,7 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
         and report.in_level_one_half == (plus < one)
         and report.in_co_level_one_half == (minus < one)
         and (report.pattern_witness is None) == plus.is_finite
+        and (plus.is_finite or report.pattern_witness.holds_in(dfa))
         and report.minimal_k_plus == (plus.value + 1 if plus.is_finite else None)
         and report.minimal_k_co == (minus.value + 1 if minus.is_finite else None)
     )
@@ -360,6 +361,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_classify(args) -> int:
     if args.batch:
+        if args.file is not None:
+            raise InputError("classify takes a FILE or --batch DIR, not both")
         paths = sorted(Path(args.batch).glob("*.dfa"))
         if not paths:
             raise InputError(f"no .dfa files in {args.batch!r}")

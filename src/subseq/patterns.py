@@ -16,9 +16,13 @@ for them extract that evidence when the test says no, and serve as an
 independent cross-check of the test.
 
 Each detector returns a fully instantiated witness (words and states) that
-can be replayed against the automaton, or None.  Detection is
-deterministic: letters in alphabet order, states in index order,
-breadth-first shortest words with alphabet-order tie-breaking.
+can be replayed against the automaton, or None.  Two reachable states are
+distinguishable exactly when they reach different states of the minimal
+automaton (Myhill-Nerode), so one minimization filters every candidate
+pair, and a separating word is searched only for the pair a witness
+names; it is the shortlex-least one.  Detection is deterministic: letters
+in alphabet order, states in index order, breadth-first shortest words
+with alphabet-order tie-breaking.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .automata import Dfa, _topological_order, distinguishing_words, minimize
+from .automata import Dfa, _topological_order, minimize
 from .subword import is_subword
 
 __all__ = [
@@ -115,6 +119,30 @@ def _access_words(dfa: Dfa) -> dict[int, str]:
     return words
 
 
+def _classes(dfa: Dfa, access: dict[int, str]) -> dict[int, int]:
+    """The minimal-automaton state each reachable state stands for; two
+    reachable states are distinguishable exactly when theirs differ."""
+    machine = minimize(dfa)
+    return {s: machine.run(w) for s, w in access.items()}
+
+
+def _separator(dfa: Dfa, p: int, q: int) -> str:
+    """Shortlex-least word whose runs from the distinguishable states p and
+    q disagree on acceptance: breadth-first search over state pairs driven
+    by the same letter, letters in alphabet order."""
+    acc = dfa.accepting
+    words = {(p, q): ""}
+    queue = deque(words)
+    while True:
+        s, t = pair = queue.popleft()
+        if (s in acc) != (t in acc):
+            return words[pair]
+        for ch, target in zip(dfa.alphabet.letters, zip(dfa.delta[s], dfa.delta[t])):
+            if target not in words:
+                words[target] = words[pair] + ch
+                queue.append(target)
+
+
 def find_loop_with_embedded_extension(
     dfa: Dfa, s1: int, s2: int, letter: str
 ) -> tuple[str, str] | None:
@@ -172,17 +200,14 @@ def _rebuild_two_words(parents, node, letters) -> tuple[str, str]:
 def detect_p1(dfa: Dfa) -> PatternWitness | None:
     """First pattern: a loop at s1 embeds y plus the pivot letter, and the
     pivot step out of delta(s1, y) changes some later acceptance."""
-    separators = distinguishing_words(dfa)
     access = _access_words(dfa)
     reachable = sorted(access)
+    classes = _classes(dfa, access)
     for j, a in enumerate(dfa.alphabet.letters):
         for s1 in reachable:
-            for s2 in range(dfa.n_states):
+            for s2 in reachable:
                 s3 = dfa.delta[s2][j]
-                if s2 == s3:
-                    continue
-                pair = (s2, s3) if s2 < s3 else (s3, s2)
-                if pair not in separators:
+                if classes[s2] == classes[s3]:
                     continue
                 found = find_loop_with_embedded_extension(dfa, s1, s2, a)
                 if found is None:
@@ -194,7 +219,7 @@ def detect_p1(dfa: Dfa) -> PatternWitness | None:
                     x=access[s1],
                     v=v,
                     y=y,
-                    z=separators[pair],
+                    z=_separator(dfa, s2, s3),
                     states=(s1, s2, s3),
                 )
     return None
@@ -240,17 +265,15 @@ def detect_p2(dfa: Dfa) -> PatternWitness | None:
     """Second pattern: a pivot step out of s1, then a shared word z driving
     both sides into a distinguishable pair of states that jointly loop on a
     word embedding the pivot followed by z."""
-    separators = distinguishing_words(dfa)
     access = _access_words(dfa)
-    for s1 in sorted(access):
+    reachable = sorted(access)
+    classes = _classes(dfa, access)
+    for s1 in reachable:
         for j, a in enumerate(dfa.alphabet.letters):
             s2 = dfa.delta[s1][j]
-            for t3 in range(dfa.n_states):
-                for t4 in range(dfa.n_states):
-                    if t3 == t4:
-                        continue
-                    pair = (t3, t4) if t3 < t4 else (t4, t3)
-                    if pair not in separators:
+            for t3 in reachable:
+                for t4 in reachable:
+                    if classes[t3] == classes[t4]:
                         continue
                     found = _coupled_loop_search(dfa, s1, s2, t3, t4, j)
                     if found is None:
@@ -262,7 +285,7 @@ def detect_p2(dfa: Dfa) -> PatternWitness | None:
                         x=access[s1],
                         z=z,
                         u=u,
-                        z_prime=separators[pair],
+                        z_prime=_separator(dfa, t3, t4),
                         states=(s1, s2, t3, t4),
                     )
     return None

@@ -7,8 +7,10 @@ guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
 use them as second constructions, as does a per-level walk over word
-deletions that the chain table's reach fields are checked against, and
-Moore's minimization, the reference for the library's Hopcroft one.
+deletions that the chain table's reach fields are checked against,
+Moore's minimization, the reference for the library's Hopcroft one, and a
+backward all-pairs table of separating words, the reference for the
+pattern detectors' minimal-automaton classes and their separating words.
 """
 
 from __future__ import annotations
@@ -227,6 +229,44 @@ def moore_minimize(dfa: Dfa) -> Dfa:
         canonical[b] for b in block_order if representative[b] in dfa.accepting
     )
     return Dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
+
+
+def distinguishing_words(dfa: Dfa) -> dict[tuple[int, int], str]:
+    """A separating word for every distinguishable unordered state pair.
+
+    Keys are pairs (p, q) with p < q; the word's runs from p and from q
+    disagree on acceptance.  Computed backward from the pairs already
+    separated by the empty word, so the recorded words are short.
+    """
+    width = len(dfa.alphabet)
+    letters = dfa.alphabet.letters
+    predecessors: list[list[list[int]]] = [
+        [[] for _ in range(width)] for _ in range(dfa.n_states)
+    ]
+    for s in range(dfa.n_states):
+        for j in range(width):
+            predecessors[dfa.delta[s][j]][j].append(s)
+
+    words: dict[tuple[int, int], str] = {}
+    queue: deque[tuple[int, int]] = deque()
+    for p in range(dfa.n_states):
+        for q in range(p + 1, dfa.n_states):
+            if (p in dfa.accepting) != (q in dfa.accepting):
+                words[(p, q)] = ""
+                queue.append((p, q))
+    while queue:
+        p, q = queue.popleft()
+        suffix = words[(p, q)]
+        for j in range(width):
+            for a in predecessors[p][j]:
+                for b in predecessors[q][j]:
+                    if a == b:
+                        continue
+                    pair = (a, b) if a < b else (b, a)
+                    if pair not in words:
+                        words[pair] = letters[j] + suffix
+                        queue.append(pair)
+    return words
 
 
 def reverse_det(dfa: Dfa) -> Dfa:

@@ -8,7 +8,6 @@ from subseq.automata import (
     Alphabet,
     Dfa,
     complement,
-    distinguishing_words,
     empty_language,
     intersection,
     is_empty,
@@ -27,6 +26,7 @@ from helpers import (
     build_chain_nfa,
     determinize,
     dfa_from_rows,
+    distinguishing_words,
     equivalent,
     moore_minimize,
     nfa_is_empty,

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from subseq import cli
-from subseq.alternation import AlternationMeasure, mk_witness
-from subseq.automata import Alphabet, Dfa, minimize
+from subseq import cli, oracle
+from subseq.alternation import AlternationMeasure, _levels, mk_witness
+from subseq.automata import Alphabet, Dfa, complement, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
-from subseq.patterns import detect_p1, detect_p2
+from subseq.patterns import PatternWitness, detect_p1, detect_p2
 from subseq.subword import shuffle_ideal, upward_closure
 
 from helpers import AB, ab_star, count_calls
@@ -158,6 +158,15 @@ def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
         classify(ab_star(), name="abstar")
 
 
+def test_classify_raises_when_the_witness_does_not_replay(monkeypatch):
+    # a witness of the right kind whose loop word does not loop at s1
+    broken = PatternWitness(kind="P3", letter="a", v="a", states=(0, 0, 1, 1, 2))
+    assert not broken.holds_in(ab_star())
+    monkeypatch.setattr(cli, "detect_p3", lambda dfa: broken)
+    with pytest.raises(AssertionError, match="inconsistent classification"):
+        classify(ab_star(), name="abstar")
+
+
 def test_classify_empty_language():
     from subseq.automata import empty_language
 
@@ -267,6 +276,64 @@ def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
     if report.piecewise_testable:
         assert expected == (report.m_plus.value + 2) + (report.m_minus.value + 2)
     assert len(closures) == expected
+
+
+def _swap_oracle_levels(monkeypatch):
+    # the oracle walks the level chains of mk_witness(1) when it checks
+    # mk_witness(2), so its bounded sets and measures disagree
+    m1, m2 = mk_witness(1), mk_witness(2)
+    monkeypatch.setattr(
+        oracle, "_levels", lambda dfa: _levels(m1 if dfa == m2 else complement(m1))
+    )
+
+
+_SWAPPED_PROBLEMS = (
+    "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+    "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+    "plus measure 0 is below the brute-force bound 1",
+    "minus measure 1 is below the brute-force bound 2",
+)
+
+
+def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
+    _swap_oracle_levels(monkeypatch)
+    assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"MISMATCH: {p}\n" for p in _SWAPPED_PROBLEMS)
+    assert captured.err == ""
+
+
+def test_cli_classify_oracle_check_indents_each_problem(capsys, monkeypatch):
+    _swap_oracle_levels(monkeypatch)
+    assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "language: m2\n"
+        "level 1/2 (union of shuffle ideals): no\n"
+        "co level 1/2: no\n"
+        "m_plus: 1\n"
+        "m_minus: 2\n"
+        "minimal k, plus side: 2\n"
+        "minimal k, co side: 3\n"
+        "piecewise testable (level 1): yes\n"
+        "oracle check (n=4): MISMATCH\n"
+    ) + "".join(f"  {p}\n" for p in _SWAPPED_PROBLEMS)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["closure", str(FIXTURES / "m2.dfa")],
+        ["export", str(FIXTURES / "m2.dfa"), "--format", "dot", "--minimize"],
+        ["gen-mk", "3", "--alphabet", "abc", "--letter", "b"],
+    ],
+)
+def test_cli_output_file_equals_stdout(capsys, tmp_path, command):
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert main(command + ["-o", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_cli_closure(capsys):
@@ -386,6 +453,14 @@ def test_cli_batch_reads_files_like_single_file_mode(capsys, tmp_path):
     )
     assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_batch_rejects_a_file_as_well(capsys, tmp_path):
+    (tmp_path / "one.dfa").write_text(export(mk_witness(1)))
+    assert main(["classify", str(FIXTURES / "m2.dfa"), "--batch", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classify takes a FILE or --batch DIR, not both\n"
 
 
 def test_cli_batch_json_reports_good_files_past_a_bad_one(capsys, tmp_path):

@@ -5,6 +5,9 @@ from subseq.alternation import AlternationMeasure, m_plus, mk_witness
 from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
 from subseq.patterns import (
     PatternWitness,
+    _access_words,
+    _classes,
+    _separator,
     detect_p1,
     detect_p2,
     detect_p3,
@@ -14,7 +17,17 @@ from subseq.patterns import (
 from subseq.cli import classify
 from subseq.subword import is_subword, shuffle_ideal
 
-from helpers import AB, ab_star, all_dfas, ba_star, dfa_from_rows, random_dfa, reverse_det
+from helpers import (
+    AB,
+    ab_star,
+    all_dfas,
+    ba_star,
+    dfa_from_rows,
+    distinguishing_words,
+    random_dfa,
+    reverse_det,
+    words_up_to,
+)
 
 
 def test_find_loop_on_alternating_loop():
@@ -92,14 +105,51 @@ def test_is_piecewise_testable_examples():
     assert not is_piecewise_testable(ba_star())
 
 
-def test_every_returned_witness_replays():
+def _separation_corpus():
+    """Every ``ab`` automaton with 1-3 states, then seeded random ones with
+    1-12 states over ``ab`` and ``abc``."""
+    corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
     rng = random.Random(400)
-    for _ in range(40):
-        d = random_dfa(rng, rng.randint(1, 5))
-        for detector in (detect_p1, detect_p2, detect_p3):
-            w = detector(d)
+    corpus += [
+        random_dfa(rng, rng.randint(1, 12), rng.choice((AB, Alphabet("abc"))))
+        for _ in range(150)
+    ]
+    return corpus
+
+
+def test_every_returned_witness_replays():
+    for d in _separation_corpus():
+        first, second, third = detect_p1(d), detect_p2(d), detect_p3(d)
+        for w in (first, second, third):
             if w is not None:
                 assert w.holds_in(d), (d, w)
+        assert (third is None) == (first is None and second is None)
+
+
+def _separates(d, z, p, q):
+    return (d.run(z, p) in d.accepting) != (d.run(z, q) in d.accepting)
+
+
+def test_classes_and_separators_agree_with_the_reference_table():
+    # Myhill-Nerode: reachable states are distinguishable exactly when
+    # they reach different states of the minimal automaton, and the
+    # separator is the shortlex-least word that tells them apart
+    for d in _separation_corpus():
+        access = _access_words(d)
+        classes = _classes(d, access)
+        table = distinguishing_words(d)
+        reachable = sorted(access)
+        for i, p in enumerate(reachable):
+            for q in reachable[i + 1 :]:
+                assert (classes[p] != classes[q]) == ((p, q) in table), (d, p, q)
+                if (p, q) not in table:
+                    continue
+                z = _separator(d, p, q)
+                assert len(z) == len(table[(p, q)]) and _separates(d, z, p, q)
+                least = next(
+                    w for w in words_up_to(d.alphabet.letters, len(z)) if _separates(d, w, p, q)
+                )
+                assert z == least == _separator(d, q, p), (d, p, q)
 
 
 def test_pattern_equivalences_on_random_machines():
@@ -281,3 +331,4 @@ def test_classify_is_fast_on_a_deep_piecewise_testable_language():
         assert time.perf_counter() - started < 2.0
         assert report.m_plus == AlternationMeasure.finite(plus)
         assert report.m_minus == AlternationMeasure.finite(minus)
+
