@@ -8,11 +8,11 @@ m with a nonempty level is the alternation measure, and comparing it with
 k decides membership in the k-th class of the difference hierarchy built
 over the upward closed languages (plus measure below k).
 
-Level automata come from one closure-and-intersect walk that stays within
-minimized automata, one step per level, and stops at the first empty
-level; the measures, the normal form and the oracle all read that walk.
-The tests cross-check it against an independent tuple-state construction
-that guesses the whole chain at once.
+Both chains come from one walk: the side whose start rejects ε is walked,
+and the other side is Σ* followed by that walk (see ``_chains``).  The walk
+stays within minimized automata, one step per level, and stops at the
+first empty level.  The tests check it against the two separate walks and
+a tuple-state construction that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .automata import (
     intersection,
     minimize,
     union,
+    universal_language,
 )
 from .errors import InfiniteMeasureError, InputError
 from .patterns import is_piecewise_testable
@@ -91,16 +92,14 @@ class AlternationMeasure:
 
 def _levels(dfa: Dfa) -> Iterator[Dfa]:
     """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... in
-    order, stopping at the first empty level.
+    order, stopping at the first empty level: after m_plus + 1 levels when
+    the language is piecewise testable, never otherwise.
 
-    Level m is the upward closure of the set of valid chain endpoints,
-    which even steps push out of the language and odd steps pull back in.
-    A minimal automaton is empty exactly when it has no accepting state.
-    The walk ends after m_plus + 1 levels when the language is piecewise
-    testable and never ends otherwise, so its length less one is the plus
-    measure.  The complement of a complete minimal automaton is minimal,
-    and canonical numbering ignores acceptance, so ``complement(base)`` is
-    already the complement's canonical form.
+    Level m is the upward closure of the valid chain endpoints, which even
+    steps push out of the language and odd steps pull back in; a minimal
+    automaton is empty exactly when it has no accepting state.  The
+    complement of a complete minimal automaton is minimal, and canonical
+    numbering ignores acceptance, so ``complement(base)`` is canonical too.
     """
     base = minimize(dfa)
     flip = (complement(base), base)
@@ -113,11 +112,23 @@ def _levels(dfa: Dfa) -> Iterator[Dfa]:
         current = minimize(intersection(closed, flip[step % 2]))
 
 
+def _chains(dfa: Dfa, depth: int | None = None) -> tuple[list[Dfa], list[Dfa]]:
+    """Both sides' levels, at most ``depth`` each (all when None), walking
+    only the side that rejects ε.  If ε ∈ L, plus level 0 is ↑L = Σ*, and
+    level 1 is ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same
+    steps, so plus level i+1 is minus level i.  If ε ∉ L the sides swap."""
+    inside = dfa.start in dfa.accepting
+    walked = list(itertools.islice(_levels(complement(dfa) if inside else dfa), depth))
+    shifted = ([universal_language(dfa.alphabet)] + walked)[:depth]
+    return (shifted, walked) if inside else (walked, shifted)
+
+
 def l_plus(dfa: Dfa, m: int) -> Dfa:
     """Minimal automaton for the plus-side level m."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
-    return next(itertools.islice(_levels(dfa), m, None), empty_language(dfa.alphabet))
+    levels = _chains(dfa, m + 1)[0]
+    return levels[m] if m < len(levels) else empty_language(dfa.alphabet)
 
 
 def l_minus(dfa: Dfa, m: int) -> Dfa:
@@ -126,15 +137,12 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
 
 
 def _measures(dfa: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
-    """Plus and minus measures from one piecewise-testability verdict.
-
-    Level 1 is closed under complement, so the measures are infinite
-    together; otherwise each is the length of its own level walk, less one.
-    """
+    """Plus and minus measures from one piecewise-testability verdict: both
+    infinite outside level 1, which is closed under complement, otherwise
+    each side's chain length less one."""
     if not is_piecewise_testable(dfa):
         return AlternationMeasure.infinite(), AlternationMeasure.infinite()
-    plus, minus = (len(list(_levels(d))) - 1 for d in (dfa, complement(dfa)))
-    return AlternationMeasure.finite(plus), AlternationMeasure.finite(minus)
+    return tuple(AlternationMeasure.finite(len(c) - 1) for c in _chains(dfa))
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -147,14 +155,12 @@ def m_plus(dfa: Dfa) -> AlternationMeasure:
     bound exponential in the automaton size would then settle infinity,
     which is not a practical algorithm.)
     """
-    if not is_piecewise_testable(dfa):
-        return AlternationMeasure.infinite()
-    return AlternationMeasure.finite(len(list(_levels(dfa))) - 1)
+    return _measures(dfa)[0]
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return m_plus(complement(dfa))
+    return _measures(dfa)[1]
 
 
 def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
@@ -181,17 +187,14 @@ def mk_witness(k: int, alphabet: Alphabet | None = None, letter: str = "a") -> D
     if alphabet is None:
         alphabet = Alphabet("ab")
     target = alphabet.index(letter)
-    width = len(alphabet)
-    rows = []
-    for count in range(k + 2):
-        bumped = min(count + 1, k + 1)
-        rows.append(tuple(bumped if j == target else count for j in range(width)))
-    odd_counts = {c for c in range(k + 1) if c % 2 == 1}
+    rows = tuple(
+        tuple(min(c + 1, k + 1) if j == target else c for j in range(len(alphabet)))
+        for c in range(k + 2)
+    )
+    accepting = {c for c in range(k + 1) if c % 2 == 1}
     if k % 2 == 1:
-        accepting = frozenset(odd_counts | {k + 1})
-    else:
-        accepting = frozenset(odd_counts)
-    return Dfa(alphabet, k + 2, tuple(rows), 0, accepting)
+        accepting.add(k + 1)
+    return Dfa(alphabet, k + 2, rows, 0, frozenset(accepting))
 
 
 def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
@@ -205,7 +208,7 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     """
     if not is_piecewise_testable(dfa):
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    return list(_levels(complement(dfa)))
+    return _chains(dfa)[1]
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
@@ -216,10 +219,8 @@ def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
     of the chain are empty.
     """
 
-    def level(i: int) -> Dfa:
-        return levels[i] if i < len(levels) else empty_language(alphabet)
-
-    result = complement(level(0))
+    padded = list(levels) + [empty_language(alphabet)] * 2
+    result = complement(padded[0])
     for i in range(1, len(levels) + 1, 2):
-        result = union(result, difference(level(i), level(i + 1)))
+        result = union(result, difference(padded[i], padded[i + 1]))
     return minimize(result)

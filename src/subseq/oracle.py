@@ -13,9 +13,9 @@ per word: its depth, and its reach, the deepest chain ending at any of its
 subwords.  Every bounded level m is then the set of words whose reach is at
 least m, with no further pass.
 
-``cross_check`` sets those tables against the automata pipeline.  It walks
-each side's level chain once and reads both the level automata and the
-measures off that walk.
+``cross_check`` sets those tables against the automata pipeline.  It
+makes the single level walk that gives both sides' chains and reads both
+the level automata and the measures off it.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .alternation import _levels
-from .automata import Alphabet, Dfa, complement, empty_language
+from .alternation import _chains
+from .automata import Alphabet, Dfa, empty_language
 from .errors import InputError, WordCapExceededError
 from .patterns import is_piecewise_testable
 
@@ -151,26 +151,25 @@ def cross_check(
 ) -> list[str]:
     """Compare the automata pipeline against this module on one machine.
 
-    Walks each side's level chain once: to its end when the language is
+    Reads both chains off one level walk: to its end when the language is
     piecewise testable, otherwise through level max_m.  Checks that levels
     0..max_m agree with the brute-force level sets word for word up to
     max_len, and, in the finite case, that the brute-force depth bounds
-    never exceed the measures the walks give.  Returns human-readable
+    never exceed the measures the chains give.  Returns human-readable
     mismatch descriptions; an empty list means full agreement.
     """
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
     table = chain_table(dfa.accepts, dfa.alphabet, max_len, cap)
     finite = is_piecewise_testable(dfa)
+    plus_chain, minus_chain = _chains(dfa, None if finite else max_m + 1)
     empty = empty_language(dfa.alphabet)
     problems: list[str] = []
     too_small: list[str] = []
-    for side, reach, depths, language in (
-        ("plus", table.plus_reach, table.plus_depth, dfa),
-        ("minus", table.minus_reach, table.minus_depth, complement(dfa)),
+    for side, reach, depths, chain in (
+        ("plus", table.plus_reach, table.plus_depth, plus_chain),
+        ("minus", table.minus_reach, table.minus_depth, minus_chain),
     ):
-        levels = _levels(language)
-        chain = list(levels if finite else itertools.islice(levels, max_m + 1))
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
             wrong = [w for w in table.words if (reach[w] >= m) != machine.accepts(w)]

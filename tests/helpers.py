@@ -8,9 +8,11 @@ nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
 use them as second constructions, as does a per-level walk over word
 deletions that the chain table's reach fields are checked against,
-Moore's minimization, the reference for the library's Hopcroft one, and a
+Moore's minimization, the reference for the library's Hopcroft one, a
 backward all-pairs table of separating words, the reference for the
-pattern detectors' minimal-automaton classes and their separating words.
+pattern detectors' minimal-automaton classes and their separating words,
+and a separate level walk per side, the reference for the single walk
+that gives both chains.
 """
 
 from __future__ import annotations
@@ -20,12 +22,22 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
-from subseq.alternation import mk_witness
-from subseq.automata import Alphabet, Dfa, is_empty, minimize, product
+from subseq.alternation import AlternationMeasure, mk_witness
+from subseq.automata import (
+    Alphabet,
+    Dfa,
+    complement,
+    intersection,
+    is_empty,
+    minimize,
+    product,
+)
 from subseq.errors import InputError
 from subseq.oracle import BoundedChainTable, _deletions
-from subseq.subword import is_subword, upward_closure
+from subseq.patterns import is_piecewise_testable
+from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 AB = Alphabet("ab")
 
@@ -354,6 +366,59 @@ def build_chain_nfa(dfa: Dfa, m: int) -> Nfa:
         if all((s in dfa.accepting) == (i % 2 == 0) for i, s in enumerate(t))
     )
     return Nfa(dfa.alphabet, len(tuples), tuple(rows), frozenset({0}), accepting)
+
+
+def reference_levels(dfa: Dfa) -> Iterator[Dfa]:
+    """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... in
+    order, stopping at the first empty level: a closure-and-intersect walk
+    of one side that reads nothing off the other side's chain."""
+    base = minimize(dfa)
+    flip = (complement(base), base)
+    current = base
+    for step in itertools.count():
+        closed = upward_closure(current)
+        if not closed.accepting:
+            return
+        yield closed
+        current = minimize(intersection(closed, flip[step % 2]))
+
+
+def two_walk_chains(dfa: Dfa, depth: int | None = None) -> tuple[list[Dfa], list[Dfa]]:
+    """Plus-side and minus-side levels, at most ``depth`` of each, from a
+    walk of the language and a second walk of its complement."""
+    walks = (reference_levels(d) for d in (dfa, complement(dfa)))
+    plus, minus = (list(itertools.islice(walk, depth)) for walk in walks)
+    return plus, minus
+
+
+def two_walk_measures(dfa: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
+    """Plus and minus measures, each from its own side's walk."""
+    if not is_piecewise_testable(dfa):
+        return AlternationMeasure.infinite(), AlternationMeasure.infinite()
+    plus, minus = (len(list(reference_levels(d))) - 1 for d in (dfa, complement(dfa)))
+    return AlternationMeasure.finite(plus), AlternationMeasure.finite(minus)
+
+
+def boolean_combinations(rng: random.Random, count: int, ideals: int, length: int):
+    """``count`` minimal ``ab`` automata, each folding ``ideals`` shuffle
+    ideals of random words of ``length`` letters by random union,
+    intersection, difference or symmetric difference, minimizing after each
+    step; all piecewise testable."""
+    operations = (
+        lambda a, b: a or b,
+        lambda a, b: a and b,
+        lambda a, b: a and not b,
+        lambda a, b: a != b,
+    )
+    out = []
+    for _ in range(count):
+        words = ["".join(rng.choice("ab") for _ in range(length)) for _ in range(ideals)]
+        current = shuffle_ideal(words[0], AB)
+        for w in words[1:]:
+            combine = rng.choice(operations)
+            current = minimize(product(current, shuffle_ideal(w, AB), combine))
+        out.append(current)
+    return out
 
 
 def walk_decomposition(dfa: Dfa) -> tuple[str, ...]:

@@ -4,6 +4,8 @@ import pytest
 
 from subseq.alternation import (
     AlternationMeasure,
+    _chains,
+    _measures,
     in_boolean_level,
     l_minus,
     l_plus,
@@ -24,18 +26,23 @@ from subseq.automata import (
 )
 from subseq.cli import classify
 from subseq.errors import InfiniteMeasureError, InputError
-from subseq.patterns import detect_p3
+from subseq.patterns import detect_p3, is_piecewise_testable
 from subseq.subword import shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
     ab_star,
+    all_dfas,
+    boolean_combinations,
     build_chain_nfa,
     determinize,
     equivalent,
     mk_predicate,
     nfa_is_empty,
+    oracle_corpus,
     random_dfa,
+    two_walk_chains,
+    two_walk_measures,
     words_up_to,
 )
 
@@ -335,10 +342,10 @@ def test_finite_measures_differ_by_one_off_the_edges():
         intersection(mk_witness(2), shuffle_ideal("b", AB)),
     ]
     corpus += [random_dfa(rng, rng.randint(1, 4)) for _ in range(60)]
+    # the empty and the universal language fit too: -1/0 and 0/-1
+    corpus += [empty_dfa(), universal_language(AB)]
     checked = 0
     for d in corpus:
-        if is_empty(d) or is_empty(complement(d)):
-            continue
         plus = m_plus(d)
         if not plus.is_finite:
             continue
@@ -346,6 +353,35 @@ def test_finite_measures_differ_by_one_off_the_edges():
         assert abs(plus.value - minus.value) == 1
         checked += 1
     assert checked > 10
+
+
+def _agrees_with_the_two_walks(d) -> bool:
+    # piecewise testable machines: every level of both chains, both
+    # measures and the normal form; the rest: the first 3 levels per side
+    if not is_piecewise_testable(d):
+        assert _chains(d, 3) == two_walk_chains(d, 3), d
+        return False
+    plus, minus = _chains(d)
+    assert (plus, minus) == two_walk_chains(d), d
+    assert _measures(d) == two_walk_measures(d), d
+    assert normal_form_decomposition(d) == minus, d
+    return True
+
+
+def test_one_walk_gives_both_chains_of_the_two_walks():
+    corpus = oracle_corpus()
+    for n in (1, 2, 3):
+        corpus += all_dfas(n)
+    for k in range(1, 20):
+        corpus += [mk_witness(k), complement(mk_witness(k))]
+    assert len(corpus) == 6405
+    assert sum(_agrees_with_the_two_walks(d) for d in corpus) == 3270
+
+
+def test_one_walk_gives_both_chains_of_boolean_combinations_of_ideals():
+    corpus = boolean_combinations(random.Random(1), 6, 5, 4)
+    assert all(_agrees_with_the_two_walks(d) for d in corpus)
+    assert max(d.n_states for d in corpus) > 20
 
 
 def test_infinite_measures_come_in_pairs():

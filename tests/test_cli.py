@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from subseq import cli, oracle
-from subseq.alternation import AlternationMeasure, _levels, mk_witness
-from subseq.automata import Alphabet, Dfa, complement, minimize
+from subseq.alternation import AlternationMeasure, _chains, mk_witness
+from subseq.automata import Alphabet, Dfa, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, detect_p1, detect_p2
@@ -264,27 +264,37 @@ def test_classify_closes_a_level_half_language_once_for_its_check(monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     report = classify(parse_dfa(fixture_text("a_ideal.dfa")))
     assert report.ideal_decomposition == ("a",)
-    # the level-1/2 checks close nothing; the 5 closures are the level
-    # chains, levels 0-1 of the language and 0-2 of its complement
-    assert len(closures) == 5
+    # the level-1/2 checks close nothing; the 2 closures are the one
+    # level walk, over the language: level 0 and the empty level 1 (the
+    # complement's chain is Σ* followed by that walk)
+    assert len(closures) == 2
 
 
-@pytest.mark.parametrize("name, expected", [("ab_star.dfa", 0), ("m3.dfa", 9)])
+@pytest.mark.parametrize("name, expected", [("ab_star.dfa", 0), ("m3.dfa", 4)])
 def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
     closures = count_calls(monkeypatch, upward_closure)
     report = classify(parse_dfa(fixture_text(name)))
     if report.piecewise_testable:
-        assert expected == (report.m_plus.value + 2) + (report.m_minus.value + 2)
+        # one walk, on the side that rejects ε: its nonempty levels and
+        # the empty one after them
+        assert expected == min(report.m_plus.value, report.m_minus.value) + 2
     assert len(closures) == expected
 
 
-def _swap_oracle_levels(monkeypatch):
-    # the oracle walks the level chains of mk_witness(1) when it checks
-    # mk_witness(2), so its bounded sets and measures disagree
-    m1, m2 = mk_witness(1), mk_witness(2)
-    monkeypatch.setattr(
-        oracle, "_levels", lambda dfa: _levels(m1 if dfa == m2 else complement(m1))
-    )
+def test_classify_oracle_check_walks_the_chains_twice(capsys, monkeypatch):
+    # classify walks once for the measures and cross_check once more
+    closures = count_calls(monkeypatch, upward_closure)
+    assert main(["classify", str(FIXTURES / "m3.dfa"), "--oracle-check", "6"]) == 0
+    assert capsys.readouterr().out.endswith("oracle check (n=6): ok\n")
+    assert len(closures) == 8
+
+
+def _swap_oracle_chains(monkeypatch):
+    # the oracle reads the level chains of mk_witness(1) when it checks
+    # mk_witness(2), so its bounded sets and measures disagree; classify
+    # keeps its own chains, so the report itself stays consistent
+    m1 = mk_witness(1)
+    monkeypatch.setattr(oracle, "_chains", lambda dfa, depth=None: _chains(m1, depth))
 
 
 _SWAPPED_PROBLEMS = (
@@ -296,7 +306,7 @@ _SWAPPED_PROBLEMS = (
 
 
 def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
-    _swap_oracle_levels(monkeypatch)
+    _swap_oracle_chains(monkeypatch)
     assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "".join(f"MISMATCH: {p}\n" for p in _SWAPPED_PROBLEMS)
@@ -304,7 +314,7 @@ def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
 
 
 def test_cli_classify_oracle_check_indents_each_problem(capsys, monkeypatch):
-    _swap_oracle_levels(monkeypatch)
+    _swap_oracle_chains(monkeypatch)
     assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "4"]) == 1
     assert capsys.readouterr().out == (
         "language: m2\n"

@@ -242,19 +242,18 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
-    # m3 is piecewise testable, so each side's chain is walked once to its
-    # end: nonempty levels 0..2 and 0..3, each closing one empty level more
-    assert len(closures) == 9
+    # m3 is piecewise testable and rejects ε, so one walk to the end of
+    # its own chain gives both sides: nonempty levels 0..2, then the empty
+    # level 3; the minus chain is Σ* followed by those levels
+    assert len(closures) == 4
 
 
 def test_cross_check_reports_wrong_predicate(monkeypatch):
     # a deliberately inconsistent pairing: the level chains of one
     # language, checked against the bounded sets of another, must be
     # flagged level by level and measure by measure
-    m1 = mk_witness(1)
-    m2 = mk_witness(2)
-    substitute(monkeypatch, _levels, lambda dfa: _levels(m1 if dfa == m2 else complement(m1)))
-    assert cross_check(m2, 4) == [
+    substitute(monkeypatch, _levels, lambda dfa: _levels(mk_witness(1)))
+    assert cross_check(mk_witness(2), 4) == [
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "plus measure 0 is below the brute-force bound 1",
@@ -263,14 +262,13 @@ def test_cross_check_reports_wrong_predicate(monkeypatch):
 
 
 def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
-    # a level chain that starts one level late is reported level by level,
+    # a level walk that starts one level late is reported level by level,
     # with the shortlex-first sample words, and so are the measures that
-    # its shortened walks give
+    # its shortened chains give; minus level 0 is Σ* whatever the walk
     substitute(monkeypatch, _levels, lambda dfa: itertools.islice(_levels(dfa), 1, None))
     assert cross_check(mk_witness(2), 4) == [
         "plus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
-        "minus level 0: bounded sets disagree, e.g. ['', 'b', 'bb']",
         "minus level 1: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "plus measure 0 is below the brute-force bound 1",
