@@ -124,11 +124,19 @@ def _chains(dfa: Dfa, depth: int | None = None) -> tuple[list[Dfa], list[Dfa]]:
 
 
 def l_plus(dfa: Dfa, m: int) -> Dfa:
-    """Minimal automaton for the plus-side level m."""
+    """Minimal automaton for the plus-side level m.
+
+    Walks only the levels up to m of the plus side itself: when ε ∈ L that
+    side is Σ* followed by the walk of the complement, as in ``_chains``,
+    so it closes at most m levels there and m + 1 otherwise."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
-    levels = _chains(dfa, m + 1)[0]
-    return levels[m] if m < len(levels) else empty_language(dfa.alphabet)
+    if dfa.start in dfa.accepting:
+        sigma_star = universal_language(dfa.alphabet)
+        levels = itertools.chain([sigma_star], _levels(complement(dfa)))
+    else:
+        levels = _levels(dfa)
+    return next(itertools.islice(levels, m, None), empty_language(dfa.alphabet))
 
 
 def l_minus(dfa: Dfa, m: int) -> Dfa:

@@ -8,21 +8,51 @@ the covering relation of that lattice, which keeps the tables cheap.  A
 chain ending at a word only ever uses subwords of it, so the bounded
 tables are self-contained and every reported depth is a true lower bound.
 
-One pass per side walks each word's deletions once and records two numbers
-per word: its depth, and its reach, the deepest chain ending at any of its
-subwords.  Every bounded level m is then the set of words whose reach is at
-least m, with no further pass.
+Words are handled by their position in the shortlex order of
+``enumerate_words``.  Over k letters, word i > 0 is word (i - 1) // k
+followed by letter (i - 1) % k, so the word p followed by letter a sits at
+p·k + a + 1.  Two consequences keep the per-word work independent of the
+word's length:
+
+- The state an automaton reaches on word i is one step from the state of
+  its prefix, so the rows of the transition table, taken in the order of
+  the words' states, list the states of the next words (``_states``).
+- Deleting any letter of a run of equal letters gives the same word, so a
+  word has one distinct one-letter deletion per run.  The deletions of
+  u·a are u itself and d·a for each deletion d of u; the two coincide
+  exactly when u ends in a, since u's own last-letter deletion d then
+  gives d·a = u.  So each word's deletions are built, as indices, from its
+  prefix's, with that one repeat dropped (``_deletion_indices``).
+
+One pass walks each word's deletions once.  Depth never falls along the
+subword order: a chain ending at a subword of w ends at w too, after
+replacing that subword by w or appending w.  So the deepest chain ending
+at a proper subword of w is the deepest one ending at a deletion, r, and
+w's depth is r or r + 1, whichever has the parity that w's membership
+forces on the last word of a chain (-1, no chain, counts as odd).  For
+the same reason a word's reach, the deepest chain ending at any of its
+subwords, is its depth, and every bounded level m is the set of words
+whose reach is at least m.
+
+The pass walks the side whose chains start where ε is not, as
+``alternation._chains`` does.  ε is a subword of every word, so it can
+open every chain of the other side in place of its first word, and it
+extends every chain of the walked side by one; the other side's depths
+are the walked side's plus one.
 
 ``cross_check`` sets those tables against the automata pipeline.  It
 makes the single level walk that gives both sides' chains and reads both
-the level automata and the measures off it.
+the level automata and the measures off it; every automaton it compares,
+the input included, is stepped along the word order, never rerun from
+its start state.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .alternation import _chains
 from .automata import Alphabet, Dfa, empty_language
@@ -60,7 +90,7 @@ def enumerate_words(alphabet: Alphabet, max_len: int, cap: int = DEFAULT_WORD_CA
         raise WordCapExceededError(f"{max_len + 1} words exceed the cap of {cap}")
     words: list[str] = []
     for n in range(max_len + 1):
-        words.extend("".join(t) for t in itertools.product(letters, repeat=n))
+        words.extend(map("".join, itertools.product(letters, repeat=n)))
     return words
 
 
@@ -74,6 +104,8 @@ class BoundedChainTable:
     ``plus_reach[w]`` is the largest plus depth of any subword of w, w
     included, so the bounded plus-side level m is exactly the words with
     ``plus_reach[w] >= m``; ``minus_reach`` is the same for the minus side.
+    Depth never falls along the subword order, so each reach field is the
+    same mapping as its depth field.
     """
 
     max_len: int
@@ -85,46 +117,40 @@ class BoundedChainTable:
     minus_reach: dict[str, int]
 
 
-def _deletions(word: str) -> Iterator[str]:
-    seen = set()
-    for i in range(len(word)):
-        shorter = word[:i] + word[i + 1 :]
-        if shorter not in seen:
-            seen.add(shorter)
-            yield shorter
+def _deletion_indices(k: int, n_words: int) -> Iterator[list[int]]:
+    """The distinct one-letter deletions of each of the first n_words
+    words over k letters, as shortlex indices, in word order; n_words
+    counts every word up to some length.  Word p·k + a + 1 is word p
+    followed by letter a.  Only the rows of words not yet extended are
+    kept."""
+    n_parents = (n_words - 1) // k
+    pending: deque[list[int]] = deque([[]])
+    yield []
+    for p in range(n_parents):
+        below = pending.popleft()
+        last = (p - 1) % k if p else -1
+        for a in range(k):
+            row = [d * k + a + 1 for d in below]
+            # when p ends in a, p itself is already in the row
+            if a != last:
+                row.append(p)
+            if p * k + a + 1 < n_parents:
+                pending.append(row)
+            yield row
 
 
 def _depths(
-    words: list[str], member: dict[str, bool], start_inside: bool
-) -> tuple[dict[str, int], dict[str, int]]:
-    # best_in / best_out track the deepest chain ending at any member /
-    # non-member subword seen so far; deletions cover all proper subwords.
-    # A word's reach is the larger of the two once the word itself is in.
-    depth: dict[str, int] = {}
-    best_in: dict[str, int] = {}
-    best_out: dict[str, int] = {}
-    for w in words:
-        proper_in = -1
-        proper_out = -1
-        for d in _deletions(w):
-            if best_in[d] > proper_in:
-                proper_in = best_in[d]
-            if best_out[d] > proper_out:
-                proper_out = best_out[d]
-        if member[w]:
-            base = 0 if start_inside else -1
-            via = proper_out + 1 if proper_out >= 0 else -1
-            depth[w] = max(base, via)
-            best_in[w] = max(proper_in, depth[w])
-            best_out[w] = proper_out
-        else:
-            base = -1 if start_inside else 0
-            via = proper_in + 1 if proper_in >= 0 else -1
-            depth[w] = max(base, via)
-            best_out[w] = max(proper_out, depth[w])
-            best_in[w] = proper_in
-    reach = {w: max(best_in[w], best_out[w]) for w in words}
-    return depth, reach
+    deletions: Iterable[list[int]], member: list[bool], start_inside: bool
+) -> list[int]:
+    # chains put the words on their starting side at even depths and the
+    # others at odd ones, -1 included, so a word's depth is r or r + 1,
+    # whichever gives an even sum with (inside != start_inside)
+    depth: list[int] = []
+    get = depth.__getitem__
+    for below, inside in zip(deletions, member):
+        r = max(map(get, below), default=-1)
+        depth.append(r + ((r + (inside != start_inside)) & 1))
+    return depth
 
 
 def chain_table(
@@ -135,12 +161,26 @@ def chain_table(
 ) -> BoundedChainTable:
     """Tabulate chain depths and reaches for all words up to max_len."""
     words = enumerate_words(alphabet, max_len, cap)
-    member = {w: bool(membership(w)) for w in words}
-    plus, plus_reach = _depths(words, member, start_inside=True)
-    minus, minus_reach = _depths(words, member, start_inside=False)
+    member = [bool(membership(w)) for w in words]
+    deletions = _deletion_indices(len(alphabet), len(words))
+    epsilon_in = member[0]
+    walked = _depths(deletions, member, start_inside=not epsilon_in)
+    shifted = [d + 1 for d in walked]
+    plus = dict(zip(words, shifted if epsilon_in else walked))
+    minus = dict(zip(words, walked if epsilon_in else shifted))
     return BoundedChainTable(
-        max_len, tuple(words), member, plus, minus, plus_reach, minus_reach
+        max_len, tuple(words), dict(zip(words, member)), plus, minus, plus, minus
     )
+
+
+def _states(machine: Dfa, n_words: int) -> list[int]:
+    """The state ``machine`` reaches on each of the first n_words words in
+    shortlex order; n_words counts every word up to some length."""
+    delta = machine.delta
+    states = [machine.start]
+    for p in range((n_words - 1) // len(machine.alphabet)):
+        states += delta[states[p]]
+    return states
 
 
 def cross_check(
@@ -160,7 +200,10 @@ def cross_check(
     """
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
-    table = chain_table(dfa.accepts, dfa.alphabet, max_len, cap)
+    words = enumerate_words(dfa.alphabet, max_len, cap)
+    n_words = len(words)
+    member = dict(zip(words, map(dfa.accepting.__contains__, _states(dfa, n_words))))
+    table = chain_table(member.__getitem__, dfa.alphabet, max_len, cap)
     finite = is_piecewise_testable(dfa)
     plus_chain, minus_chain = _chains(dfa, None if finite else max_m + 1)
     empty = empty_language(dfa.alphabet)
@@ -170,9 +213,15 @@ def cross_check(
         ("plus", table.plus_reach, table.plus_depth, plus_chain),
         ("minus", table.minus_reach, table.minus_depth, minus_chain),
     ):
+        reaches = list(reach.values())  # chain_table keys its fields in word order
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
-            wrong = [w for w in table.words if (reach[w] >= m) != machine.accepts(w)]
+            accepting = machine.accepting
+            wrong = [
+                w
+                for w, r, s in zip(words, reaches, _states(machine, n_words))
+                if (r >= m) != (s in accepting)
+            ]
             if wrong:
                 sample = sorted(wrong, key=lambda w: (len(w), w))[:3]
                 problems.append(

@@ -6,13 +6,14 @@ direct simulation, and chain levels through a tuple-state automaton that
 guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
-use them as second constructions, as does a per-level walk over word
-deletions that the chain table's reach fields are checked against,
-Moore's minimization, the reference for the library's Hopcroft one, a
-backward all-pairs table of separating words, the reference for the
-pattern detectors' minimal-automaton classes and their separating words,
-and a separate level walk per side, the reference for the single walk
-that gives both chains.
+use them as second constructions, as do the string-keyed chain table
+that the library's index-keyed one is checked against, a per-level walk
+over word deletions that the chain table's reach fields are checked
+against, Moore's minimization, the reference for the library's Hopcroft
+one, a backward all-pairs table of separating words, the reference for
+the pattern detectors' minimal-automaton classes and their separating
+words, and a separate level walk per side, the reference for the single
+walk that gives both chains.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from subseq.alternation import AlternationMeasure, mk_witness
 from subseq.automata import (
@@ -35,7 +36,7 @@ from subseq.automata import (
     product,
 )
 from subseq.errors import InputError
-from subseq.oracle import BoundedChainTable, _deletions
+from subseq.oracle import BoundedChainTable
 from subseq.patterns import is_piecewise_testable
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
@@ -100,6 +101,63 @@ def oracle_corpus() -> list[Dfa]:
     corpus += list(all_dfas(2))
     corpus += [mk_witness(k) for k in range(1, 6)]
     return corpus
+
+
+def _deletions(word: str) -> Iterator[str]:
+    seen = set()
+    for i in range(len(word)):
+        shorter = word[:i] + word[i + 1 :]
+        if shorter not in seen:
+            seen.add(shorter)
+            yield shorter
+
+
+def _depths(
+    words: list[str], member: dict[str, bool], start_inside: bool
+) -> tuple[dict[str, int], dict[str, int]]:
+    # best_in / best_out track the deepest chain ending at any member /
+    # non-member subword seen so far; deletions cover all proper subwords.
+    # A word's reach is the larger of the two once the word itself is in.
+    depth: dict[str, int] = {}
+    best_in: dict[str, int] = {}
+    best_out: dict[str, int] = {}
+    for w in words:
+        proper_in = -1
+        proper_out = -1
+        for d in _deletions(w):
+            if best_in[d] > proper_in:
+                proper_in = best_in[d]
+            if best_out[d] > proper_out:
+                proper_out = best_out[d]
+        if member[w]:
+            base = 0 if start_inside else -1
+            via = proper_out + 1 if proper_out >= 0 else -1
+            depth[w] = max(base, via)
+            best_in[w] = max(proper_in, depth[w])
+            best_out[w] = proper_out
+        else:
+            base = -1 if start_inside else 0
+            via = proper_in + 1 if proper_in >= 0 else -1
+            depth[w] = max(base, via)
+            best_out[w] = max(proper_out, depth[w])
+            best_in[w] = proper_in
+    reach = {w: max(best_in[w], best_out[w]) for w in words}
+    return depth, reach
+
+
+def reference_chain_table(
+    membership: Callable[[str], bool], alphabet: Alphabet, max_len: int
+) -> BoundedChainTable:
+    """The chain table by string-keyed walks over each word's deletions,
+    with separate member and non-member maxima and a reach of their
+    larger; the reference for the library's index-keyed table."""
+    words = words_up_to(alphabet.letters, max_len)
+    member = {w: bool(membership(w)) for w in words}
+    plus, plus_reach = _depths(words, member, start_inside=True)
+    minus, minus_reach = _depths(words, member, start_inside=False)
+    return BoundedChainTable(
+        max_len, tuple(words), member, plus, minus, plus_reach, minus_reach
+    )
 
 
 def reach_level(reach: dict[str, int], m: int) -> set[str]:

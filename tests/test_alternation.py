@@ -18,6 +18,7 @@ from subseq.alternation import (
 from subseq.automata import (
     complement,
     difference,
+    empty_language,
     intersection,
     is_empty,
     minimize,
@@ -35,6 +36,7 @@ from helpers import (
     all_dfas,
     boolean_combinations,
     build_chain_nfa,
+    count_calls,
     determinize,
     equivalent,
     mk_predicate,
@@ -141,6 +143,23 @@ def test_l_plus_of_witness_levels():
     m2 = mk_witness(2)
     assert not is_empty(l_plus(m2, 1))
     assert is_empty(l_plus(m2, 2))
+
+
+def test_l_plus_closes_only_the_levels_it_reads(monkeypatch):
+    # the complement of mk_witness(2) contains ε, so its plus level 0 is
+    # Σ* and level m is level m - 1 of the walk of mk_witness(2), whose
+    # own level 2 is the first empty one
+    machines = (complement(mk_witness(2)), mk_witness(2))
+    cases = [(d, two_walk_chains(d)[0]) for d in machines]
+    closures = count_calls(monkeypatch, upward_closure)
+    counts = []
+    for d, plus in cases:
+        for m in range(3):
+            before = len(closures)
+            level = l_plus(d, m)
+            counts.append(len(closures) - before)
+            assert level == (plus[m] if m < len(plus) else empty_language(AB))
+    assert counts == [0, 1, 2, 1, 2, 3]
 
 
 @pytest.mark.parametrize("k", range(1, 7))

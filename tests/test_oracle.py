@@ -6,15 +6,22 @@ from pathlib import Path
 import pytest
 
 from subseq.alternation import _levels, l_plus, m_plus, mk_witness
-from subseq.automata import Alphabet, complement, universal_language
+from subseq.automata import Alphabet, Dfa, complement, universal_language
 from subseq.errors import WordCapExceededError
-from subseq.oracle import chain_table, cross_check, enumerate_words
+from subseq.oracle import (
+    _deletion_indices,
+    _states,
+    chain_table,
+    cross_check,
+    enumerate_words,
+)
 from subseq.patterns import is_piecewise_testable
 from subseq.cli import main
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
+    _deletions,
     ab_star,
     bounded_level,
     build_chain_nfa,
@@ -24,11 +31,13 @@ from helpers import (
     oracle_corpus,
     random_dfa,
     reach_level,
+    reference_chain_table,
     substitute,
     words_up_to,
 )
 
 A_ONLY = Alphabet("a")
+ALPHABETS = (A_ONLY, AB, Alphabet("abc"))
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -190,6 +199,64 @@ def test_reach_levels_match_a_second_walk_over_deletions():
             assert max(reach.values()) == max(depth.values())
             for m in range(6):
                 assert reach_level(reach, m) == bounded_level(table, depth, m), (d, m)
+
+
+def test_chain_table_matches_the_string_keyed_reference_on_the_corpus():
+    for d in oracle_corpus():
+        n = 6 if len(d.alphabet) == 2 else 4
+        assert chain_table(d.accepts, d.alphabet, n) == reference_chain_table(
+            d.accepts, d.alphabet, n
+        ), d
+
+
+def test_chain_table_matches_the_string_keyed_reference_on_random_predicates():
+    # 200 seeded languages with no automaton behind them, cycling through
+    # one, two and three letters and every length bound from 0 up
+    rng = random.Random(512)
+    for i in range(200):
+        alphabet = ALPHABETS[i % 3]
+        max_len = (i // 3) % (11, 7, 5)[i % 3]
+        density = rng.random()
+        chosen = {
+            w for w in words_up_to(alphabet.letters, max_len) if rng.random() < density
+        }
+        table = chain_table(chosen.__contains__, alphabet, max_len)
+        assert table == reference_chain_table(chosen.__contains__, alphabet, max_len), i
+
+
+def test_deletion_indices_are_the_distinct_deletions():
+    for alphabet, max_len in zip(ALPHABETS, (9, 6, 4)):
+        words = words_up_to(alphabet.letters, max_len)
+        index = {w: i for i, w in enumerate(words)}
+        deletions = list(_deletion_indices(len(alphabet), len(words)))
+        assert len(deletions) == len(words)
+        for w, row in zip(words, deletions):
+            assert sorted(row) == sorted(index[d] for d in _deletions(w)), w
+
+
+def test_states_step_every_word_from_its_prefix():
+    rng = random.Random(513)
+    for alphabet, max_len in zip(ALPHABETS, (12, 8, 5)):
+        words = enumerate_words(alphabet, max_len)
+        for _ in range(20):
+            d = random_dfa(rng, rng.randint(1, 6), alphabet)
+            assert _states(d, len(words)) == [d.run(w) for w in words]
+
+
+def test_cross_check_steps_automata_without_replaying_words(monkeypatch):
+    def replay(self, word):
+        raise AssertionError(f"replayed {word!r}")
+
+    monkeypatch.setattr(Dfa, "accepts", replay)
+    assert cross_check(mk_witness(3), 6) == []
+
+
+def test_cross_check_is_clean_on_a_one_letter_alphabet():
+    rng = random.Random(514)
+    machines = [mk_witness(k, A_ONLY) for k in range(1, 5)]
+    machines += [random_dfa(rng, rng.randint(1, 6), A_ONLY) for _ in range(20)]
+    for d in machines:
+        assert cross_check(d, 12, max_m=5) == [], d
 
 
 def test_cross_check_is_clean_on_fixtures():
