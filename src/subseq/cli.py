@@ -15,7 +15,7 @@ followed by exactly one transition line per (state, letter) pair.
 
 Exit codes: 0 success, 1 input error, 2 word-cap exceeded.  The word cap
 used by oracle checks defaults to one million and can be overridden with
-the SUBSEQ_WORD_CAP environment variable.
+a nonnegative integer in the SUBSEQ_WORD_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -346,9 +346,12 @@ def _word_cap() -> int:
     if raw is None:
         return DEFAULT_WORD_CAP
     try:
-        return int(raw)
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError
     except ValueError:
-        raise InputError(f"SUBSEQ_WORD_CAP must be an integer, got {raw!r}") from None
+        raise InputError(f"SUBSEQ_WORD_CAP must be a nonnegative integer, got {raw!r}") from None
+    return cap
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -30,9 +30,9 @@ replacing that subword by w or appending w.  So the deepest chain ending
 at a proper subword of w is the deepest one ending at a deletion, r, and
 w's depth is r or r + 1, whichever has the parity that w's membership
 forces on the last word of a chain (-1, no chain, counts as odd).  For
-the same reason a word's reach, the deepest chain ending at any of its
-subwords, is its depth, and every bounded level m is the set of words
-whose reach is at least m.
+the same reason a word's depth is also the deepest chain ending at any
+of its subwords, so every bounded level m is the set of words whose
+depth is at least m.
 
 The pass walks the side whose chains start where ε is not, as
 ``alternation._chains`` does.  ε is a subword of every word, so it can
@@ -40,11 +40,11 @@ open every chain of the other side in place of its first word, and it
 extends every chain of the walked side by one; the other side's depths
 are the walked side's plus one.
 
-``cross_check`` sets those tables against the automata pipeline.  It
-makes the single level walk that gives both sides' chains and reads both
-the level automata and the measures off it; every automaton it compares,
-the input included, is stepped along the word order, never rerun from
-its start state.
+``cross_check`` feeds that pass the input's membership on one enumeration
+of the words and sets the depths against the single level walk that
+gives both sides' chains, reading both the level automata and the
+measures off it; every automaton it compares, the input included, is
+stepped along the word order, never rerun from its start state.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .alternation import _chains
 from .automata import Alphabet, Dfa, empty_language
@@ -101,11 +101,9 @@ class BoundedChainTable:
     ``plus_depth[w]`` is the length of the longest membership-alternating
     subword chain that ends at w and starts inside the language, -1 when
     none exists; ``minus_depth`` is the same for chains starting outside.
-    ``plus_reach[w]`` is the largest plus depth of any subword of w, w
-    included, so the bounded plus-side level m is exactly the words with
-    ``plus_reach[w] >= m``; ``minus_reach`` is the same for the minus side.
-    Depth never falls along the subword order, so each reach field is the
-    same mapping as its depth field.
+    Depth never falls along the subword order, so the bounded plus-side
+    level m is exactly ``{w : plus_depth[w] >= m}``, and the minus-side
+    one is the same set read off ``minus_depth``.
     """
 
     max_len: int
@@ -113,8 +111,6 @@ class BoundedChainTable:
     member: dict[str, bool]
     plus_depth: dict[str, int]
     minus_depth: dict[str, int]
-    plus_reach: dict[str, int]
-    minus_reach: dict[str, int]
 
 
 def _deletion_indices(k: int, n_words: int) -> Iterator[list[int]]:
@@ -139,18 +135,21 @@ def _deletion_indices(k: int, n_words: int) -> Iterator[list[int]]:
             yield row
 
 
-def _depths(
-    deletions: Iterable[list[int]], member: list[bool], start_inside: bool
-) -> list[int]:
-    # chains put the words on their starting side at even depths and the
-    # others at odd ones, -1 included, so a word's depth is r or r + 1,
-    # whichever gives an even sum with (inside != start_inside)
-    depth: list[int] = []
-    get = depth.__getitem__
-    for below, inside in zip(deletions, member):
+def _depths(member: list[bool], k: int) -> tuple[list[int], list[int]]:
+    """The plus and the minus chain depths of every word over k letters up
+    to some length, given the words' memberships in shortlex order."""
+    # the walked side's chains start where ε is not, so they put the words
+    # whose membership differs from ε's at even depths and the others at
+    # odd ones, -1 included: a word's depth is r or r + 1, whichever gives
+    # an even sum with (inside == ε's membership)
+    epsilon_in = member[0]
+    walked: list[int] = []
+    get = walked.__getitem__
+    for below, inside in zip(_deletion_indices(k, len(member)), member):
         r = max(map(get, below), default=-1)
-        depth.append(r + ((r + (inside != start_inside)) & 1))
-    return depth
+        walked.append(r + ((r + (inside == epsilon_in)) & 1))
+    shifted = [d + 1 for d in walked]
+    return (shifted, walked) if epsilon_in else (walked, shifted)
 
 
 def chain_table(
@@ -159,17 +158,16 @@ def chain_table(
     max_len: int,
     cap: int = DEFAULT_WORD_CAP,
 ) -> BoundedChainTable:
-    """Tabulate chain depths and reaches for all words up to max_len."""
+    """Tabulate both sides' chain depths for all words up to max_len."""
     words = enumerate_words(alphabet, max_len, cap)
     member = [bool(membership(w)) for w in words]
-    deletions = _deletion_indices(len(alphabet), len(words))
-    epsilon_in = member[0]
-    walked = _depths(deletions, member, start_inside=not epsilon_in)
-    shifted = [d + 1 for d in walked]
-    plus = dict(zip(words, shifted if epsilon_in else walked))
-    minus = dict(zip(words, walked if epsilon_in else shifted))
+    plus, minus = _depths(member, len(alphabet))
     return BoundedChainTable(
-        max_len, tuple(words), dict(zip(words, member)), plus, minus, plus, minus
+        max_len,
+        tuple(words),
+        dict(zip(words, member)),
+        dict(zip(words, plus)),
+        dict(zip(words, minus)),
     )
 
 
@@ -202,24 +200,20 @@ def cross_check(
         raise InputError(f"level bound must be nonnegative, got {max_m}")
     words = enumerate_words(dfa.alphabet, max_len, cap)
     n_words = len(words)
-    member = dict(zip(words, map(dfa.accepting.__contains__, _states(dfa, n_words))))
-    table = chain_table(member.__getitem__, dfa.alphabet, max_len, cap)
+    member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
+    depth_lists = _depths(member, len(dfa.alphabet))
     finite = is_piecewise_testable(dfa)
-    plus_chain, minus_chain = _chains(dfa, None if finite else max_m + 1)
+    chains = _chains(dfa, None if finite else max_m + 1)
     empty = empty_language(dfa.alphabet)
     problems: list[str] = []
     too_small: list[str] = []
-    for side, reach, depths, chain in (
-        ("plus", table.plus_reach, table.plus_depth, plus_chain),
-        ("minus", table.minus_reach, table.minus_depth, minus_chain),
-    ):
-        reaches = list(reach.values())  # chain_table keys its fields in word order
+    for side, depths, chain in zip(("plus", "minus"), depth_lists, chains):
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
             accepting = machine.accepting
             wrong = [
                 w
-                for w, r, s in zip(words, reaches, _states(machine, n_words))
+                for w, r, s in zip(words, depths, _states(machine, n_words))
                 if (r >= m) != (s in accepting)
             ]
             if wrong:
@@ -227,7 +221,7 @@ def cross_check(
                 problems.append(
                     f"{side} level {m}: bounded sets disagree, e.g. {sample}"
                 )
-        bound = max(depths.values())
+        bound = max(depths)
         if finite and bound > len(chain) - 1:
             too_small.append(
                 f"{side} measure {len(chain) - 1} is below the brute-force bound {bound}"

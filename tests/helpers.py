@@ -7,9 +7,10 @@ guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
 use them as second constructions, as do the string-keyed chain table
-that the library's index-keyed one is checked against, a per-level walk
-over word deletions that the chain table's reach fields are checked
-against, Moore's minimization, the reference for the library's Hopcroft
+that the library's index-keyed one is checked against, with the reach
+of each word beside it, a per-level walk over word deletions that the
+levels read off the chain table's depth fields are checked against,
+Moore's minimization, the reference for the library's Hopcroft
 one, a backward all-pairs table of separating words, the reference for
 the pattern detectors' minimal-automaton classes and their separating
 words, and a separate level walk per side, the reference for the single
@@ -145,29 +146,39 @@ def _depths(
     return depth, reach
 
 
-def reference_chain_table(
+def reference_chain_walk(
     membership: Callable[[str], bool], alphabet: Alphabet, max_len: int
-) -> BoundedChainTable:
+) -> tuple[BoundedChainTable, dict[str, int], dict[str, int]]:
     """The chain table by string-keyed walks over each word's deletions,
-    with separate member and non-member maxima and a reach of their
-    larger; the reference for the library's index-keyed table."""
+    with separate member and non-member maxima, and the plus and minus
+    reach that the walks give as the larger of the two: the deepest chain
+    ending at any subword of a word, the word included."""
     words = words_up_to(alphabet.letters, max_len)
     member = {w: bool(membership(w)) for w in words}
     plus, plus_reach = _depths(words, member, start_inside=True)
     minus, minus_reach = _depths(words, member, start_inside=False)
-    return BoundedChainTable(
-        max_len, tuple(words), member, plus, minus, plus_reach, minus_reach
-    )
+    table = BoundedChainTable(max_len, tuple(words), member, plus, minus)
+    return table, plus_reach, minus_reach
 
 
-def reach_level(reach: dict[str, int], m: int) -> set[str]:
-    """The bounded level m read off a chain table's reach field."""
-    return {w for w, r in reach.items() if r >= m}
+def reference_chain_table(
+    membership: Callable[[str], bool], alphabet: Alphabet, max_len: int
+) -> BoundedChainTable:
+    """The table of ``reference_chain_walk``; the reference for the
+    library's index-keyed table."""
+    return reference_chain_walk(membership, alphabet, max_len)[0]
+
+
+def reach_level(depth: dict[str, int], m: int) -> set[str]:
+    """The bounded level m read off a chain table's depth field: the words
+    that some chain of depth m or more ends at or below, which, since
+    depth never falls along the subword order, are those of depth >= m."""
+    return {w for w, d in depth.items() if d >= m}
 
 
 def bounded_level(table: BoundedChainTable, depth: dict[str, int], m: int) -> set[str]:
     """Bounded level m by a second walk over every word's deletions, per
-    level; the reference for the reach fields of the chain table."""
+    level; the reference for the levels read off the chain table."""
     # A word belongs to level m exactly when some subword of it ends a
     # chain of depth >= m (depth parity is forced by membership, so no
     # separate parity check is needed).

@@ -198,7 +198,7 @@ def test_criterion_7_oracle_agreement():
         for d in corpus:
             table = chain_table(d.accepts, AB, 7)
             for m in range(4):
-                expected = reach_level(table.plus_reach, m)
+                expected = reach_level(table.plus_depth, m)
                 machine = l_plus(d, m)
                 actual = {w for w in table.words if machine.accepts(w)}
                 assert expected == actual, (d, m)

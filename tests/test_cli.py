@@ -397,9 +397,13 @@ def test_cli_word_cap_env_exit_code(capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err
 
 
-def test_cli_word_cap_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SUBSEQ_WORD_CAP", "lots")
+@pytest.mark.parametrize("raw", ["lots", "-1"])
+def test_cli_word_cap_env_must_be_integer(capsys, monkeypatch, raw):
+    # a negative cap is out of range, not a cap that every word count exceeds
+    monkeypatch.setenv("SUBSEQ_WORD_CAP", raw)
     assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "6"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert [line.startswith("error: SUBSEQ_WORD_CAP") for line in errors] == [True]
 
 
 def test_cli_oracle_check_rejects_negative_max_len(capsys):

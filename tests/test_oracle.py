@@ -32,6 +32,7 @@ from helpers import (
     random_dfa,
     reach_level,
     reference_chain_table,
+    reference_chain_walk,
     substitute,
     words_up_to,
 )
@@ -151,17 +152,17 @@ def test_level_zero_bounded_set_is_subword_upward_closure():
         for v in words_up_to("ab", 5)
         if any(is_subword(w, v) for w in members if len(w) <= len(v))
     }
-    assert reach_level(chain_table(m2.accepts, AB, 5).plus_reach, 0) == expected
+    assert reach_level(chain_table(m2.accepts, AB, 5).plus_depth, 0) == expected
 
 
 def test_level_two_of_witness_is_empty():
-    assert reach_level(chain_table(mk_witness(2).accepts, AB, 6).plus_reach, 2) == set()
+    assert reach_level(chain_table(mk_witness(2).accepts, AB, 6).plus_depth, 2) == set()
 
 
 def test_levels_of_empty_language_are_empty():
     table = chain_table(never, AB, 4)
     for m in range(3):
-        assert reach_level(table.plus_reach, m) == set()
+        assert reach_level(table.plus_depth, m) == set()
 
 
 def test_bounded_levels_match_level_automata():
@@ -172,33 +173,55 @@ def test_bounded_levels_match_level_automata():
         for m in range(4):
             machine = l_plus(d, m)
             expected = {w for w in words_up_to("ab", 6) if machine.accepts(w)}
-            assert reach_level(table.plus_reach, m) == expected
+            assert reach_level(table.plus_depth, m) == expected
 
 
 def test_bounded_minus_levels_match_complement_plus():
     rng = random.Random(503)
     for _ in range(8):
         d = random_dfa(rng, rng.randint(1, 4))
-        minus = chain_table(d.accepts, AB, 5).minus_reach
-        plus_of_comp = chain_table(complement(d).accepts, AB, 5).plus_reach
+        minus = chain_table(d.accepts, AB, 5).minus_depth
+        plus_of_comp = chain_table(complement(d).accepts, AB, 5).plus_depth
         for m in range(3):
             assert reach_level(minus, m) == reach_level(plus_of_comp, m)
 
 
-def test_reach_levels_match_a_second_walk_over_deletions():
-    # the reach fields against a separate walk per level, for levels
-    # 0..5 on both sides of every machine in the corpus
+def test_depth_levels_match_a_second_walk_over_deletions():
+    # the levels read off the depth fields against a separate walk per
+    # level, for levels 0..5 on both sides of every machine in the corpus
     corpus = oracle_corpus()
     assert len(corpus) == 469
     for d in corpus:
         table = chain_table(d.accepts, d.alphabet, 6 if len(d.alphabet) == 2 else 4)
-        for depth, reach in (
-            (table.plus_depth, table.plus_reach),
-            (table.minus_depth, table.minus_reach),
-        ):
-            assert max(reach.values()) == max(depth.values())
+        for depth in (table.plus_depth, table.minus_depth):
             for m in range(6):
-                assert reach_level(reach, m) == bounded_level(table, depth, m), (d, m)
+                assert reach_level(depth, m) == bounded_level(table, depth, m), (d, m)
+
+
+def test_reference_reach_equals_the_depth_fields():
+    # depth never falls along the subword order, so the reference walk's
+    # reach, the deepest chain ending at any subword, is the library's
+    # depth on both sides: over the corpus and over the 200 seeded
+    # languages of the reference test on random predicates
+    cases = [
+        (d.accepts, d.alphabet, 6 if len(d.alphabet) == 2 else 4)
+        for d in oracle_corpus()
+    ]
+    rng = random.Random(512)
+    for i in range(200):
+        alphabet = ALPHABETS[i % 3]
+        max_len = (i // 3) % (11, 7, 5)[i % 3]
+        density = rng.random()
+        chosen = {
+            w for w in words_up_to(alphabet.letters, max_len) if rng.random() < density
+        }
+        cases.append((chosen.__contains__, alphabet, max_len))
+    assert len(cases) == 669
+    for membership, alphabet, max_len in cases:
+        table = chain_table(membership, alphabet, max_len)
+        _, plus_reach, minus_reach = reference_chain_walk(membership, alphabet, max_len)
+        assert plus_reach == table.plus_depth, (alphabet, max_len)
+        assert minus_reach == table.minus_depth, (alphabet, max_len)
 
 
 def test_chain_table_matches_the_string_keyed_reference_on_the_corpus():
@@ -251,6 +274,18 @@ def test_cross_check_steps_automata_without_replaying_words(monkeypatch):
     assert cross_check(mk_witness(3), 6) == []
 
 
+def test_oracle_check_enumerates_the_words_once(capsys, monkeypatch):
+    # cross_check steps the input along one enumeration and tabulates the
+    # depths from that membership list, without a second pass through
+    # chain_table
+    enumerations = count_calls(monkeypatch, enumerate_words)
+    tables = count_calls(monkeypatch, chain_table)
+    assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
+    assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
+    assert len(enumerations) == 1
+    assert len(tables) == 0
+
+
 def test_cross_check_is_clean_on_a_one_letter_alphabet():
     rng = random.Random(514)
     machines = [mk_witness(k, A_ONLY) for k in range(1, 5)]
@@ -300,7 +335,7 @@ def test_bounded_levels_match_explicit_chain_enumeration():
         table = chain_table(d.accepts, AB, 4)
         for m in range(3):
             expected = level_by_enumeration(d.accepts, m, 4)
-            assert reach_level(table.plus_reach, m) == expected
+            assert reach_level(table.plus_depth, m) == expected
             machine = l_plus(d, m)
             assert {w for w in words_up_to("ab", 4) if machine.accepts(w)} == expected
 
