@@ -21,6 +21,7 @@ a nonnegative integer in the SUBSEQ_WORD_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -561,8 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call: building it costs
+    far more than parsing one command line."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except WordCapExceededError as exc:

@@ -11,10 +11,12 @@ that the library's index-keyed one is checked against, with the reach
 of each word beside it, a per-level walk over word deletions that the
 levels read off the chain table's depth fields are checked against,
 Moore's minimization, the reference for the library's Hopcroft
-one, a backward all-pairs table of separating words, the reference for
-the pattern detectors' minimal-automaton classes and their separating
-words, and a separate level walk per side, the reference for the single
-walk that gives both chains.
+one, the unpruned all-pairs insertion search, the reference for the
+library's search that skips pairs settled by reachability, a backward
+all-pairs table of separating words, the reference for the pattern
+detectors' minimal-automaton classes and their separating words, and a
+separate level walk per side, the reference for the single walk that
+gives both chains.
 """
 
 from __future__ import annotations
@@ -251,6 +253,44 @@ def reference_upward_closure(dfa: Dfa) -> Dfa:
     )
     looped = Nfa(dfa.alphabet, dfa.n_states, delta, frozenset({dfa.start}), dfa.accepting)
     return minimize(determinize(looped))
+
+
+def reference_is_upward_closed(dfa: Dfa) -> bool:
+    """Does inserting one letter never leave the language?
+
+    uv in L implies uav in L exactly when L_q <= L_{q.a} for every
+    reachable state q and letter a, so every state of ``dfa`` must be
+    reachable.  A depth-first search over state pairs (p, r), seeded with
+    (q, q.a) for q.a != q and stepping both states on the same letter,
+    looks for p accepting while r rejects; pairs with p = r are skipped,
+    since they cannot separate.  Each of the n^2 pairs is marked once in a
+    bytearray and stepped on k letters: O(k n^2) time, n^2 bytes.  The
+    reference for subword._is_upward_closed, which skips the pairs that
+    reachability settles.
+    """
+    n = dfa.n_states
+    delta = dfa.delta
+    accepting = bytearray(n)
+    for s in dfa.accepting:
+        accepting[s] = 1
+    seen = bytearray(n * n)
+    stack = []
+    for q, row in enumerate(delta):
+        for t in row:
+            key = q * n + t
+            if t != q and not seen[key]:
+                seen[key] = 1
+                stack.append(key)
+    while stack:
+        p, r = divmod(stack.pop(), n)
+        if accepting[p] and not accepting[r]:
+            return False
+        for s, t in zip(delta[p], delta[r]):
+            key = s * n + t
+            if s != t and not seen[key]:
+                seen[key] = 1
+                stack.append(key)
+    return True
 
 
 def moore_minimize(dfa: Dfa) -> Dfa:

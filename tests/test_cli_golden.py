@@ -2,7 +2,8 @@
 
 Every (fixture, command) pair is run in-process and its exit code, stdout
 and stderr are compared with the stored golden values in
-``golden/cli.json``.  Regenerate them (only when an output change is
+``golden/cli.json``; ``main`` must build its argument parser once per
+process across them.  Regenerate them (only when an output change is
 intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from subseq import cli
 from subseq.cli import main
+
+from helpers import count_calls
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -63,6 +67,23 @@ def test_cli_output_matches_golden(fixture, command):
 def test_golden_file_covers_exactly_the_cases():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(case_id(f, c) for f, c in CASES)
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    cli._parser.cache_clear()
+    builds = count_calls(monkeypatch, cli.build_parser)
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "six"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'six'" in err.getvalue()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for fixture, command in [
+        ("m2.dfa", ["classify", "--json"]),
+        ("a_ideal.dfa", ["decompose"]),
+    ]:
+        assert run_case(fixture, command) == golden[case_id(fixture, command)]
+    assert len(builds) == 1
 
 
 if __name__ == "__main__":

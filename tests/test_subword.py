@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from subseq.automata import (
     Alphabet,
+    Dfa,
+    _topological_order,
     complement,
     difference,
     is_empty,
@@ -21,6 +23,7 @@ from subseq.subword import (
     is_co_level_one_half,
     is_level_one_half,
     is_subword,
+    _is_upward_closed,
     shuffle_ideal,
     upward_closure,
 )
@@ -29,10 +32,12 @@ from helpers import (
     AB,
     all_dfas,
     closure_witness,
+    dfa_from_rows,
     equivalent,
     lang_slice,
     naive_is_subword,
     random_dfa,
+    reference_is_upward_closed,
     reference_upward_closure,
     single_word,
     walk_decomposition,
@@ -151,6 +156,15 @@ def test_is_level_one_half_examples():
     assert is_level_one_half(complement(universal_language(AB)))
 
 
+def test_is_level_one_half_minimizes_before_the_cycle_shortcut():
+    # the accepting sink of the ideal of "a", split into two states that
+    # swap on a: a cycle that is not a self-loop until the states merge
+    split = dfa_from_rows([(1, 0), (2, 1), (1, 2)], {1, 2})
+    assert _topological_order(split) is None
+    assert is_level_one_half(split)
+    assert decompose_level_half(split).words == ("a",)
+
+
 def test_is_co_level_one_half_examples():
     assert is_co_level_one_half(complement(shuffle_ideal("a", AB)))
     assert is_co_level_one_half(universal_language(AB))
@@ -252,6 +266,20 @@ def test_decompose_long_word_ideal_without_recursion():
     assert decompose_level_half(shuffle_ideal(word, AB)).words == (word,)
 
 
+def test_level_half_checks_are_near_linear_on_a_long_word_ideal():
+    rng = random.Random(208)
+    word = "".join(rng.choice("ab") for _ in range(5000))
+    ideal = shuffle_ideal(word, AB)
+    start = time.perf_counter()
+    assert is_level_one_half(ideal)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"check took {elapsed:.2f} s"
+    start = time.perf_counter()
+    assert decompose_level_half(ideal).words == (word,)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"decomposition took {elapsed:.2f} s"
+
+
 def test_cli_decompose_long_word_ideal(capsys, tmp_path):
     word = _long_word()
     path = tmp_path / "long.dfa"
@@ -306,6 +334,57 @@ def test_insertion_test_agrees_with_closure_construction(corpus, size, n_closed)
     dfas = CORPORA[corpus]()
     assert len(dfas) == size
     assert _insertion_verdicts(dfas) == n_closed
+
+
+def _random_unions(seed, count):
+    """Minimal automata of seeded unions of 1 to 6 ideals of words of up to
+    8 letters over ab or abc, each once as drawn and once with one seeded
+    rejecting state made accepting: large acyclic languages on both sides
+    of upward closure.  Only a rejecting state is flipped, since the one
+    accepting state of such an automaton is its universal sink."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = AB if i % 2 == 0 else ABC
+        letters = "".join(alphabet.letters)
+        words = [
+            "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        language = shuffle_ideal(words[0], alphabet)
+        for w in words[1:]:
+            language = minimize(union(language, shuffle_ideal(w, alphabet)))
+        flipped = language.accepting
+        rejecting = [q for q in range(language.n_states) if q not in flipped]
+        if rejecting:
+            flipped = flipped | {rng.choice(rejecting)}
+        yield language
+        yield minimize(
+            Dfa(alphabet, language.n_states, language.delta, language.start, flipped)
+        )
+
+
+@pytest.mark.parametrize(
+    "corpus, size, n_closed",
+    [
+        ("ab-1-3-states", 5898, 2663),
+        ("abc-1-2-states", 258, 153),
+        ("random-1-7-states", 3000, 1109),
+        ("random-1-12-states", 2000, 432),
+        ("random-unions", 1200, 966),
+    ],
+)
+def test_pruned_insertion_search_agrees_with_all_pairs_search(corpus, size, n_closed):
+    if corpus == "random-unions":
+        dfas = list(_random_unions(207, size // 2))
+    else:
+        dfas = [minimize(d) for d in CORPORA[corpus]()]
+    assert len(dfas) == size
+    closed = 0
+    for d in dfas:
+        expected = reference_is_upward_closed(d)
+        assert _is_upward_closed(d, _topological_order(d)) == expected, d
+        closed += expected
+    assert closed == n_closed
 
 
 @pytest.mark.parametrize(
