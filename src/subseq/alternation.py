@@ -10,9 +10,11 @@ over the upward closed languages (plus measure below k).
 
 Both chains come from one walk: the side whose start rejects ε is walked,
 and the other side is Σ* followed by that walk (see ``_chains``).  The walk
-stays within minimized automata, one step per level, and stops at the
-first empty level.  The tests check it against the two separate walks and
-a tuple-state construction that guesses the whole chain at once.
+starts from the minimal automaton, which each public function here builds
+once, ``classify`` (all verdicts in one report) among them; it stays
+within minimized automata, one step per level, and stops at the first
+empty level.  The tests check it against the two separate walks and a
+tuple-state construction that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterator
 from .automata import (
     Alphabet,
     Dfa,
+    _topological_order,
     complement,
     difference,
     empty_language,
@@ -34,11 +37,13 @@ from .automata import (
     universal_language,
 )
 from .errors import InfiniteMeasureError, InputError
-from .patterns import is_piecewise_testable
-from .subword import upward_closure
+from .patterns import PatternWitness, _detect_p3, _is_piecewise_testable, _witness_fields
+from .subword import IdealDecomposition, _is_upward_closed, _minimal_words, upward_closure
 
 __all__ = [
     "AlternationMeasure",
+    "ClassificationReport",
+    "classify",
     "l_plus",
     "l_minus",
     "m_plus",
@@ -90,20 +95,19 @@ class AlternationMeasure:
         return "inf" if self.value is None else self.value
 
 
-def _levels(dfa: Dfa) -> Iterator[Dfa]:
+def _levels(minimal: Dfa) -> Iterator[Dfa]:
     """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... in
     order, stopping at the first empty level: after m_plus + 1 levels when
     the language is piecewise testable, never otherwise.
 
     Level m is the upward closure of the valid chain endpoints, which even
     steps push out of the language and odd steps pull back in; a minimal
-    automaton is empty exactly when it has no accepting state.  The
-    complement of a complete minimal automaton is minimal, and canonical
-    numbering ignores acceptance, so ``complement(base)`` is canonical too.
+    automaton is empty exactly when it has no accepting state.  The steps
+    intersect with ``minimal`` and its complement, so pass the minimal
+    automaton: any other gives the same levels through larger products.
     """
-    base = minimize(dfa)
-    flip = (complement(base), base)
-    current = base
+    flip = (complement(minimal), minimal)
+    current = minimal
     for step in itertools.count():
         closed = upward_closure(current)
         if not closed.accepting:
@@ -131,6 +135,7 @@ def l_plus(dfa: Dfa, m: int) -> Dfa:
     so it closes at most m levels there and m + 1 otherwise."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
+    dfa = minimize(dfa)
     if dfa.start in dfa.accepting:
         sigma_star = universal_language(dfa.alphabet)
         levels = itertools.chain([sigma_star], _levels(complement(dfa)))
@@ -144,13 +149,13 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-def _measures(dfa: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
-    """Plus and minus measures from one piecewise-testability verdict: both
-    infinite outside level 1, which is closed under complement, otherwise
-    each side's chain length less one."""
-    if not is_piecewise_testable(dfa):
+def _measures(minimal: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
+    """Plus and minus measures of the minimal automaton ``minimal`` from one
+    piecewise-testability verdict: both infinite outside level 1, which is
+    closed under complement, otherwise each side's chain length less one."""
+    if not _is_piecewise_testable(minimal):
         return AlternationMeasure.infinite(), AlternationMeasure.infinite()
-    return tuple(AlternationMeasure.finite(len(c) - 1) for c in _chains(dfa))
+    return tuple(AlternationMeasure.finite(len(c) - 1) for c in _chains(minimal))
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -163,12 +168,12 @@ def m_plus(dfa: Dfa) -> AlternationMeasure:
     bound exponential in the automaton size would then settle infinity,
     which is not a practical algorithm.)
     """
-    return _measures(dfa)[0]
+    return _measures(minimize(dfa))[0]
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return _measures(dfa)[1]
+    return _measures(minimize(dfa))[1]
 
 
 def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
@@ -214,9 +219,10 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    if not is_piecewise_testable(dfa):
+    minimal = minimize(dfa)
+    if not _is_piecewise_testable(minimal):
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    return _chains(dfa)[1]
+    return _chains(minimal)[1]
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
@@ -232,3 +238,108 @@ def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
     for i in range(1, len(levels) + 1, 2):
         result = union(result, difference(padded[i], padded[i + 1]))
     return minimize(result)
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    """Full verdict for one language."""
+
+    language: str
+    in_level_one_half: bool
+    in_co_level_one_half: bool
+    ideal_decomposition: tuple[str, ...] | None
+    m_plus: AlternationMeasure
+    m_minus: AlternationMeasure
+    minimal_k_plus: int | None
+    minimal_k_co: int | None
+    piecewise_testable: bool
+    pattern_witness: PatternWitness | None
+
+    def to_dict(self) -> dict:
+        witness = None
+        if self.pattern_witness is not None:
+            w = self.pattern_witness
+            witness = {"kind": w.kind, **_witness_fields(w)}
+        return {
+            "language": self.language,
+            "in_level_one_half": self.in_level_one_half,
+            "in_co_level_one_half": self.in_co_level_one_half,
+            "ideal_decomposition": (
+                list(self.ideal_decomposition)
+                if self.ideal_decomposition is not None
+                else None
+            ),
+            "m_plus": self.m_plus.json_value(),
+            "m_minus": self.m_minus.json_value(),
+            "minimal_k_plus": self.minimal_k_plus,
+            "minimal_k_co": self.minimal_k_co,
+            "piecewise_testable": self.piecewise_testable,
+            "pattern_witness": witness,
+        }
+
+
+def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
+    """Internal consistency constraints, asserted on every classification.
+
+    They tie independent constructions together: the level-1/2 booleans
+    come from the single-letter insertion test and the measures from the
+    level chain of upward closures, so the two must agree at level one;
+    witness presence must agree with finiteness, and a witness must replay.
+    Finite measures differ by one, ∅ and Σ* included: one walk gives both, so
+    this checks the wiring; the two walks in ``tests/helpers.py`` check it.
+    """
+    plus, minus = report.m_plus, report.m_minus
+    one = AlternationMeasure.finite(1)
+    ok = (
+        report.piecewise_testable == plus.is_finite
+        and plus.is_finite == minus.is_finite
+        and report.in_level_one_half == (plus < one)
+        and report.in_co_level_one_half == (minus < one)
+        and (report.pattern_witness is None) == plus.is_finite
+        and (plus.is_finite or report.pattern_witness.holds_in(dfa))
+        and report.minimal_k_plus == (plus.value + 1 if plus.is_finite else None)
+        and report.minimal_k_co == (minus.value + 1 if minus.is_finite else None)
+        and (not plus.is_finite or abs(plus.value - minus.value) == 1)
+    )
+    if not ok:
+        raise AssertionError(
+            f"inconsistent classification for {report.language!r}: {report.to_dict()}"
+        )
+
+
+def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
+    """Run every classification the toolkit offers on one automaton.
+
+    Every stage reads the one minimal automaton built here; its order
+    serves both level-1/2 checks, as the complement has the same graph.
+    One piecewise-testability verdict settles both measures; the pattern
+    search runs on ``dfa`` itself, and only when that verdict is no.
+    """
+    minimal = minimize(dfa)
+    order = _topological_order(minimal)
+    decomposition = None
+    if _is_upward_closed(minimal, order):
+        decomposition = IdealDecomposition(_minimal_words(minimal, order)).words
+    plus, minus = _measures(minimal)
+    witness = None
+    if not plus.is_finite:
+        witness = _detect_p3(dfa, minimal)
+        if witness is None:
+            raise AssertionError(
+                f"piecewise-testability verdicts disagree on {name!r}: "
+                "is_piecewise_testable says no, detect_p3 finds no witness"
+            )
+    report = ClassificationReport(
+        language=name,
+        in_level_one_half=decomposition is not None,
+        in_co_level_one_half=_is_upward_closed(complement(minimal), order),
+        ideal_decomposition=decomposition,
+        m_plus=plus,
+        m_minus=minus,
+        minimal_k_plus=plus.value + 1 if plus.is_finite else None,
+        minimal_k_co=minus.value + 1 if minus.is_finite else None,
+        piecewise_testable=plus.is_finite,
+        pattern_witness=witness,
+    )
+    _check_report(report, dfa)
+    return report

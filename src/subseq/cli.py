@@ -1,5 +1,5 @@
-"""Command-line front end: automaton file parsing, classification reports,
-exports, and the brute-force cross-check.
+"""Command-line front end: the automaton file format, exports and the
+console entry point.  ``classify`` is re-exported from ``subseq.alternation``.
 
 Automaton file format, one machine per file ('#' starts a comment line):
 
@@ -26,21 +26,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .alternation import AlternationMeasure, _measures, mk_witness
+from .alternation import ClassificationReport, _measures, classify, mk_witness
 from .automata import Alphabet, Dfa, minimize
-from .errors import (
-    InputError,
-    NotUpwardClosedError,
-    ParseError,
-    ToolkitError,
-    WordCapExceededError,
-)
+from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_WORD_CAP, cross_check
-from .patterns import PatternWitness, _lift_to_p3, detect_p1, detect_p2, detect_p3
-from .subword import decompose_level_half, is_co_level_one_half, upward_closure
+from .patterns import PatternWitness, _detect_p1, _detect_p2, _lift_to_p3, _witness_fields
+from .subword import decompose_level_half, upward_closure
 
 __all__ = [
     "parse_dfa",
@@ -166,124 +159,6 @@ def export(dfa: Dfa, fmt: str = "native") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise InputError(f"unknown export format {fmt!r}")
-
-
-def _witness_fields(w: PatternWitness) -> dict:
-    """A pattern witness as JSON values, without its kind."""
-    return {
-        "letter": w.letter,
-        "x": w.x,
-        "v": w.v,
-        "y": w.y,
-        "z": w.z,
-        "u": w.u,
-        "z_prime": w.z_prime,
-        "states": list(w.states),
-    }
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Full verdict for one language."""
-
-    language: str
-    in_level_one_half: bool
-    in_co_level_one_half: bool
-    ideal_decomposition: tuple[str, ...] | None
-    m_plus: AlternationMeasure
-    m_minus: AlternationMeasure
-    minimal_k_plus: int | None
-    minimal_k_co: int | None
-    piecewise_testable: bool
-    pattern_witness: PatternWitness | None
-
-    def to_dict(self) -> dict:
-        witness = None
-        if self.pattern_witness is not None:
-            w = self.pattern_witness
-            witness = {"kind": w.kind, **_witness_fields(w)}
-        return {
-            "language": self.language,
-            "in_level_one_half": self.in_level_one_half,
-            "in_co_level_one_half": self.in_co_level_one_half,
-            "ideal_decomposition": (
-                list(self.ideal_decomposition)
-                if self.ideal_decomposition is not None
-                else None
-            ),
-            "m_plus": self.m_plus.json_value(),
-            "m_minus": self.m_minus.json_value(),
-            "minimal_k_plus": self.minimal_k_plus,
-            "minimal_k_co": self.minimal_k_co,
-            "piecewise_testable": self.piecewise_testable,
-            "pattern_witness": witness,
-        }
-
-
-def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
-    """Internal consistency constraints, asserted on every classification.
-
-    They tie independent constructions together: the level-1/2 booleans
-    come from the single-letter insertion test and the measures from the
-    level chain of upward closures, so the two must agree at level one;
-    witness presence must agree with finiteness, and a witness must replay.
-    Finite measures differ by one, ∅ and Σ* included: one walk gives both, so
-    this checks the wiring; the two walks in ``tests/helpers.py`` check it.
-    """
-    plus, minus = report.m_plus, report.m_minus
-    one = AlternationMeasure.finite(1)
-    ok = (
-        report.piecewise_testable == plus.is_finite
-        and plus.is_finite == minus.is_finite
-        and report.in_level_one_half == (plus < one)
-        and report.in_co_level_one_half == (minus < one)
-        and (report.pattern_witness is None) == plus.is_finite
-        and (plus.is_finite or report.pattern_witness.holds_in(dfa))
-        and report.minimal_k_plus == (plus.value + 1 if plus.is_finite else None)
-        and report.minimal_k_co == (minus.value + 1 if minus.is_finite else None)
-        and (not plus.is_finite or abs(plus.value - minus.value) == 1)
-    )
-    if not ok:
-        raise AssertionError(
-            f"inconsistent classification for {report.language!r}: {report.to_dict()}"
-        )
-
-
-def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
-    """Run every classification the toolkit offers on one automaton.
-
-    One piecewise-testability verdict settles both measures; the pattern
-    search runs only when that verdict is no, to extract the witness.
-    """
-    try:
-        decomposition = decompose_level_half(dfa).words
-    except NotUpwardClosedError:
-        decomposition = None
-    in_half = decomposition is not None
-    in_co_half = is_co_level_one_half(dfa)
-    plus, minus = _measures(dfa)
-    witness = None
-    if not plus.is_finite:
-        witness = detect_p3(dfa)
-        if witness is None:
-            raise AssertionError(
-                f"piecewise-testability verdicts disagree on {name!r}: "
-                "is_piecewise_testable says no, detect_p3 finds no witness"
-            )
-    report = ClassificationReport(
-        language=name,
-        in_level_one_half=in_half,
-        in_co_level_one_half=in_co_half,
-        ideal_decomposition=decomposition,
-        m_plus=plus,
-        m_minus=minus,
-        minimal_k_plus=plus.value + 1 if plus.is_finite else None,
-        minimal_k_co=minus.value + 1 if minus.is_finite else None,
-        piecewise_testable=plus.is_finite,
-        pattern_witness=witness,
-    )
-    _check_report(report, dfa)
-    return report
 
 
 def _word(w: str) -> str:
@@ -419,7 +294,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus, minus = _measures(dfa)
+    plus, minus = _measures(minimize(dfa))
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})
@@ -431,7 +306,8 @@ def _cmd_mplus(args) -> int:
 
 def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
-    first, second = detect_p1(dfa), detect_p2(dfa)
+    minimal = minimize(dfa)
+    first, second = _detect_p1(dfa, minimal), _detect_p2(dfa, minimal)
     witnesses = {"P1": first, "P2": second, "P3": _lift_to_p3(dfa, first, second)}
     if args.json:
         payload = {

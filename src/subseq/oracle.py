@@ -55,9 +55,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .alternation import _chains
-from .automata import Alphabet, Dfa, empty_language
+from .automata import Alphabet, Dfa, empty_language, minimize
 from .errors import InputError, WordCapExceededError
-from .patterns import is_piecewise_testable
+from .patterns import _is_piecewise_testable
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -202,8 +202,9 @@ def cross_check(
     n_words = len(words)
     member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
     depth_lists = _depths(member, len(dfa.alphabet))
-    finite = is_piecewise_testable(dfa)
-    chains = _chains(dfa, None if finite else max_m + 1)
+    minimal = minimize(dfa)
+    finite = _is_piecewise_testable(minimal)
+    chains = _chains(minimal, None if finite else max_m + 1)
     empty = empty_language(dfa.alphabet)
     problems: list[str] = []
     too_small: list[str] = []

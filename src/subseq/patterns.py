@@ -104,6 +104,20 @@ class PatternWitness:
         raise ValueError(f"unknown pattern kind {self.kind!r}")
 
 
+def _witness_fields(w: PatternWitness) -> dict:
+    """A pattern witness as JSON values, without its kind."""
+    return {
+        "letter": w.letter,
+        "x": w.x,
+        "v": w.v,
+        "y": w.y,
+        "z": w.z,
+        "u": w.u,
+        "z_prime": w.z_prime,
+        "states": list(w.states),
+    }
+
+
 def _access_words(dfa: Dfa) -> dict[int, str]:
     """Shortest word from the start state to each reachable state."""
     letters = dfa.alphabet.letters
@@ -119,11 +133,10 @@ def _access_words(dfa: Dfa) -> dict[int, str]:
     return words
 
 
-def _classes(dfa: Dfa, access: dict[int, str]) -> dict[int, int]:
-    """The minimal-automaton state each reachable state stands for; two
-    reachable states are distinguishable exactly when theirs differ."""
-    machine = minimize(dfa)
-    return {s: machine.run(w) for s, w in access.items()}
+def _classes(minimal: Dfa, access: dict[int, str]) -> dict[int, int]:
+    """The state of the minimal automaton each reachable state stands for;
+    two reachable states are distinguishable exactly when theirs differ."""
+    return {s: minimal.run(w) for s, w in access.items()}
 
 
 def _separator(dfa: Dfa, p: int, q: int) -> str:
@@ -200,9 +213,13 @@ def _rebuild_two_words(parents, node, letters) -> tuple[str, str]:
 def detect_p1(dfa: Dfa) -> PatternWitness | None:
     """First pattern: a loop at s1 embeds y plus the pivot letter, and the
     pivot step out of delta(s1, y) changes some later acceptance."""
+    return _detect_p1(dfa, minimize(dfa))
+
+
+def _detect_p1(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     access = _access_words(dfa)
     reachable = sorted(access)
-    classes = _classes(dfa, access)
+    classes = _classes(minimal, access)
     for j, a in enumerate(dfa.alphabet.letters):
         for s1 in reachable:
             for s2 in reachable:
@@ -265,9 +282,13 @@ def detect_p2(dfa: Dfa) -> PatternWitness | None:
     """Second pattern: a pivot step out of s1, then a shared word z driving
     both sides into a distinguishable pair of states that jointly loop on a
     word embedding the pivot followed by z."""
+    return _detect_p2(dfa, minimize(dfa))
+
+
+def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     access = _access_words(dfa)
     reachable = sorted(access)
-    classes = _classes(dfa, access)
+    classes = _classes(minimal, access)
     for s1 in reachable:
         for j, a in enumerate(dfa.alphabet.letters):
             s2 = dfa.delta[s1][j]
@@ -299,8 +320,12 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     (v and y empty); conversely the third pattern forces one of the other
     two to be present, so the disjunction is exact.
     """
-    first = detect_p1(dfa)
-    return _lift_to_p3(dfa, first, None if first is not None else detect_p2(dfa))
+    return _detect_p3(dfa, minimize(dfa))
+
+
+def _detect_p3(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+    first = _detect_p1(dfa, minimal)
+    return _lift_to_p3(dfa, first, None if first is not None else _detect_p2(dfa, minimal))
 
 
 def _lift_to_p3(
@@ -344,13 +369,16 @@ def is_piecewise_testable(dfa: Dfa) -> bool:
     O(k^2 n^3) at worst for n minimal states over k letters; the pattern
     detectors decide the same question by exhaustive search.
     """
-    dfa = minimize(dfa)
-    if _topological_order(dfa) is None:
+    return _is_piecewise_testable(minimize(dfa))
+
+
+def _is_piecewise_testable(minimal: Dfa) -> bool:
+    if _topological_order(minimal) is None:
         return False
-    width = len(dfa.alphabet)
+    width = len(minimal.alphabet)
     return all(
-        _joinable(dfa, row[i], row[j], i, j)
-        for row in dfa.delta
+        _joinable(minimal, row[i], row[j], i, j)
+        for row in minimal.delta
         for i in range(width)
         for j in range(i + 1, width)
     )

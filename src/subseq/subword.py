@@ -272,7 +272,11 @@ def decompose_level_half(dfa: Dfa) -> IdealDecomposition:
             "but is not accepted",
             witness=witness,
         )
+    return IdealDecomposition(_minimal_words(closed, order))
 
+
+def _minimal_words(closed: Dfa, order: list[int]) -> tuple[str, ...]:
+    """The Min(q) pass of ``decompose_level_half``, on its minimal automaton."""
     letters = closed.alphabet.letters
     minimal: dict[int, list[str]] = {}
     for q in reversed(order):
@@ -284,4 +288,4 @@ def decompose_level_half(dfa: Dfa) -> IdealDecomposition:
             if not any(is_subword(u, w) for u in kept):
                 kept.append(w)
         minimal[q] = kept
-    return IdealDecomposition(tuple(minimal[closed.start]))
+    return tuple(minimal[closed.start])

@@ -6,6 +6,7 @@ from subseq.alternation import (
     AlternationMeasure,
     _chains,
     _measures,
+    classify,
     in_boolean_level,
     l_minus,
     l_plus,
@@ -16,6 +17,7 @@ from subseq.alternation import (
     reassemble_normal_form,
 )
 from subseq.automata import (
+    Alphabet,
     complement,
     difference,
     empty_language,
@@ -25,10 +27,15 @@ from subseq.automata import (
     union,
     universal_language,
 )
-from subseq.cli import classify
-from subseq.errors import InfiniteMeasureError, InputError
-from subseq.patterns import detect_p3, is_piecewise_testable
-from subseq.subword import shuffle_ideal, upward_closure
+from subseq.errors import InfiniteMeasureError, InputError, NotUpwardClosedError
+from subseq.patterns import _access_words, detect_p3, is_piecewise_testable
+from subseq.subword import (
+    decompose_level_half,
+    is_co_level_one_half,
+    is_level_one_half,
+    shuffle_ideal,
+    upward_closure,
+)
 
 from helpers import (
     AB,
@@ -382,7 +389,7 @@ def _agrees_with_the_two_walks(d) -> bool:
         return False
     plus, minus = _chains(d)
     assert (plus, minus) == two_walk_chains(d), d
-    assert _measures(d) == two_walk_measures(d), d
+    assert _measures(minimize(d)) == two_walk_measures(d), d
     assert normal_form_decomposition(d) == minus, d
     return True
 
@@ -437,3 +444,41 @@ def test_unary_alphabet_is_supported():
         assert l_plus(threshold, m) == minimize(
             determinize(build_chain_nfa(threshold, m))
         )
+
+
+def _public_verdicts(d):
+    try:
+        decomposition = decompose_level_half(d).words
+    except NotUpwardClosedError:
+        decomposition = None
+    plus = m_plus(d)
+    return (
+        is_level_one_half(d),
+        is_co_level_one_half(d),
+        decomposition,
+        plus,
+        m_minus(d),
+        None if plus.is_finite else detect_p3(d),
+    )
+
+
+def test_classify_agrees_with_the_public_functions():
+    # classify minimizes once and feeds the private stages; each public
+    # function minimizes on its own, so the two paths share no automaton
+    abc = Alphabet("abc")
+    corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
+    corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
+    rng = random.Random(15)
+    randoms = [random_dfa(rng, rng.randint(2, 8)) for _ in range(300)]
+    assert sum(len(_access_words(d)) < d.n_states for d in randoms) > 100
+    for d in corpus + randoms:
+        report = classify(d)
+        got = (
+            report.in_level_one_half,
+            report.in_co_level_one_half,
+            report.ideal_decomposition,
+            report.m_plus,
+            report.m_minus,
+            report.pattern_witness,
+        )
+        assert got == _public_verdicts(d), d

@@ -6,15 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from subseq import cli, oracle
+from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _chains, mk_witness
 from subseq.automata import Alphabet, Dfa, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
-from subseq.patterns import PatternWitness, detect_p1, detect_p2
+from subseq.patterns import PatternWitness, _detect_p1, _detect_p2
 from subseq.subword import shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, count_calls
+from helpers import AB, ab_star, count_calls, substitute
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -153,7 +153,7 @@ def test_classify_alternating_language_carries_valid_witness():
 def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
     # the level walk never ends on a language that is not piecewise
     # testable, so a missing witness must stop classify, not fall through
-    monkeypatch.setattr(cli, "detect_p3", lambda dfa: None)
+    monkeypatch.setattr(alternation, "_detect_p3", lambda dfa, minimal: None)
     with pytest.raises(AssertionError, match="detect_p3 finds no witness"):
         classify(ab_star(), name="abstar")
 
@@ -162,9 +162,17 @@ def test_classify_raises_when_the_witness_does_not_replay(monkeypatch):
     # a witness of the right kind whose loop word does not loop at s1
     broken = PatternWitness(kind="P3", letter="a", v="a", states=(0, 0, 1, 1, 2))
     assert not broken.holds_in(ab_star())
-    monkeypatch.setattr(cli, "detect_p3", lambda dfa: broken)
+    monkeypatch.setattr(alternation, "_detect_p3", lambda dfa, minimal: broken)
     with pytest.raises(AssertionError, match="inconsistent classification"):
         classify(ab_star(), name="abstar")
+
+
+def test_classify_is_reexported_from_the_cli_and_the_package():
+    import subseq
+
+    assert cli.classify is subseq.classify is alternation.classify
+    assert cli.ClassificationReport is subseq.ClassificationReport
+    assert subseq.ClassificationReport is alternation.ClassificationReport
 
 
 def test_classify_empty_language():
@@ -253,11 +261,44 @@ def test_cli_patterns(capsys):
 
 
 def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
-    first = count_calls(monkeypatch, detect_p1)
-    second = count_calls(monkeypatch, detect_p2)
+    first = count_calls(monkeypatch, _detect_p1)
+    second = count_calls(monkeypatch, _detect_p2)
     assert main(["patterns", str(FIXTURES / "m3.dfa")]) == 0
     assert "piecewise testable: yes" in capsys.readouterr().out
     assert (len(first), len(second)) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, expected",
+    [
+        (["classify", "m3.dfa"], 1, 8),
+        (["classify", "ab_star.dfa"], 1, 1),
+        (["mplus", "m3.dfa"], 1, 8),
+        (["oracle-check", "m3.dfa", "--max-len", "6"], 1, 8),
+        (["patterns", "m3.dfa"], 1, 1),
+        # classify and cross_check each minimize the input and walk once
+        (["classify", "m3.dfa", "--oracle-check", "6"], 2, 16),
+    ],
+)
+def test_each_library_entry_minimizes_the_input_once(
+    capsys, monkeypatch, argv, inputs, expected
+):
+    # every other call minimizes an automaton the level walk builds: on
+    # m3.dfa, 4 closures and the 3 steps between them
+    calls = count_calls(monkeypatch, minimize)
+    parsed = []
+
+    def parse(text):
+        parsed.append(parse_dfa(text))
+        return parsed[-1]
+
+    substitute(monkeypatch, parse_dfa, parse)
+    command, name, *options = argv
+    assert main([command, str(FIXTURES / name), *options]) == 0
+    capsys.readouterr()
+    assert len(parsed) == 1
+    assert sum(args[0] is parsed[0] for args in calls) == inputs
+    assert len(calls) == expected
 
 
 def test_classify_closes_a_level_half_language_once_for_its_check(monkeypatch):

@@ -136,7 +136,7 @@ def test_classes_and_separators_agree_with_the_reference_table():
     # separator is the shortlex-least word that tells them apart
     for d in _separation_corpus():
         access = _access_words(d)
-        classes = _classes(d, access)
+        classes = _classes(minimize(d), access)
         table = distinguishing_words(d)
         reachable = sorted(access)
         for i, p in enumerate(reachable):
