@@ -8,13 +8,14 @@ m with a nonempty level is the alternation measure, and comparing it with
 k decides membership in the k-th class of the difference hierarchy built
 over the upward closed languages (plus measure below k).
 
-Both chains come from one walk: the side whose start rejects ε is walked,
-and the other side is Σ* followed by that walk (see ``_chains``).  The walk
-starts from the minimal automaton, which each public function here builds
-once, ``classify`` (all verdicts in one report) among them; it stays
-within minimized automata, one step per level, and stops at the first
-empty level.  The tests check it against the two separate walks and a
-tuple-state construction that guesses the whole chain at once.
+Both chains come from one walk of the side whose start rejects ε; the
+other side is Σ* followed by it (``_chains``).  ``_walk`` decides piecewise
+testability once and walks to the end only on a yes; every measure and
+chain here, and the oracle's comparison, read one ``_walk`` of the minimal
+automaton, which each public function builds once.  The walk stays within
+minimized automata, one step per level, and stops at the first empty
+level.  The tests check it against two separate walks and a tuple-state
+construction that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def _levels(minimal: Dfa) -> Iterator[Dfa]:
 
     Level m is the upward closure of the valid chain endpoints, which even
     steps push out of the language and odd steps pull back in; a minimal
-    automaton is empty exactly when it has no accepting state.  The steps
-    intersect with ``minimal`` and its complement, so pass the minimal
-    automaton: any other gives the same levels through larger products.
+    automaton is empty exactly when it has no accepting state.  The one
+    caller, ``_chains``, passes the minimal automaton: the steps intersect
+    with it and its complement, and any other gives larger products.
     """
     flip = (complement(minimal), minimal)
     current = minimal
@@ -116,32 +117,28 @@ def _levels(minimal: Dfa) -> Iterator[Dfa]:
         current = minimize(intersection(closed, flip[step % 2]))
 
 
-def _chains(dfa: Dfa, depth: int | None = None) -> tuple[list[Dfa], list[Dfa]]:
-    """Both sides' levels, at most ``depth`` each (all when None), walking
-    only the side that rejects ε.  If ε ∈ L, plus level 0 is ↑L = Σ*, and
-    level 1 is ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same
-    steps, so plus level i+1 is minus level i.  If ε ∉ L the sides swap."""
-    inside = dfa.start in dfa.accepting
-    walked = list(itertools.islice(_levels(complement(dfa) if inside else dfa), depth))
-    shifted = ([universal_language(dfa.alphabet)] + walked)[:depth]
+def _chains(minimal: Dfa) -> tuple[Iterator[Dfa], Iterator[Dfa]]:
+    """Both sides' levels, lazily, off one walk of the side that rejects ε
+    (the shift lemma): if ε ∈ L, plus level 0 is ↑L = Σ*, and level 1 is
+    ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same steps, so
+    plus level i+1 is minus level i.  If ε ∉ L the sides swap.  Each level
+    is closed once, when the first side reads it."""
+    inside = minimal.start in minimal.accepting
+    walked, copy = itertools.tee(_levels(complement(minimal) if inside else minimal))
+    shifted = itertools.chain([universal_language(minimal.alphabet)], copy)
     return (shifted, walked) if inside else (walked, shifted)
 
 
 def l_plus(dfa: Dfa, m: int) -> Dfa:
     """Minimal automaton for the plus-side level m.
 
-    Walks only the levels up to m of the plus side itself: when ε ∈ L that
-    side is Σ* followed by the walk of the complement, as in ``_chains``,
-    so it closes at most m levels there and m + 1 otherwise."""
+    Reads the plus side of ``_chains`` only up to level m, so it closes at
+    most m levels when ε ∈ L and m + 1 otherwise."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
     dfa = minimize(dfa)
-    if dfa.start in dfa.accepting:
-        sigma_star = universal_language(dfa.alphabet)
-        levels = itertools.chain([sigma_star], _levels(complement(dfa)))
-    else:
-        levels = _levels(dfa)
-    return next(itertools.islice(levels, m, None), empty_language(dfa.alphabet))
+    plus, _ = _chains(dfa)
+    return next(itertools.islice(plus, m, None), empty_language(dfa.alphabet))
 
 
 def l_minus(dfa: Dfa, m: int) -> Dfa:
@@ -149,13 +146,18 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-def _measures(minimal: Dfa) -> tuple[AlternationMeasure, AlternationMeasure]:
-    """Plus and minus measures of the minimal automaton ``minimal`` from one
-    piecewise-testability verdict: both infinite outside level 1, which is
-    closed under complement, otherwise each side's chain length less one."""
-    if not _is_piecewise_testable(minimal):
-        return AlternationMeasure.infinite(), AlternationMeasure.infinite()
-    return tuple(AlternationMeasure.finite(len(c) - 1) for c in _chains(minimal))
+def _walk(
+    minimal: Dfa, depth: int = 0
+) -> tuple[AlternationMeasure, AlternationMeasure, list[Dfa], list[Dfa]]:
+    """(m_plus, m_minus, plus levels, minus levels) of the minimal automaton
+    ``minimal``, from one piecewise-testability verdict: if yes, the walk
+    runs to its end and each measure is its side's chain length less one;
+    if no, the walk would never end, both measures are infinite (level 1
+    is closed under complement) and each side keeps its first ``depth``."""
+    finite = _is_piecewise_testable(minimal)
+    plus, minus = (list(itertools.islice(c, None if finite else depth)) for c in _chains(minimal))
+    measures = (len(plus) - 1, len(minus) - 1) if finite else (None, None)
+    return (*map(AlternationMeasure, measures), plus, minus)
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -168,12 +170,12 @@ def m_plus(dfa: Dfa) -> AlternationMeasure:
     bound exponential in the automaton size would then settle infinity,
     which is not a practical algorithm.)
     """
-    return _measures(minimize(dfa))[0]
+    return _walk(minimize(dfa))[0]
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return _measures(minimize(dfa))[1]
+    return _walk(minimize(dfa))[1]
 
 
 def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
@@ -219,10 +221,10 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    minimal = minimize(dfa)
-    if not _is_piecewise_testable(minimal):
+    _, minus, _, levels = _walk(minimize(dfa))
+    if not minus.is_finite:
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    return _chains(minimal)[1]
+    return levels
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
@@ -310,17 +312,22 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
 def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     """Run every classification the toolkit offers on one automaton.
 
-    Every stage reads the one minimal automaton built here; its order
-    serves both level-1/2 checks, as the complement has the same graph.
-    One piecewise-testability verdict settles both measures; the pattern
+    Every stage reads the one minimal automaton built here, whose order
+    serves both level-1/2 checks as the complement has the same graph, and
+    one level walk of it, whose verdict settles both measures; the pattern
     search runs on ``dfa`` itself, and only when that verdict is no.
     """
     minimal = minimize(dfa)
+    return _classify(dfa, minimal, _walk(minimal), name)
+
+
+def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationReport:
+    """``classify`` reading its measures off ``walk``, any ``_walk`` of ``minimal``."""
     order = _topological_order(minimal)
     decomposition = None
     if _is_upward_closed(minimal, order):
         decomposition = IdealDecomposition(_minimal_words(minimal, order)).words
-    plus, minus = _measures(minimal)
+    plus, minus = walk[:2]
     witness = None
     if not plus.is_finite:
         witness = _detect_p3(dfa, minimal)

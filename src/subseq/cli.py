@@ -28,10 +28,10 @@ import re
 import sys
 from pathlib import Path
 
-from .alternation import ClassificationReport, _measures, classify, mk_witness
+from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
 from .automata import Alphabet, Dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
-from .oracle import DEFAULT_WORD_CAP, cross_check
+from .oracle import DEFAULT_WORD_CAP, _compare, cross_check
 from .patterns import PatternWitness, _detect_p1, _detect_p2, _lift_to_p3, _witness_fields
 from .subword import decompose_level_half, upward_closure
 
@@ -249,9 +249,9 @@ def _cmd_classify(args) -> int:
             raise InputError("classify needs a FILE or --batch DIR")
         paths = [Path(args.file)]
 
-    dicts = []
-    texts = []
-    failed = False
+    max_m = 3  # the levels --oracle-check compares; the walk goes one deeper
+    dicts, texts = [], []
+    failed = capped = False
     for path in paths:
         try:
             dfa = _read_dfa(path)
@@ -261,22 +261,29 @@ def _cmd_classify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
-        report = classify(dfa, name=path.stem)
+        minimal = minimize(dfa)
+        walk = _walk(minimal, 0 if args.oracle_check is None else max_m + 1)
+        report = _classify(dfa, minimal, walk, path.stem)
         entry = report.to_dict()
+        text = _render_report(report, args.witness)
         if args.oracle_check is not None:
-            problems = cross_check(dfa, args.oracle_check, cap=_word_cap())
+            try:
+                problems = _compare(dfa, walk, args.oracle_check, max_m, _word_cap())
+            except WordCapExceededError as exc:
+                if not args.batch:
+                    raise
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                capped = True
+                continue
+            failed = failed or bool(problems)
             entry["oracle_check"] = {
                 "max_len": args.oracle_check,
                 "ok": not problems,
                 "problems": problems,
             }
+            text += f"oracle check (n={args.oracle_check}): {'MISMATCH' if problems else 'ok'}\n"
+            text += "".join(f"  {problem}\n" for problem in problems)
         dicts.append(entry)
-        text = _render_report(report, args.witness)
-        if args.oracle_check is not None:
-            verdict = "ok" if entry["oracle_check"]["ok"] else "MISMATCH"
-            text += f"oracle check (n={args.oracle_check}): {verdict}\n"
-            for problem in entry["oracle_check"]["problems"]:
-                text += f"  {problem}\n"
         texts.append(text)
 
     if args.json:
@@ -284,17 +291,12 @@ def _cmd_classify(args) -> int:
         sys.stdout.write(_json_dump(payload))
     else:
         sys.stdout.write("\n".join(texts) if args.batch else texts[0])
-    if failed or any(
-        args.oracle_check is not None and not entry["oracle_check"]["ok"]
-        for entry in dicts
-    ):
-        return 1
-    return 0
+    return 2 if capped else int(failed)
 
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus, minus = _measures(minimize(dfa))
+    plus, minus = _walk(minimize(dfa))[:2]
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})

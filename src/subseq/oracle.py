@@ -41,9 +41,9 @@ extends every chain of the walked side by one; the other side's depths
 are the walked side's plus one.
 
 ``cross_check`` feeds that pass the input's membership on one enumeration
-of the words and sets the depths against the single level walk that
-gives both sides' chains, reading both the level automata and the
-measures off it; every automaton it compares, the input included, is
+of the words and sets the depths against the levels and measures of one
+``alternation._walk``, the one its report was read from under ``classify
+--oracle-check``.  Every automaton it compares, the input included, is
 stepped along the word order, never rerun from its start state.
 """
 
@@ -54,10 +54,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .alternation import _chains
+from .alternation import _walk
 from .automata import Alphabet, Dfa, empty_language, minimize
 from .errors import InputError, WordCapExceededError
-from .patterns import _is_piecewise_testable
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -189,26 +188,29 @@ def cross_check(
 ) -> list[str]:
     """Compare the automata pipeline against this module on one machine.
 
-    Reads both chains off one level walk: to its end when the language is
-    piecewise testable, otherwise through level max_m.  Checks that levels
-    0..max_m agree with the brute-force level sets word for word up to
-    max_len, and, in the finite case, that the brute-force depth bounds
-    never exceed the measures the chains give.  Returns human-readable
+    Reads both chains and both measures off one ``_walk``: to its end when
+    the language is piecewise testable, otherwise through level max_m.
+    Checks that levels 0..max_m agree with the brute-force level sets word
+    for word up to max_len, and, in the finite case, that the brute-force
+    depth bounds never exceed the measures.  Returns human-readable
     mismatch descriptions; an empty list means full agreement.
     """
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
+    return _compare(dfa, _walk(minimize(dfa), max_m + 1), max_len, max_m, cap)
+
+
+def _compare(dfa: Dfa, walk: tuple, max_len: int, max_m: int, cap: int) -> list[str]:
+    """``cross_check`` against ``walk``, a ``_walk`` of ``minimize(dfa)``
+    whose depth is at least max_m + 1."""
     words = enumerate_words(dfa.alphabet, max_len, cap)
     n_words = len(words)
     member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
     depth_lists = _depths(member, len(dfa.alphabet))
-    minimal = minimize(dfa)
-    finite = _is_piecewise_testable(minimal)
-    chains = _chains(minimal, None if finite else max_m + 1)
     empty = empty_language(dfa.alphabet)
     problems: list[str] = []
     too_small: list[str] = []
-    for side, depths, chain in zip(("plus", "minus"), depth_lists, chains):
+    for side, depths, measure, chain in zip(("plus", "minus"), depth_lists, walk[:2], walk[2:]):
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
             accepting = machine.accepting
@@ -219,12 +221,8 @@ def cross_check(
             ]
             if wrong:
                 sample = sorted(wrong, key=lambda w: (len(w), w))[:3]
-                problems.append(
-                    f"{side} level {m}: bounded sets disagree, e.g. {sample}"
-                )
+                problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
         bound = max(depths)
-        if finite and bound > len(chain) - 1:
-            too_small.append(
-                f"{side} measure {len(chain) - 1} is below the brute-force bound {bound}"
-            )
+        if measure.is_finite and bound > measure.value:
+            too_small.append(f"{side} measure {measure} is below the brute-force bound {bound}")
     return problems + too_small

@@ -4,8 +4,7 @@ import pytest
 
 from subseq.alternation import (
     AlternationMeasure,
-    _chains,
-    _measures,
+    _walk,
     classify,
     in_boolean_level,
     l_minus,
@@ -383,14 +382,15 @@ def test_finite_measures_differ_by_one_off_the_edges():
 
 def _agrees_with_the_two_walks(d) -> bool:
     # piecewise testable machines: every level of both chains, both
-    # measures and the normal form; the rest: the first 3 levels per side
+    # measures and the normal form; the rest: both measures infinite and
+    # the first 3 levels per side
     if not is_piecewise_testable(d):
-        assert _chains(d, 3) == two_walk_chains(d, 3), d
+        assert _walk(minimize(d), 3) == (*two_walk_measures(d), *two_walk_chains(d, 3)), d
         return False
-    plus, minus = _chains(d)
-    assert (plus, minus) == two_walk_chains(d), d
-    assert _measures(minimize(d)) == two_walk_measures(d), d
-    assert normal_form_decomposition(d) == minus, d
+    plus, minus, *chains = _walk(minimize(d))
+    assert tuple(chains) == two_walk_chains(d), d
+    assert (plus, minus) == two_walk_measures(d), d
+    assert normal_form_decomposition(d) == chains[1], d
     return True
 
 

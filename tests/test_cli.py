@@ -2,16 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from subseq import alternation, cli, oracle
-from subseq.alternation import AlternationMeasure, _chains, mk_witness
+from subseq.alternation import AlternationMeasure, _walk, mk_witness
 from subseq.automata import Alphabet, Dfa, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
-from subseq.patterns import PatternWitness, _detect_p1, _detect_p2
+from subseq.patterns import PatternWitness, _detect_p1, _detect_p2, _is_piecewise_testable
 from subseq.subword import shuffle_ideal, upward_closure
 
 from helpers import AB, ab_star, count_calls, substitute
@@ -40,6 +41,21 @@ def test_parse_reports_missing_transition_with_pair():
     with pytest.raises(ParseError) as err:
         parse_dfa("\n".join(lines))
     assert "state 1" in str(err.value) and "'a'" in str(err.value)
+
+
+def test_parse_memory_follows_the_file_not_the_header():
+    # a header may declare far more states than the file lists rows for;
+    # the parser must fail on the first missing row without allocating
+    # for the declared count
+    text = "alphabet: ab\nstates: 1000000\nstart: 0\naccepting:\n0 a 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="missing transition for state 0 on 'b'"):
+            parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_parse_rejects_empty_alphabet():
@@ -276,8 +292,10 @@ def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
         (["mplus", "m3.dfa"], 1, 8),
         (["oracle-check", "m3.dfa", "--max-len", "6"], 1, 8),
         (["patterns", "m3.dfa"], 1, 1),
-        # classify and cross_check each minimize the input and walk once
-        (["classify", "m3.dfa", "--oracle-check", "6"], 2, 16),
+        # the report and the oracle check share one minimization and one
+        # walk: on ab_star, the 4 levels the check's levels 0..3 need
+        (["classify", "m3.dfa", "--oracle-check", "6"], 1, 8),
+        (["classify", "ab_star.dfa", "--oracle-check", "6"], 1, 8),
     ],
 )
 def test_each_library_entry_minimizes_the_input_once(
@@ -322,20 +340,22 @@ def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
     assert len(closures) == expected
 
 
-def test_classify_oracle_check_walks_the_chains_twice(capsys, monkeypatch):
-    # classify walks once for the measures and cross_check once more
+@pytest.mark.parametrize("name", ["m3.dfa", "ab_star.dfa"])
+def test_classify_oracle_check_walks_the_chains_once(capsys, monkeypatch, name):
+    # one verdict and one walk serve the report and the oracle check: on
+    # m3, its nonempty levels 0..2 and the empty level 3; on ab_star,
+    # which is not piecewise testable, the 4 levels the check compares
     closures = count_calls(monkeypatch, upward_closure)
-    assert main(["classify", str(FIXTURES / "m3.dfa"), "--oracle-check", "6"]) == 0
+    verdicts = count_calls(monkeypatch, _is_piecewise_testable)
+    assert main(["classify", str(FIXTURES / name), "--oracle-check", "6"]) == 0
     assert capsys.readouterr().out.endswith("oracle check (n=6): ok\n")
-    assert len(closures) == 8
+    assert (len(closures), len(verdicts)) == (4, 1)
 
 
-def _swap_oracle_chains(monkeypatch):
-    # the oracle reads the level chains of mk_witness(1) when it checks
-    # mk_witness(2), so its bounded sets and measures disagree; classify
-    # keeps its own chains, so the report itself stays consistent
-    m1 = mk_witness(1)
-    monkeypatch.setattr(oracle, "_chains", lambda dfa, depth=None: _chains(m1, depth))
+def _walk_of_m1():
+    # the comparison reads the walk of mk_witness(1) when it checks
+    # mk_witness(2), so its bounded sets and measures disagree
+    return _walk(minimize(mk_witness(1)))
 
 
 _SWAPPED_PROBLEMS = (
@@ -347,7 +367,8 @@ _SWAPPED_PROBLEMS = (
 
 
 def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
-    _swap_oracle_chains(monkeypatch)
+    walk = _walk_of_m1()
+    monkeypatch.setattr(oracle, "_walk", lambda minimal, depth=0: walk)
     assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "".join(f"MISMATCH: {p}\n" for p in _SWAPPED_PROBLEMS)
@@ -355,7 +376,10 @@ def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
 
 
 def test_cli_classify_oracle_check_indents_each_problem(capsys, monkeypatch):
-    _swap_oracle_chains(monkeypatch)
+    # only the comparison gets the other walk: the report keeps its own,
+    # so it stays consistent
+    walk, compare = _walk_of_m1(), oracle._compare
+    monkeypatch.setattr(cli, "_compare", lambda dfa, _, *rest: compare(dfa, walk, *rest))
     assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "4"]) == 1
     assert capsys.readouterr().out == (
         "language: m2\n"
@@ -531,6 +555,27 @@ def test_cli_batch_json_reports_good_files_past_a_bad_one(capsys, tmp_path):
         f"error: {tmp_path / 'b.dfa'}: missing transition for state 0 on 'b'\n"
         f"error: {tmp_path / 'd.dfa'}: Is a directory\n"
     )
+
+
+def test_cli_batch_reports_past_a_file_over_the_word_cap(capsys, monkeypatch, tmp_path):
+    # the cap stops one file's oracle check, not the batch: that file is
+    # named on stderr and left out, the others are reported as they are
+    # alone, and the exit code is the cap's
+    monkeypatch.setenv("SUBSEQ_WORD_CAP", "100")
+    wide = tmp_path / "a8.dfa"
+    assert main(["gen-mk", "2", "--alphabet", "abcdefgh", "-o", str(wide)]) == 0
+    (tmp_path / "m2.dfa").write_text(fixture_text("m2.dfa"))
+    for extra in ([], ["--json"]):
+        assert main(["classify", str(FIXTURES / "m2.dfa"), "--oracle-check", "3", *extra]) == 0
+        alone = capsys.readouterr().out
+        argv = ["classify", "--batch", str(tmp_path), "--oracle-check", "3", *extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        if extra:
+            assert json.loads(captured.out) == [json.loads(alone)]
+        else:
+            assert captured.out == alone
+        assert captured.err == f"error: {wide}: 8^3 words exceed the cap of 100\n"
 
 
 def test_python_dash_m_subseq_runs_the_cli():
