@@ -122,11 +122,20 @@ def _chains(minimal: Dfa) -> tuple[Iterator[Dfa], Iterator[Dfa]]:
     (the shift lemma): if ε ∈ L, plus level 0 is ↑L = Σ*, and level 1 is
     ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same steps, so
     plus level i+1 is minus level i.  If ε ∉ L the sides swap.  Each level
-    is closed once, when the first side reads it."""
+    is closed once, when the first side reads it, and nothing is built
+    before a level is read."""
     inside = minimal.start in minimal.accepting
-    walked, copy = itertools.tee(_levels(complement(minimal) if inside else minimal))
-    shifted = itertools.chain([universal_language(minimal.alphabet)], copy)
-    return (shifted, walked) if inside else (walked, shifted)
+
+    def walk() -> Iterator[Dfa]:
+        yield from _levels(complement(minimal) if inside else minimal)
+
+    walked, copy = itertools.tee(walk())
+
+    def shifted() -> Iterator[Dfa]:
+        yield universal_language(minimal.alphabet)
+        yield from copy
+
+    return (shifted(), walked) if inside else (walked, shifted())
 
 
 def l_plus(dfa: Dfa, m: int) -> Dfa:

@@ -46,35 +46,41 @@ __all__ = [
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(content: str) -> list[tuple[str, int]]:
-    """Whitespace-separated tokens with their 1-based column offsets."""
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
+def _column(raw: str, index: int, pos: int = 0) -> int:
+    """1-based column, in the raw line, of the index-th whitespace-separated
+    token at or after ``pos``; worked out only for an error message."""
+    return list(_TOKEN.finditer(raw, pos))[index].start() + 1
 
 
-def _int_token(token: str, what: str, line: int, column: int | None = None) -> int:
+def _int_token(token: str, what: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line, column) from None
+        raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Parse the native automaton format into a validated complete Dfa."""
+    """Parse the native automaton format into a validated complete Dfa.
+
+    Tokens are separated by any run of whitespace; error columns are
+    1-based from the start of the line as it appears in the text.
+    """
     lines = [
-        (i + 1, stripped)
-        for i, raw in enumerate(text.splitlines())
-        if (stripped := raw.strip()) and not stripped.startswith("#")
+        (i, raw, tokens)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (tokens := raw.split()) and tokens[0][0] != "#"
     ]
 
-    def header(idx: int, key: str) -> tuple[int, str]:
+    def header(idx: int, key: str) -> tuple[int, str, str]:
         if idx >= len(lines):
             raise ParseError(f"missing {key!r} line")
-        lineno, content = lines[idx]
+        lineno, raw, _ = lines[idx]
+        content = raw.strip()
         if not content.startswith(key + ":"):
             raise ParseError(f"expected a {key!r} line, got {content!r}", lineno)
-        return lineno, content[len(key) + 1 :].strip()
+        return lineno, raw, content[len(key) + 1 :].strip()
 
-    lineno, letters = header(0, "alphabet")
+    lineno, _, letters = header(0, "alphabet")
     if not letters:
         raise ParseError("alphabet line is empty", lineno)
     try:
@@ -82,50 +88,78 @@ def parse_dfa(text: str) -> Dfa:
     except InputError as exc:
         raise ParseError(str(exc), lineno) from None
 
-    lineno, body = header(1, "states")
+    lineno, _, body = header(1, "states")
     n_states = _int_token(body, "state count", lineno)
     if n_states < 1:
         raise ParseError("state count must be positive", lineno)
 
-    lineno, body = header(2, "start")
+    lineno, _, body = header(2, "start")
     start = _int_token(body, "start state", lineno)
     if not 0 <= start < n_states:
         raise ParseError(f"start state {start} out of range", lineno)
 
-    lineno, body = header(3, "accepting")
+    lineno, raw, body = header(3, "accepting")
+    after_key = raw.index(":") + 1
     accepting = set()
-    for token, column in _tokens(body):
-        state = _int_token(token, "accepting state", lineno, column)
+    for i, token in enumerate(body.split()):
+        try:
+            state = int(token)
+        except ValueError:
+            raise ParseError(
+                f"accepting state must be an integer, got {token!r}",
+                lineno,
+                _column(raw, i, after_key),
+            ) from None
         if not 0 <= state < n_states:
-            raise ParseError(f"accepting state {state} out of range", lineno, column)
+            raise ParseError(
+                f"accepting state {state} out of range", lineno, _column(raw, i, after_key)
+            )
         accepting.add(state)
 
     width = len(alphabet)
-    table: dict[tuple[int, int], int] = {}
-    for lineno, content in lines[4:]:
-        tokens = _tokens(content)
-        if len(tokens) != 3:
-            raise ParseError("expected '<state> <letter> <state>'", lineno)
-        (src_tok, src_col), (letter, letter_col), (dst_tok, dst_col) = tokens
-        src = _int_token(src_tok, "source state", lineno, src_col)
+    letter_index = {ch: j for j, ch in enumerate(alphabet.letters)}
+    # one row per source state as it appears, so that memory follows the
+    # file and not the declared state count
+    rows: dict[int, list[int | None]] = {}
+    for lineno, raw, tokens in lines[4:]:
+        try:
+            src_tok, letter, dst_tok = tokens
+        except ValueError:
+            raise ParseError("expected '<state> <letter> <state>'", lineno) from None
+        try:
+            src = int(src_tok)
+        except ValueError:
+            raise ParseError(
+                f"source state must be an integer, got {src_tok!r}", lineno, _column(raw, 0)
+            ) from None
         if not 0 <= src < n_states:
-            raise ParseError(f"unknown state {src}", lineno, src_col)
-        if letter not in alphabet:
-            raise ParseError(f"unknown letter {letter!r}", lineno, letter_col)
-        dst = _int_token(dst_tok, "target state", lineno, dst_col)
+            raise ParseError(f"unknown state {src}", lineno, _column(raw, 0))
+        j = letter_index.get(letter)
+        if j is None:
+            raise ParseError(f"unknown letter {letter!r}", lineno, _column(raw, 1))
+        try:
+            dst = int(dst_tok)
+        except ValueError:
+            raise ParseError(
+                f"target state must be an integer, got {dst_tok!r}", lineno, _column(raw, 2)
+            ) from None
         if not 0 <= dst < n_states:
-            raise ParseError(f"unknown state {dst}", lineno, dst_col)
-        key = (src, alphabet.index(letter))
-        if key in table:
+            raise ParseError(f"unknown state {dst}", lineno, _column(raw, 2))
+        row = rows.get(src)
+        if row is None:
+            row = rows[src] = [None] * width
+        elif row[j] is not None:
             raise ParseError(f"duplicate transition for state {src} on {letter!r}", lineno)
-        table[key] = dst
+        row[j] = dst
 
+    delta = []
     for s in range(n_states):
-        for j, ch in enumerate(alphabet.letters):
-            if (s, j) not in table:
-                raise ParseError(f"missing transition for state {s} on {ch!r}")
-    delta = tuple(tuple(table[(s, j)] for j in range(width)) for s in range(n_states))
-    return Dfa(alphabet, n_states, delta, start, frozenset(accepting))
+        row = rows.get(s) or [None]
+        if None in row:
+            missing = alphabet.letters[row.index(None)]
+            raise ParseError(f"missing transition for state {s} on {missing!r}")
+        delta.append(tuple(row))
+    return Dfa(alphabet, n_states, tuple(delta), start, frozenset(accepting))
 
 
 def export(dfa: Dfa, fmt: str = "native") -> str:

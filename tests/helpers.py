@@ -16,13 +16,16 @@ library's search that skips pairs settled by reachability, a backward
 all-pairs table of separating words, the reference for the pattern
 detectors' minimal-automaton classes and their separating words, and a
 separate level walk per side, the reference for the single walk that
-gives both chains.
+gives both chains, and a parser of the automaton file format that keeps a
+(token, column) pair per token and a (state, letter) table, the
+reference for the library's split-based one.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +41,7 @@ from subseq.automata import (
     minimize,
     product,
 )
-from subseq.errors import InputError
+from subseq.errors import InputError, ParseError
 from subseq.oracle import BoundedChainTable
 from subseq.patterns import is_piecewise_testable
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
@@ -557,6 +560,95 @@ def walk_decomposition(dfa: Dfa) -> tuple[str, ...]:
     minimal = [w for w in found if not any(u != w and is_subword(u, w) for u in found)]
     minimal.sort(key=lambda w: (len(w), w))
     return tuple(minimal)
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _tokens(content: str) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens with their 1-based column offsets."""
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
+
+
+def _int_token(token: str, what: str, line: int, column: int | None = None) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {token!r}", line, column) from None
+
+
+def reference_parse_dfa(text: str) -> Dfa:
+    """The automaton file format parsed through a (token, column) pair per
+    token and a (state, letter) -> target table; the reference that
+    ``cli.parse_dfa`` is checked against.  Its columns count from the
+    stripped line (on the accepting line, from the text after the key),
+    so only its messages and lines are compared."""
+    lines = [
+        (i + 1, stripped)
+        for i, raw in enumerate(text.splitlines())
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
+
+    def header(idx: int, key: str) -> tuple[int, str]:
+        if idx >= len(lines):
+            raise ParseError(f"missing {key!r} line")
+        lineno, content = lines[idx]
+        if not content.startswith(key + ":"):
+            raise ParseError(f"expected a {key!r} line, got {content!r}", lineno)
+        return lineno, content[len(key) + 1 :].strip()
+
+    lineno, letters = header(0, "alphabet")
+    if not letters:
+        raise ParseError("alphabet line is empty", lineno)
+    try:
+        alphabet = Alphabet(letters)
+    except InputError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+    lineno, body = header(1, "states")
+    n_states = _int_token(body, "state count", lineno)
+    if n_states < 1:
+        raise ParseError("state count must be positive", lineno)
+
+    lineno, body = header(2, "start")
+    start = _int_token(body, "start state", lineno)
+    if not 0 <= start < n_states:
+        raise ParseError(f"start state {start} out of range", lineno)
+
+    lineno, body = header(3, "accepting")
+    accepting = set()
+    for token, column in _tokens(body):
+        state = _int_token(token, "accepting state", lineno, column)
+        if not 0 <= state < n_states:
+            raise ParseError(f"accepting state {state} out of range", lineno, column)
+        accepting.add(state)
+
+    width = len(alphabet)
+    table: dict[tuple[int, int], int] = {}
+    for lineno, content in lines[4:]:
+        tokens = _tokens(content)
+        if len(tokens) != 3:
+            raise ParseError("expected '<state> <letter> <state>'", lineno)
+        (src_tok, src_col), (letter, letter_col), (dst_tok, dst_col) = tokens
+        src = _int_token(src_tok, "source state", lineno, src_col)
+        if not 0 <= src < n_states:
+            raise ParseError(f"unknown state {src}", lineno, src_col)
+        if letter not in alphabet:
+            raise ParseError(f"unknown letter {letter!r}", lineno, letter_col)
+        dst = _int_token(dst_tok, "target state", lineno, dst_col)
+        if not 0 <= dst < n_states:
+            raise ParseError(f"unknown state {dst}", lineno, dst_col)
+        key = (src, alphabet.index(letter))
+        if key in table:
+            raise ParseError(f"duplicate transition for state {src} on {letter!r}", lineno)
+        table[key] = dst
+
+    for s in range(n_states):
+        for j, ch in enumerate(alphabet.letters):
+            if (s, j) not in table:
+                raise ParseError(f"missing transition for state {s} on {ch!r}")
+    delta = tuple(tuple(table[(s, j)] for j in range(width)) for s in range(n_states))
+    return Dfa(alphabet, n_states, delta, start, frozenset(accepting))
 
 
 def closure_witness(dfa: Dfa) -> str | None:

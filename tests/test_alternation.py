@@ -44,6 +44,7 @@ from helpers import (
     build_chain_nfa,
     count_calls,
     determinize,
+    dfa_from_rows,
     equivalent,
     mk_predicate,
     nfa_is_empty,
@@ -166,6 +167,20 @@ def test_l_plus_closes_only_the_levels_it_reads(monkeypatch):
             counts.append(len(closures) - before)
             assert level == (plus[m] if m < len(plus) else empty_language(AB))
     assert counts == [0, 1, 2, 1, 2, 3]
+
+
+def test_walk_to_depth_zero_builds_no_level(monkeypatch):
+    # counting a's mod 2 is strongly connected, so not piecewise testable,
+    # and a walk that keeps no level needs neither the complement nor Σ*;
+    # accepting {0} puts ε inside, accepting {1} outside
+    machines = [minimize(dfa_from_rows([(1, 0), (0, 1)], {q})) for q in (0, 1)]
+    complements = count_calls(monkeypatch, complement)
+    universals = count_calls(monkeypatch, universal_language)
+    closures = count_calls(monkeypatch, upward_closure)
+    inf = AlternationMeasure.infinite()
+    for m in machines:
+        assert _walk(m, 0) == (inf, inf, [], [])
+    assert (len(complements), len(universals), len(closures)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

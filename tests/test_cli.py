@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, _detect_p1, _detect_p2, _is_piecewise_testable
 from subseq.subword import shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, count_calls, substitute
+from helpers import AB, ab_star, count_calls, reference_parse_dfa, substitute
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +91,86 @@ def test_parse_rejects_out_of_range_start_and_accepting():
         parse_dfa("alphabet: a\nstates: 1\nstart: 2\naccepting:\n0 a 0\n")
     with pytest.raises(ParseError):
         parse_dfa("alphabet: a\nstates: 1\nstart: 0\naccepting: 5\n0 a 0\n")
+
+
+TWO_STATES = "alphabet: ab\nstates: 2\nstart: 0\naccepting: 1\n"
+TWO_ROWS = "0 a 1\n0 b 0\n1 a 1\n1 b 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message, token",
+    [
+        (
+            "alphabet: ab\nstates: 2\nstart: 0\naccepting: 1 9\n" + TWO_ROWS,
+            4,
+            "accepting state 9 out of range",
+            "9",
+        ),
+        (
+            "alphabet: ab\nstates: 2\nstart: 0\n  accepting:\t1  x\n" + TWO_ROWS,
+            4,
+            "accepting state must be an integer, got 'x'",
+            "x",
+        ),
+        (TWO_STATES + "0 a 1\n   0 a 7\n", 6, "unknown state 7", "7"),
+        (TWO_STATES + "0 a 1\n\t0\tc\t1\n", 6, "unknown letter 'c'", "c"),
+        (TWO_STATES + " \t 5 a 1\n", 5, "unknown state 5", "5"),
+        (
+            TWO_STATES + "0 a 1\n\t \tq  b\t 0\n",
+            6,
+            "source state must be an integer, got 'q'",
+            "q",
+        ),
+        (
+            TWO_STATES + "0 a 1\n  0\t\tb   z\n",
+            6,
+            "target state must be an integer, got 'z'",
+            "z",
+        ),
+        (TWO_STATES + "0\u3000a\u30001\n\u20031 a 4\n", 6, "unknown state 4", "4"),
+    ],
+    ids=[
+        "accepting-range",
+        "accepting-integer",
+        "indented-target",
+        "tab-letter",
+        "indented-source",
+        "tab-source-integer",
+        "tab-target-integer",
+        "unicode-spaces",
+    ],
+)
+def test_parse_error_columns_count_from_the_raw_line(text, line, message, token):
+    with pytest.raises(ParseError) as err:
+        parse_dfa(text)
+    assert (err.value.message, err.value.line) == (message, line)
+    raw_line = text.splitlines()[line - 1]
+    assert raw_line[err.value.column - 1 :].startswith(token)
+
+
+def test_parse_error_columns_match_the_file_examples():
+    accepting = "alphabet: ab\nstates: 2\nstart: 0\naccepting: 1 9\n" + TWO_ROWS
+    with pytest.raises(ParseError, match=r"^line 4, column 14: accepting state 9 out of range$"):
+        parse_dfa(accepting)
+    indented = TWO_STATES + "    0 a 7\n"
+    with pytest.raises(ParseError, match=r"^line 5, column 9: unknown state 7$"):
+        parse_dfa(indented)
+
+
+def test_parse_agrees_with_the_reference_on_the_benchmark_corpora(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_corpus", Path(__file__).parent.parent / "benchmark" / "corpus.py"
+    )
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # for its dataclasses
+    spec.loader.exec_module(corpus)
+    files = 0
+    for workload in corpus.WORKLOADS:
+        for case in corpus.generate(workload, 1):
+            parsed = parse_dfa(case.text)
+            assert parsed == reference_parse_dfa(case.text), (workload, case.name)
+            files += 1
+    assert files == 503
 
 
 @pytest.mark.parametrize(

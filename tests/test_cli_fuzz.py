@@ -4,6 +4,9 @@ Arbitrary bytes and mutated fixture files go through ``main([command,
 path])`` for the commands that read one automaton.  Every run must return
 0, 1 or 2, write nothing on stderr when it succeeds, and write exactly one
 ``error:`` line on stderr when it fails.
+
+The same inputs, and arbitrary text, also go through ``parse_dfa`` and the
+reference parser in ``helpers``, which must agree on every one.
 """
 
 import io
@@ -13,7 +16,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subseq.cli import main
+from subseq.cli import main, parse_dfa
+from subseq.errors import ParseError
+
+from helpers import reference_parse_dfa
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_BYTES = [p.read_bytes() for p in sorted(FIXTURES.glob("*.dfa"))]
@@ -84,3 +90,59 @@ def test_cli_survives_arbitrary_bytes(input_path, data):
 @given(data=mutated_fixture())
 def test_cli_survives_mutated_fixtures(input_path, data):
     _run_every_command(input_path, data)
+
+
+def _assert_parsers_agree(text):
+    try:
+        got = parse_dfa(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as want:
+            reference_parse_dfa(text)
+        assert (error.message, error.line) == (want.value.message, want.value.line), text
+        if error.column is not None:
+            # a column is the 1-based start of a token in the line as
+            # written; on the accepting line a token may follow the colon
+            raw_line = text.splitlines()[error.line - 1]
+            before = raw_line[: error.column - 1]
+            assert not raw_line[error.column - 1].isspace(), (text, error)
+            assert before[-1:].isspace() or before.lstrip() in ("", "accepting:"), (text, error)
+    else:
+        assert reference_parse_dfa(text) == got, text
+
+
+@st.composite
+def spliced_fixture(draw):
+    """A fixture with arbitrary text inserted at one place."""
+    text = draw(st.sampled_from(FIXTURE_BYTES)).decode("utf-8")
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(max_size=20)) + text[at:]
+
+
+@st.composite
+def retokened_fixture(draw):
+    """A fixture with a few of its space-separated fields replaced by short
+    text over the format's own characters, which reaches every check of a
+    transition line."""
+    text = draw(st.sampled_from(FIXTURE_BYTES)).decode("utf-8")
+    lines = [line.split(" ") for line in text.splitlines()]
+    field = st.text(alphabet="0123456789abcz+-_#: \t\u3000", max_size=4)
+    edit = st.tuples(st.integers(0, 99), st.integers(0, 9), field)
+    for row, column, replacement in draw(st.lists(edit, min_size=1, max_size=3)):
+        fields = lines[row % len(lines)]
+        fields[column % len(fields)] = replacement
+    return "\n".join(" ".join(fields) for fields in lines) + "\n"
+
+
+PARSE = settings(max_examples=300, deadline=None)
+
+
+@PARSE
+@given(data=mutated_fixture())
+def test_parse_agrees_with_the_reference_on_mutated_fixtures(data):
+    _assert_parsers_agree(data.decode("utf-8", errors="replace"))
+
+
+@PARSE
+@given(text=st.text(max_size=200) | spliced_fixture() | retokened_fixture())
+def test_parse_agrees_with_the_reference_on_arbitrary_text(text):
+    _assert_parsers_agree(text)
