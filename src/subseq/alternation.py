@@ -21,7 +21,7 @@ construction that guesses the whole chain at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import total_ordering
 from typing import Iterator
 
@@ -39,7 +39,7 @@ from .automata import (
 )
 from .errors import InfiniteMeasureError, InputError
 from .patterns import PatternWitness, _detect_p3, _is_piecewise_testable, _witness_fields
-from .subword import IdealDecomposition, _is_upward_closed, _minimal_words, upward_closure
+from .subword import _is_upward_closed, _minimal_words, upward_closure
 
 __all__ = [
     "AlternationMeasure",
@@ -267,26 +267,17 @@ class ClassificationReport:
     pattern_witness: PatternWitness | None
 
     def to_dict(self) -> dict:
-        witness = None
-        if self.pattern_witness is not None:
-            w = self.pattern_witness
-            witness = {"kind": w.kind, **_witness_fields(w)}
-        return {
-            "language": self.language,
-            "in_level_one_half": self.in_level_one_half,
-            "in_co_level_one_half": self.in_co_level_one_half,
-            "ideal_decomposition": (
-                list(self.ideal_decomposition)
-                if self.ideal_decomposition is not None
-                else None
-            ),
-            "m_plus": self.m_plus.json_value(),
-            "m_minus": self.m_minus.json_value(),
-            "minimal_k_plus": self.minimal_k_plus,
-            "minimal_k_co": self.minimal_k_co,
-            "piecewise_testable": self.piecewise_testable,
-            "pattern_witness": witness,
-        }
+        values = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        if self.ideal_decomposition is not None:
+            values["ideal_decomposition"] = list(self.ideal_decomposition)
+        values["m_plus"] = self.m_plus.json_value()
+        values["m_minus"] = self.m_minus.json_value()
+        w = self.pattern_witness
+        values["pattern_witness"] = None if w is None else {"kind": w.kind, **_witness_fields(w)}
+        return values
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(ClassificationReport))
 
 
 def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
@@ -335,7 +326,7 @@ def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationR
     order = _topological_order(minimal)
     decomposition = None
     if _is_upward_closed(minimal, order):
-        decomposition = IdealDecomposition(_minimal_words(minimal, order)).words
+        decomposition = _minimal_words(minimal, order)
     plus, minus = walk[:2]
     witness = None
     if not plus.is_finite:
@@ -348,7 +339,7 @@ def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationR
     report = ClassificationReport(
         language=name,
         in_level_one_half=decomposition is not None,
-        in_co_level_one_half=_is_upward_closed(complement(minimal), order),
+        in_co_level_one_half=order is not None and _is_upward_closed(complement(minimal), order),
         ideal_decomposition=decomposition,
         m_plus=plus,
         m_minus=minus,

@@ -32,7 +32,7 @@ from .alternation import ClassificationReport, _classify, _walk, classify, mk_wi
 from .automata import Alphabet, Dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_WORD_CAP, _compare, cross_check
-from .patterns import PatternWitness, _detect_p1, _detect_p2, _lift_to_p3, _witness_fields
+from .patterns import PatternWitness, _as_p3, _detect_p1, _detect_p2, _witness_fields
 from .subword import decompose_level_half, upward_closure
 
 __all__ = [
@@ -204,11 +204,10 @@ def _yesno(flag: bool) -> str:
 
 
 def _render_witness(w: PatternWitness) -> str:
-    parts = [f"kind={w.kind}", f"letter={w.letter}"]
-    for name in ("x", "v", "y", "z", "u", "z_prime"):
-        parts.append(f"{name}={_word(getattr(w, name))}")
-    parts.append("states=" + ",".join(str(s) for s in w.states))
-    return " ".join(parts)
+    values = _witness_fields(w)
+    states = ",".join(str(s) for s in values.pop("states"))
+    words = [f"{name}={_word(value)}" for name, value in values.items()]
+    return " ".join([f"kind={w.kind}", *words, f"states={states}"])
 
 
 def _render_report(report: ClassificationReport, show_witness: bool) -> str:
@@ -344,7 +343,7 @@ def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
     minimal = minimize(dfa)
     first, second = _detect_p1(dfa, minimal), _detect_p2(dfa, minimal)
-    witnesses = {"P1": first, "P2": second, "P3": _lift_to_p3(dfa, first, second)}
+    witnesses = {"P1": first, "P2": second, "P3": _as_p3(dfa, first or second)}
     if args.json:
         payload = {
             kind: None if w is None else _witness_fields(w)

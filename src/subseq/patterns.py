@@ -23,12 +23,20 @@ pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
 in alphabet order, states in index order, breadth-first shortest words
 with alphabet-order tie-breaking.
+
+There is one replay: the third pattern's equations, on a witness's
+third-pattern form (``_as_p3``), which holds exactly when the witness
+does.  A P1 witness gets an empty second loop (u = z' = ε, s4 = s2·z,
+s5 = s3·z): the loop equations hold by construction, a + z never embeds
+in ε, and z' = ε separates s4 from s5 exactly when z separates s2 from
+s3.  A P2 witness gets an empty first loop (v = y = ε, s1 repeated): its
+equations hold trivially, y + a never embeds in ε, and P2's remain.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .automata import Dfa, _topological_order, minimize
 from .subword import is_subword
@@ -49,7 +57,8 @@ class PatternWitness:
 
     Word slots a pattern kind does not use stay empty, and ``states``
     holds (s1, s2, s3) for P1, (s1, s2, s3, s4) for P2 and five states for
-    P3.  ``holds_in`` replays every defining equation against an automaton.
+    P3.  ``holds_in`` replays its third-pattern form (``_as_p3``); a state
+    outside the automaton replays as False.
     """
 
     kind: str
@@ -63,59 +72,49 @@ class PatternWitness:
     states: tuple[int, ...] = ()
 
     def holds_in(self, dfa: Dfa) -> bool:
+        if not all(0 <= s < dfa.n_states for s in self.states):
+            return False
+        w = _as_p3(dfa, self)
+        s1, s2, s3, s4, s5 = w.states
+        a = w.letter
         acc = dfa.accepting
-        a = self.letter
-        if self.kind == "P1":
-            s1, s2, s3 = self.states
-            return (
-                dfa.run(self.x) == s1
-                and dfa.run(self.v, s1) == s1
-                and dfa.run(self.y, s1) == s2
-                and dfa.step(s2, a) == s3
-                and is_subword(self.y + a, self.v)
-                and (dfa.run(self.z, s2) in acc) != (dfa.run(self.z, s3) in acc)
-            )
-        if self.kind == "P2":
-            s1, s2, s3, s4 = self.states
-            return (
-                dfa.run(self.x) == s1
-                and dfa.step(s1, a) == s2
-                and dfa.run(self.z, s1) == s3
-                and dfa.run(self.u, s3) == s3
-                and dfa.run(self.z, s2) == s4
-                and dfa.run(self.u, s4) == s4
-                and is_subword(a + self.z, self.u)
-                and (dfa.run(self.z_prime, s3) in acc) != (dfa.run(self.z_prime, s4) in acc)
-            )
-        if self.kind == "P3":
-            s1, s2, s3, s4, s5 = self.states
-            return (
-                dfa.run(self.x) == s1
-                and dfa.run(self.v, s1) == s1
-                and dfa.run(self.y, s1) == s2
-                and dfa.step(s2, a) == s3
-                and dfa.run(self.z, s2) == s4
-                and dfa.run(self.u, s4) == s4
-                and dfa.run(self.z, s3) == s5
-                and dfa.run(self.u, s5) == s5
-                and (is_subword(self.y + a, self.v) or is_subword(a + self.z, self.u))
-                and (dfa.run(self.z_prime, s4) in acc) != (dfa.run(self.z_prime, s5) in acc)
-            )
-        raise ValueError(f"unknown pattern kind {self.kind!r}")
+        return (
+            dfa.run(w.x) == s1
+            and dfa.run(w.v, s1) == s1
+            and dfa.run(w.y, s1) == s2
+            and dfa.step(s2, a) == s3
+            and dfa.run(w.z, s2) == s4
+            and dfa.run(w.u, s4) == s4
+            and dfa.run(w.z, s3) == s5
+            and dfa.run(w.u, s5) == s5
+            and (is_subword(w.y + a, w.v) or is_subword(a + w.z, w.u))
+            and (dfa.run(w.z_prime, s4) in acc) != (dfa.run(w.z_prime, s5) in acc)
+        )
+
+
+_WITNESS_FIELDS = tuple(f.name for f in fields(PatternWitness) if f.name != "kind")
 
 
 def _witness_fields(w: PatternWitness) -> dict:
     """A pattern witness as JSON values, without its kind."""
-    return {
-        "letter": w.letter,
-        "x": w.x,
-        "v": w.v,
-        "y": w.y,
-        "z": w.z,
-        "u": w.u,
-        "z_prime": w.z_prime,
-        "states": list(w.states),
-    }
+    values = {name: getattr(w, name) for name in _WITNESS_FIELDS}
+    values["states"] = list(w.states)
+    return values
+
+
+def _as_p3(dfa: Dfa, w: PatternWitness | None) -> PatternWitness | None:
+    """The third-pattern form of a witness whose states lie in ``dfa``, as
+    the module docstring builds it; a P3 witness or None as given."""
+    if w is None or w.kind == "P3":
+        return w
+    if w.kind == "P1":
+        s1, s2, s3 = w.states
+        states = (s1, s2, s3, dfa.run(w.z, s2), dfa.run(w.z, s3))
+        return replace(w, kind="P3", u="", z_prime="", states=states)
+    if w.kind == "P2":
+        s1, s2, s3, s4 = w.states
+        return replace(w, kind="P3", v="", y="", states=(s1, s1, s2, s3, s4))
+    raise ValueError(f"unknown pattern kind {w.kind!r}")
 
 
 def _access_words(dfa: Dfa) -> dict[int, str]:
@@ -313,34 +312,14 @@ def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
 
 
 def detect_p3(dfa: Dfa) -> PatternWitness | None:
-    """Third pattern, subsuming the other two.
-
-    A first-pattern witness instantiates it with an empty second loop
-    (u and z' empty), a second-pattern witness with an empty first loop
-    (v and y empty); conversely the third pattern forces one of the other
-    two to be present, so the disjunction is exact.
-    """
+    """Third pattern, subsuming the other two: a P1 or P2 witness is one in
+    its third-pattern form, and conversely the third pattern forces one of
+    the other two to be present, so the disjunction is exact."""
     return _detect_p3(dfa, minimize(dfa))
 
 
 def _detect_p3(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    first = _detect_p1(dfa, minimal)
-    return _lift_to_p3(dfa, first, None if first is not None else _detect_p2(dfa, minimal))
-
-
-def _lift_to_p3(
-    dfa: Dfa, first: PatternWitness | None, second: PatternWitness | None
-) -> PatternWitness | None:
-    """The third-pattern witness built from the first-pattern witness if
-    there is one, else from the second-pattern witness, else None."""
-    if first is not None:
-        s1, s2, s3 = first.states
-        states = (s1, s2, s3, dfa.run(first.z, s2), dfa.run(first.z, s3))
-        return replace(first, kind="P3", states=states)
-    if second is not None:
-        s1, s2, s3, s4 = second.states
-        return replace(second, kind="P3", states=(s1, s1, s2, s3, s4))
-    return None
+    return _as_p3(dfa, _detect_p1(dfa, minimal) or _detect_p2(dfa, minimal))
 
 
 def _joinable(dfa: Dfa, p: int, q: int, i: int, j: int) -> bool:

@@ -18,7 +18,11 @@ detectors' minimal-automaton classes and their separating words, and a
 separate level walk per side, the reference for the single walk that
 gives both chains, and a parser of the automaton file format that keeps a
 (token, column) pair per token and a (state, letter) table, the
-reference for the library's split-based one.
+reference for the library's split-based one.  The witness replay with one
+equation list per pattern kind is the reference for the library's single
+replay of the third-pattern form, and a report serializer that spells
+out every key is the reference for the one that reads the dataclass
+fields.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from subseq.alternation import AlternationMeasure, mk_witness
+from subseq.alternation import AlternationMeasure, ClassificationReport, mk_witness
 from subseq.automata import (
     Alphabet,
     Dfa,
@@ -43,7 +47,7 @@ from subseq.automata import (
 )
 from subseq.errors import InputError, ParseError
 from subseq.oracle import BoundedChainTable
-from subseq.patterns import is_piecewise_testable
+from subseq.patterns import PatternWitness, is_piecewise_testable
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 AB = Alphabet("ab")
@@ -95,6 +99,16 @@ def all_dfas(n_states: int, alphabet=AB):
         for acc_bits in range(2**n_states):
             accepting = frozenset(s for s in range(n_states) if acc_bits >> s & 1)
             yield Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+def witness_corpus() -> list[Dfa]:
+    """Every automaton over ab with 1 to 3 states, then seeded random ones
+    over ab and abc with 1 to 9 states."""
+    corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
+    rng = random.Random(4242)
+    for alphabet in (AB, Alphabet("abc")):
+        corpus += [random_dfa(rng, rng.randint(1, 9), alphabet) for _ in range(150)]
+    return corpus
 
 
 def oracle_corpus() -> list[Dfa]:
@@ -649,6 +663,87 @@ def reference_parse_dfa(text: str) -> Dfa:
                 raise ParseError(f"missing transition for state {s} on {ch!r}")
     delta = tuple(tuple(table[(s, j)] for j in range(width)) for s in range(n_states))
     return Dfa(alphabet, n_states, delta, start, frozenset(accepting))
+
+
+def reference_holds_in(self: PatternWitness, dfa: Dfa) -> bool:
+    """The three-branch replay, one equation list per pattern kind, that
+    ``PatternWitness.holds_in`` replaced with one replay of the third-pattern
+    form; the reference for it."""
+    acc = dfa.accepting
+    a = self.letter
+    if self.kind == "P1":
+        s1, s2, s3 = self.states
+        return (
+            dfa.run(self.x) == s1
+            and dfa.run(self.v, s1) == s1
+            and dfa.run(self.y, s1) == s2
+            and dfa.step(s2, a) == s3
+            and is_subword(self.y + a, self.v)
+            and (dfa.run(self.z, s2) in acc) != (dfa.run(self.z, s3) in acc)
+        )
+    if self.kind == "P2":
+        s1, s2, s3, s4 = self.states
+        return (
+            dfa.run(self.x) == s1
+            and dfa.step(s1, a) == s2
+            and dfa.run(self.z, s1) == s3
+            and dfa.run(self.u, s3) == s3
+            and dfa.run(self.z, s2) == s4
+            and dfa.run(self.u, s4) == s4
+            and is_subword(a + self.z, self.u)
+            and (dfa.run(self.z_prime, s3) in acc) != (dfa.run(self.z_prime, s4) in acc)
+        )
+    if self.kind == "P3":
+        s1, s2, s3, s4, s5 = self.states
+        return (
+            dfa.run(self.x) == s1
+            and dfa.run(self.v, s1) == s1
+            and dfa.run(self.y, s1) == s2
+            and dfa.step(s2, a) == s3
+            and dfa.run(self.z, s2) == s4
+            and dfa.run(self.u, s4) == s4
+            and dfa.run(self.z, s3) == s5
+            and dfa.run(self.u, s5) == s5
+            and (is_subword(self.y + a, self.v) or is_subword(a + self.z, self.u))
+            and (dfa.run(self.z_prime, s4) in acc) != (dfa.run(self.z_prime, s5) in acc)
+        )
+    raise ValueError(f"unknown pattern kind {self.kind!r}")
+
+
+def reference_report_dict(self: ClassificationReport) -> dict:
+    """``ClassificationReport.to_dict`` with every key and witness slot
+    spelled out, the reference for the one that reads the dataclass
+    fields."""
+    witness = None
+    if self.pattern_witness is not None:
+        w = self.pattern_witness
+        witness = {
+            "kind": w.kind,
+            "letter": w.letter,
+            "x": w.x,
+            "v": w.v,
+            "y": w.y,
+            "z": w.z,
+            "u": w.u,
+            "z_prime": w.z_prime,
+            "states": list(w.states),
+        }
+    return {
+        "language": self.language,
+        "in_level_one_half": self.in_level_one_half,
+        "in_co_level_one_half": self.in_co_level_one_half,
+        "ideal_decomposition": (
+            list(self.ideal_decomposition)
+            if self.ideal_decomposition is not None
+            else None
+        ),
+        "m_plus": self.m_plus.json_value(),
+        "m_minus": self.m_minus.json_value(),
+        "minimal_k_plus": self.minimal_k_plus,
+        "minimal_k_co": self.minimal_k_co,
+        "piecewise_testable": self.piecewise_testable,
+        "pattern_witness": witness,
+    }
 
 
 def closure_witness(dfa: Dfa) -> str | None:

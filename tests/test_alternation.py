@@ -50,8 +50,10 @@ from helpers import (
     nfa_is_empty,
     oracle_corpus,
     random_dfa,
+    reference_report_dict,
     two_walk_chains,
     two_walk_measures,
+    witness_corpus,
     words_up_to,
 )
 
@@ -497,3 +499,11 @@ def test_classify_agrees_with_the_public_functions():
             report.pattern_witness,
         )
         assert got == _public_verdicts(d), d
+
+
+def test_report_dict_matches_the_explicit_serializer():
+    # to_dict reads the dataclass fields; the reference spells out each key
+    # and witness slot, so a dropped, renamed or unconverted value shows
+    for d in witness_corpus():
+        report = classify(d)
+        assert report.to_dict() == reference_report_dict(report), d

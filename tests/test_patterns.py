@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
 from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
@@ -25,7 +27,9 @@ from helpers import (
     dfa_from_rows,
     distinguishing_words,
     random_dfa,
+    reference_holds_in,
     reverse_det,
+    witness_corpus,
     words_up_to,
 )
 
@@ -282,6 +286,58 @@ def test_witness_replay_rejects_corrupted_witness():
         kind="P1", letter=w.letter, x=w.x, v=w.v + "a", y=w.y, z=w.z, states=w.states
     )
     assert not broken.holds_in(d)
+
+
+def _replay(replay, w, d):
+    """What a replay answers, or the type of what it raises."""
+    try:
+        return replay(w, d)
+    except Exception as exc:
+        return type(exc)
+
+
+def _edit(rng, word, letters):
+    """``word`` with one letter of ``letters`` inserted, deleted or swapped."""
+    i = rng.randrange(len(word) + 1)
+    if i == len(word) or rng.random() < 0.5:
+        return word[:i] + rng.choice(letters) + word[i:]
+    if rng.random() < 0.5:
+        return word[:i] + word[i + 1 :]
+    return word[:i] + rng.choice([c for c in letters if c != word[i]]) + word[i + 1 :]
+
+
+def _corrupted(rng, w, d):
+    """Copies of ``w`` with one thing changed: each word slot, the letter,
+    each state (to another of 0..n+1) and the kind.  Edited words keep to
+    the alphabet."""
+    letters = d.alphabet.letters
+    for slot in ("x", "v", "y", "z", "u", "z_prime"):
+        yield replace(w, **{slot: _edit(rng, getattr(w, slot), letters)})
+    yield replace(w, letter=rng.choice([c for c in letters if c != w.letter]))
+    for i, s in enumerate(w.states):
+        t = rng.choice([t for t in range(d.n_states + 2) if t != s])
+        yield replace(w, states=w.states[:i] + (t,) + w.states[i + 1 :])
+    yield replace(w, kind=rng.choice([k for k in ("P1", "P2", "P3", "P4") if k != w.kind]))
+
+
+def test_replay_of_the_third_pattern_form_matches_the_three_branch_replay():
+    # holds_in replays every kind through _as_p3; the reference keeps one
+    # equation list per kind.  Corrupted copies reach every equation, the
+    # slots a kind ignores, states outside the automaton and bad kinds
+    rng = random.Random(1801)
+    seen = Counter()
+    for d in witness_corpus():
+        for detect in (detect_p1, detect_p2, detect_p3):
+            w = detect(d)
+            if w is None:
+                continue
+            for variant in (w, *_corrupted(rng, w, d)):
+                want = _replay(reference_holds_in, variant, d)
+                assert _replay(PatternWitness.holds_in, variant, d) == want, (d, variant)
+                seen[variant.kind, want] += 1
+    for kind in ("P1", "P2", "P3"):
+        assert seen[kind, True] > 500 and seen[kind, False] > 500 and seen[kind, ValueError] > 100
+    assert seen["P4", ValueError] > 500
 
 
 def _forward_dfa(rng, n_states, alphabet):
