@@ -31,7 +31,7 @@ from pathlib import Path
 from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
 from .automata import Alphabet, Dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
-from .oracle import DEFAULT_WORD_CAP, _compare, cross_check
+from .oracle import DEFAULT_MAX_M, DEFAULT_WORD_CAP, _compare, cross_check
 from .patterns import PatternWitness, _as_p3, _detect_p1, _detect_p2, _witness_fields
 from .subword import decompose_level_half, upward_closure
 
@@ -282,7 +282,6 @@ def _cmd_classify(args) -> int:
             raise InputError("classify needs a FILE or --batch DIR")
         paths = [Path(args.file)]
 
-    max_m = 3  # the levels --oracle-check compares; the walk goes one deeper
     dicts, texts = [], []
     failed = capped = False
     for path in paths:
@@ -295,13 +294,13 @@ def _cmd_classify(args) -> int:
             failed = True
             continue
         minimal = minimize(dfa)
-        walk = _walk(minimal, 0 if args.oracle_check is None else max_m + 1)
+        walk = _walk(minimal, 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
         report = _classify(dfa, minimal, walk, path.stem)
         entry = report.to_dict()
         text = _render_report(report, args.witness)
         if args.oracle_check is not None:
             try:
-                problems = _compare(dfa, walk, args.oracle_check, max_m, _word_cap())
+                problems = _compare(dfa, walk, args.oracle_check, DEFAULT_MAX_M, _word_cap())
             except WordCapExceededError as exc:
                 if not args.batch:
                     raise
@@ -453,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="brute-force cross-validation")
     p.add_argument("file", metavar="FILE")
     p.add_argument("--max-len", type=int, default=6, metavar="N")
-    p.add_argument("--max-m", type=int, default=3, metavar="M")
+    p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M, metavar="M")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("export", help="re-serialize an automaton")

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 DEFAULT_WORD_CAP = 10**6
+DEFAULT_MAX_M = 3  # the highest level compared; the walk goes one deeper
 
 Membership = Callable[[str], bool]
 
@@ -183,7 +184,7 @@ def _states(machine: Dfa, n_words: int) -> list[int]:
 def cross_check(
     dfa: Dfa,
     max_len: int,
-    max_m: int = 3,
+    max_m: int = DEFAULT_MAX_M,
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[str]:
     """Compare the automata pipeline against this module on one machine.

@@ -24,6 +24,17 @@ names; it is the shortlex-least one.  Detection is deterministic: letters
 in alphabet order, states in index order, breadth-first shortest words
 with alphabet-order tie-breaking.
 
+Both loop patterns share one search (``_loop_search``): a loop, a run
+embedded in it, and a pivot letter placed once, after the run for P1 and
+before it for P2.  P2 runs it on the square automaton, whose state p·n + q
+steps both p and q on the same letter: a loop at both t3 and t4 is a loop
+at (t3, t4), and the runs s1 -> t3 and s2 -> t4 on one word are one run
+(s1, s2) -> (t3, t4).  The nodes map one to one onto those of a search
+over the automaton itself that tracks two loop runs, two embedded runs
+and the pivot flag, with the same moves in the same order, so
+breadth-first search reaches each by the same parent and returns the
+same words.
+
 There is one replay: the third pattern's equations, on a witness's
 third-pattern form (``_as_p3``), which holds exactly when the witness
 does.  A P1 witness gets an empty second loop (u = z' = ε, s4 = s2·z,
@@ -159,40 +170,48 @@ def find_loop_with_embedded_extension(
     dfa: Dfa, s1: int, s2: int, letter: str
 ) -> tuple[str, str] | None:
     """Words (v, y) with v looping at s1, y running s1 -> s2, and y
-    followed by ``letter`` embedded in v as a subword.
-
-    Breadth-first search over (loop run, embedded-prefix run, letter
-    placed).  Every consumed letter extends v; while the flag is down a
-    letter may also extend y, and ``letter`` itself may be placed once the
-    prefix run already sits at s2, which freezes y.  Success means the
-    loop run is back at s1 with the flag up.  Shortest v wins, ties in
-    alphabet order; None when no such pair of words exists.
-    """
-    width = len(dfa.alphabet)
-    letters = dfa.alphabet.letters
+    followed by ``letter`` embedded in v as a subword; shortest v wins,
+    ties in alphabet order; None when no such pair of words exists."""
     pivot = dfa.alphabet.index(letter)
-    start = (s1, s1, False)
-    goal = (s1, s2, True)
-    parents: dict[tuple[int, int, bool], tuple | None] = {start: None}
-    queue = deque([start])
+    return _loop_search(dfa.delta, dfa.alphabet.letters, s1, s1, s2, pivot, True)
+
+
+def _loop_search(
+    delta, letters: str, loop: int, start: int, goal: int, pivot: int, first: bool
+) -> tuple[str, str] | None:
+    """Words (v, e) with v looping at ``loop``, e running ``start`` ->
+    ``goal``, and e embedded in v together with the pivot letter: e before
+    the pivot when ``first``, after it otherwise.
+
+    Breadth-first search over (loop run, embedded run, pivot placed).
+    Every consumed letter extends v; while the embedded run is in its
+    phase a letter may also extend e.  The pivot may be placed once; when
+    it comes last, only with the embedded run already at ``goal``.
+    Success means the loop run is back at ``loop`` and the embedded run
+    at ``goal`` with the pivot placed.  Shortest v wins, ties in alphabet
+    order; None when no such pair of words exists.
+    """
+    origin = (loop, start, False)
+    target = (loop, goal, True)
+    parents: dict[tuple[int, int, bool], tuple | None] = {origin: None}
+    queue = deque([origin])
     while queue:
         node = queue.popleft()
         p, q, placed = node
-        for j in range(width):
-            forward = dfa.delta[p][j]
-            moves: list[tuple[tuple[int, int, bool], bool]] = [
-                ((forward, q, placed), False)
-            ]
-            if not placed:
-                moves.append(((forward, dfa.delta[q][j], False), True))
-                if j == pivot and q == s2:
-                    moves.append(((forward, s2, True), False))
-            for target, into_y in moves:
-                if target not in parents:
-                    parents[target] = (node, j, into_y)
-                    if target == goal:
-                        return _rebuild_two_words(parents, target, letters)
-                    queue.append(target)
+        embeds = placed != first
+        places = not placed and (q == goal or not first)
+        for j, forward in enumerate(delta[p]):
+            moves: list[tuple[tuple[int, int, bool], bool]] = [((forward, q, placed), False)]
+            if embeds:
+                moves.append(((forward, delta[q][j], placed), True))
+            if places and j == pivot:
+                moves.append(((forward, q, True), False))
+            for step, into_e in moves:
+                if step not in parents:
+                    parents[step] = (node, j, into_e)
+                    if step == target:
+                        return _rebuild_two_words(parents, step, letters)
+                    queue.append(step)
     return None
 
 
@@ -241,42 +260,6 @@ def _detect_p1(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     return None
 
 
-def _coupled_loop_search(
-    dfa: Dfa, s1: int, s2: int, t3: int, t4: int, pivot: int
-) -> tuple[str, str] | None:
-    """Words (u, z) with u looping at both t3 and t4, z running s1 -> t3
-    and s2 -> t4, and the pivot letter followed by z embedded in u.
-
-    Nodes track the two loop runs, the two z runs and whether the pivot
-    has been placed; z letters may only be placed after it.
-    """
-    width = len(dfa.alphabet)
-    letters = dfa.alphabet.letters
-    delta = dfa.delta
-    start = (t3, t4, s1, s2, False)
-    goal = (t3, t4, t3, t4, True)
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        g, h, p, q, placed = node
-        for j in range(width):
-            dg = delta[g][j]
-            dh = delta[h][j]
-            moves: list[tuple[tuple, bool]] = [((dg, dh, p, q, placed), False)]
-            if placed:
-                moves.append(((dg, dh, delta[p][j], delta[q][j], True), True))
-            elif j == pivot:
-                moves.append(((dg, dh, p, q, True), False))
-            for target, into_z in moves:
-                if target not in parents:
-                    parents[target] = (node, j, into_z)
-                    if target == goal:
-                        return _rebuild_two_words(parents, target, letters)
-                    queue.append(target)
-    return None
-
-
 def detect_p2(dfa: Dfa) -> PatternWitness | None:
     """Second pattern: a pivot step out of s1, then a shared word z driving
     both sides into a distinguishable pair of states that jointly loop on a
@@ -288,14 +271,22 @@ def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     access = _access_words(dfa)
     reachable = sorted(access)
     classes = _classes(minimal, access)
+    n = dfa.n_states
+    letters = dfa.alphabet.letters
+    square = [
+        tuple(g * n + h for g, h in zip(row_p, row_q))
+        for row_p in dfa.delta
+        for row_q in dfa.delta
+    ]
     for s1 in reachable:
-        for j, a in enumerate(dfa.alphabet.letters):
+        for j, a in enumerate(letters):
             s2 = dfa.delta[s1][j]
             for t3 in reachable:
                 for t4 in reachable:
                     if classes[t3] == classes[t4]:
                         continue
-                    found = _coupled_loop_search(dfa, s1, s2, t3, t4, j)
+                    pair = t3 * n + t4
+                    found = _loop_search(square, letters, pair, s1 * n + s2, pair, j, False)
                     if found is None:
                         continue
                     u, z = found

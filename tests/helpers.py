@@ -20,9 +20,11 @@ gives both chains, and a parser of the automaton file format that keeps a
 (token, column) pair per token and a (state, letter) table, the
 reference for the library's split-based one.  The witness replay with one
 equation list per pattern kind is the reference for the library's single
-replay of the third-pattern form, and a report serializer that spells
-out every key is the reference for the one that reads the dataclass
-fields.
+replay of the third-pattern form.  The two loop searches the pattern
+detectors ran before they shared one, with the detectors around them,
+are the references for that shared search.  A report serializer that
+spells out every key is the reference for the one that reads the
+dataclass fields.
 """
 
 from __future__ import annotations
@@ -47,7 +49,13 @@ from subseq.automata import (
 )
 from subseq.errors import InputError, ParseError
 from subseq.oracle import BoundedChainTable
-from subseq.patterns import PatternWitness, is_piecewise_testable
+from subseq.patterns import (
+    PatternWitness,
+    _access_words,
+    _classes,
+    _separator,
+    is_piecewise_testable,
+)
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 AB = Alphabet("ab")
@@ -708,6 +716,149 @@ def reference_holds_in(self: PatternWitness, dfa: Dfa) -> bool:
             and (dfa.run(self.z_prime, s4) in acc) != (dfa.run(self.z_prime, s5) in acc)
         )
     raise ValueError(f"unknown pattern kind {self.kind!r}")
+
+
+def reference_find_loop_with_embedded_extension(
+    dfa: Dfa, s1: int, s2: int, letter: str
+) -> tuple[str, str] | None:
+    """Words (v, y) with v looping at s1, y running s1 -> s2, and y
+    followed by ``letter`` embedded in v as a subword.
+
+    Breadth-first search over (loop run, embedded-prefix run, letter
+    placed).  Every consumed letter extends v; while the flag is down a
+    letter may also extend y, and ``letter`` itself may be placed once the
+    prefix run already sits at s2, which freezes y.  Success means the
+    loop run is back at s1 with the flag up.  Shortest v wins, ties in
+    alphabet order; None when no such pair of words exists.
+    """
+    width = len(dfa.alphabet)
+    letters = dfa.alphabet.letters
+    pivot = dfa.alphabet.index(letter)
+    start = (s1, s1, False)
+    goal = (s1, s2, True)
+    parents: dict[tuple[int, int, bool], tuple | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        p, q, placed = node
+        for j in range(width):
+            forward = dfa.delta[p][j]
+            moves: list[tuple[tuple[int, int, bool], bool]] = [
+                ((forward, q, placed), False)
+            ]
+            if not placed:
+                moves.append(((forward, dfa.delta[q][j], False), True))
+                if j == pivot and q == s2:
+                    moves.append(((forward, s2, True), False))
+            for target, into_y in moves:
+                if target not in parents:
+                    parents[target] = (node, j, into_y)
+                    if target == goal:
+                        return _rebuild_two_words(parents, target, letters)
+                    queue.append(target)
+    return None
+
+
+def _rebuild_two_words(parents, node, letters) -> tuple[str, str]:
+    all_parts: list[str] = []
+    marked_parts: list[str] = []
+    current = node
+    while parents[current] is not None:
+        previous, j, marked = parents[current]
+        all_parts.append(letters[j])
+        if marked:
+            marked_parts.append(letters[j])
+        current = previous
+    return "".join(reversed(all_parts)), "".join(reversed(marked_parts))
+
+
+def reference_coupled_loop_search(
+    dfa: Dfa, s1: int, s2: int, t3: int, t4: int, pivot: int
+) -> tuple[str, str] | None:
+    """Words (u, z) with u looping at both t3 and t4, z running s1 -> t3
+    and s2 -> t4, and the pivot letter followed by z embedded in u.
+
+    Nodes track the two loop runs, the two z runs and whether the pivot
+    has been placed; z letters may only be placed after it.
+    """
+    width = len(dfa.alphabet)
+    letters = dfa.alphabet.letters
+    delta = dfa.delta
+    start = (t3, t4, s1, s2, False)
+    goal = (t3, t4, t3, t4, True)
+    parents: dict[tuple, tuple | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        g, h, p, q, placed = node
+        for j in range(width):
+            dg = delta[g][j]
+            dh = delta[h][j]
+            moves: list[tuple[tuple, bool]] = [((dg, dh, p, q, placed), False)]
+            if placed:
+                moves.append(((dg, dh, delta[p][j], delta[q][j], True), True))
+            elif j == pivot:
+                moves.append(((dg, dh, p, q, True), False))
+            for target, into_z in moves:
+                if target not in parents:
+                    parents[target] = (node, j, into_z)
+                    if target == goal:
+                        return _rebuild_two_words(parents, target, letters)
+                    queue.append(target)
+    return None
+
+
+def reference_detect_p1(dfa: Dfa) -> PatternWitness | None:
+    """``detect_p1`` through ``reference_find_loop_with_embedded_extension``."""
+    access = _access_words(dfa)
+    reachable = sorted(access)
+    classes = _classes(minimize(dfa), access)
+    for j, a in enumerate(dfa.alphabet.letters):
+        for s1 in reachable:
+            for s2 in reachable:
+                s3 = dfa.delta[s2][j]
+                if classes[s2] == classes[s3]:
+                    continue
+                found = reference_find_loop_with_embedded_extension(dfa, s1, s2, a)
+                if found is not None:
+                    v, y = found
+                    return PatternWitness(
+                        kind="P1",
+                        letter=a,
+                        x=access[s1],
+                        v=v,
+                        y=y,
+                        z=_separator(dfa, s2, s3),
+                        states=(s1, s2, s3),
+                    )
+    return None
+
+
+def reference_detect_p2(dfa: Dfa) -> PatternWitness | None:
+    """``detect_p2`` through ``reference_coupled_loop_search``."""
+    access = _access_words(dfa)
+    reachable = sorted(access)
+    classes = _classes(minimize(dfa), access)
+    for s1 in reachable:
+        for j, a in enumerate(dfa.alphabet.letters):
+            s2 = dfa.delta[s1][j]
+            for t3 in reachable:
+                for t4 in reachable:
+                    if classes[t3] == classes[t4]:
+                        continue
+                    found = reference_coupled_loop_search(dfa, s1, s2, t3, t4, j)
+                    if found is not None:
+                        u, z = found
+                        return PatternWitness(
+                            kind="P2",
+                            letter=a,
+                            x=access[s1],
+                            z=z,
+                            u=u,
+                            z_prime=_separator(dfa, t3, t4),
+                            states=(s1, s2, t3, t4),
+                        )
+    return None
 
 
 def reference_report_dict(self: ClassificationReport) -> dict:

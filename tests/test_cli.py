@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -571,6 +572,16 @@ def test_cli_oracle_check_rejects_negative_max_m(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_one_level_bound_serves_every_oracle_entry(monkeypatch, capsys):
+    bound = oracle.DEFAULT_MAX_M
+    assert inspect.signature(oracle.cross_check).parameters["max_m"].default == bound
+    assert cli._parser().parse_args(["oracle-check", "m3.dfa"]).max_m == bound
+    compares = count_calls(monkeypatch, oracle._compare)
+    assert main(["classify", str(FIXTURES / "m3.dfa"), "--oracle-check", "3"]) == 0
+    assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "3"]) == 0
+    assert [args[3] for args in compares] == [bound, bound]
 
 
 def test_cli_non_utf8_file_is_a_parse_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -8,7 +9,9 @@ from subseq.automata import Alphabet, Dfa, complement, minimize, universal_langu
 from subseq.patterns import (
     PatternWitness,
     _access_words,
+    _as_p3,
     _classes,
+    _loop_search,
     _separator,
     detect_p1,
     detect_p2,
@@ -27,6 +30,10 @@ from helpers import (
     dfa_from_rows,
     distinguishing_words,
     random_dfa,
+    reference_coupled_loop_search,
+    reference_detect_p1,
+    reference_detect_p2,
+    reference_find_loop_with_embedded_extension,
     reference_holds_in,
     reverse_det,
     witness_corpus,
@@ -352,6 +359,69 @@ def _forward_dfa(rng, n_states, alphabet):
     )
     accepting = frozenset(s for s in range(n_states) if rng.random() < 0.5)
     return Dfa(alphabet, n_states, rows, 0, accepting)
+
+
+def _self_loop_acyclic_corpus():
+    """320 seeded automata over ``ab`` and ``abc`` with 2-7 states whose
+    only cycles are self-loops: P1 cannot fire there, so the P2 search
+    runs to its first witness, or through every candidate pair when the
+    language is piecewise testable."""
+    rng = random.Random(1901)
+    corpus = []
+    for _ in range(320):
+        alphabet = rng.choice((AB, Alphabet("abc")))
+        n = rng.randint(2, 7)
+        rows = tuple(tuple(rng.randrange(s, n) for _ in alphabet.letters) for s in range(n))
+        accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
+        corpus.append(Dfa(alphabet, n, rows, 0, accepting))
+    return corpus
+
+
+def test_detectors_match_the_two_search_references():
+    # one loop search serves both patterns; the detectors built on the two
+    # searches it replaced must return the same witnesses, byte for byte
+    found = Counter()
+    for d in witness_corpus() + _self_loop_acyclic_corpus():
+        first, second = reference_detect_p1(d), reference_detect_p2(d)
+        assert detect_p1(d) == first, d
+        assert detect_p2(d) == second, d
+        assert detect_p3(d) == _as_p3(d, first or second), d
+        found["P1", first is not None] += 1
+        found["P2", second is not None] += 1
+    assert min(found.values()) > 500, found
+
+
+def _square(dfa):
+    n = dfa.n_states
+    return [
+        tuple(dfa.delta[p][j] * n + dfa.delta[q][j] for j in range(len(dfa.alphabet)))
+        for p in range(n)
+        for q in range(n)
+    ]
+
+
+def test_loop_search_matches_both_references():
+    # P1's search on the automaton, on every argument tuple, and P2's on
+    # its square automaton of state pairs, on a seeded sample of tuples,
+    # against the search each replaced
+    rng = random.Random(1902)
+    results = Counter()
+    for d in witness_corpus()[::11] + _self_loop_acyclic_corpus():
+        n, letters = d.n_states, d.alphabet.letters
+        square = _square(d)
+        for s1, s2 in itertools.product(range(n), repeat=2):
+            for a in letters:
+                want = reference_find_loop_with_embedded_extension(d, s1, s2, a)
+                assert find_loop_with_embedded_extension(d, s1, s2, a) == want
+        for _ in range(12):
+            s1, t3, t4 = (rng.randrange(n) for _ in range(3))
+            j = rng.randrange(len(letters))
+            s2 = d.delta[s1][j]
+            want = reference_coupled_loop_search(d, s1, s2, t3, t4, j)
+            got = _loop_search(square, letters, t3 * n + t4, s1 * n + s2, t3 * n + t4, j, False)
+            assert got == want, (d, s1, t3, t4, j)
+            results[want is not None] += 1
+    assert min(results.values()) > 1000, results
 
 
 def test_decision_procedure_agrees_with_pattern_search():
