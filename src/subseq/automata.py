@@ -140,6 +140,22 @@ class Dfa:
         return self.run(word) in self.accepting
 
 
+def _unchecked_dfa(
+    alphabet: Alphabet,
+    n_states: int,
+    delta: tuple[tuple[int, ...], ...],
+    start: int,
+    accepting: frozenset[int],
+) -> Dfa:
+    """A ``Dfa`` from values the caller built valid, without the checks of
+    ``__post_init__``, which visit every transition."""
+    dfa = object.__new__(Dfa)
+    dfa.__dict__.update(
+        alphabet=alphabet, n_states=n_states, delta=delta, start=start, accepting=accepting
+    )
+    return dfa
+
+
 def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError(
@@ -230,7 +246,7 @@ def minimize(dfa: Dfa) -> Dfa:
     accepting = frozenset(
         canonical[b] for b in block_order if representative[b] in dfa.accepting
     )
-    return Dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
+    return _unchecked_dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
 
 
 def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
@@ -261,7 +277,7 @@ def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
         for i, (p, q) in enumerate(pairs)
         if combine(p in d1.accepting, q in d2.accepting)
     )
-    return Dfa(d1.alphabet, len(pairs), tuple(rows), 0, accepting)
+    return _unchecked_dfa(d1.alphabet, len(pairs), tuple(rows), 0, accepting)
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:
@@ -279,7 +295,7 @@ def difference(d1: Dfa, d2: Dfa) -> Dfa:
 def complement(dfa: Dfa) -> Dfa:
     """Same machine with the accepting set inverted."""
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
-    return Dfa(dfa.alphabet, dfa.n_states, dfa.delta, dfa.start, accepting)
+    return _unchecked_dfa(dfa.alphabet, dfa.n_states, dfa.delta, dfa.start, accepting)
 
 
 def is_empty(dfa: Dfa) -> bool:

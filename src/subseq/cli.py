@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
-from .automata import Alphabet, Dfa, minimize
+from .automata import Alphabet, Dfa, _unchecked_dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_MAX_M, DEFAULT_WORD_CAP, _compare, cross_check
 from .patterns import PatternWitness, _as_p3, _detect_p1, _detect_p2, _witness_fields
@@ -159,7 +159,8 @@ def parse_dfa(text: str) -> Dfa:
             missing = alphabet.letters[row.index(None)]
             raise ParseError(f"missing transition for state {s} on {missing!r}")
         delta.append(tuple(row))
-    return Dfa(alphabet, n_states, tuple(delta), start, frozenset(accepting))
+    # every value above is range-checked already
+    return _unchecked_dfa(alphabet, n_states, tuple(delta), start, frozenset(accepting))
 
 
 def export(dfa: Dfa, fmt: str = "native") -> str:

@@ -11,28 +11,28 @@ tables are self-contained and every reported depth is a true lower bound.
 Words are handled by their position in the shortlex order of
 ``enumerate_words``.  Over k letters, word i > 0 is word (i - 1) // k
 followed by letter (i - 1) % k, so the word p followed by letter a sits at
-p·k + a + 1.  Two consequences keep the per-word work independent of the
-word's length:
+p·k + a + 1.  Two consequences keep the work in whole lists, one word
+length at a time:
 
 - The state an automaton reaches on word i is one step from the state of
   its prefix, so the rows of the transition table, taken in the order of
   the words' states, list the states of the next words (``_states``).
-- Deleting any letter of a run of equal letters gives the same word, so a
-  word has one distinct one-letter deletion per run.  The deletions of
-  u·a are u itself and d·a for each deletion d of u; the two coincide
-  exactly when u ends in a, since u's own last-letter deletion d then
-  gives d·a = u.  So each word's deletions are built, as indices, from its
-  prefix's, with that one repeat dropped (``_deletion_indices``).
+- Within its length ℓ, a word of rank x = hi·k·B + c·B + lo, with
+  B = k^(ℓ-1-i) and c its letter at position i, loses that letter to
+  become the word of rank hi·B + lo of length ℓ - 1.  So the depths of
+  the words' deletions at position i are the previous length's depths
+  with each block of B entries repeated k times (``_spread``), and one
+  ``max`` over the ℓ spreads gives every word's deepest deletion.  A run
+  of equal letters repeats a deletion, which does not change a max.
 
-One pass walks each word's deletions once.  Depth never falls along the
-subword order: a chain ending at a subword of w ends at w too, after
-replacing that subword by w or appending w.  So the deepest chain ending
-at a proper subword of w is the deepest one ending at a deletion, r, and
-w's depth is r or r + 1, whichever has the parity that w's membership
-forces on the last word of a chain (-1, no chain, counts as odd).  For
-the same reason a word's depth is also the deepest chain ending at any
-of its subwords, so every bounded level m is the set of words whose
-depth is at least m.
+Depth never falls along the subword order: a chain ending at a subword
+of w ends at w too, after replacing that subword by w or appending w.  So
+the deepest chain ending at a proper subword of w is the deepest one
+ending at a deletion, r, and w's depth is r or r + 1, whichever has the
+parity that w's membership forces on the last word of a chain (-1, no
+chain, counts as odd).  For the same reason a word's depth is also the
+deepest chain ending at any of its subwords, so every bounded level m is
+the set of words whose depth is at least m.
 
 The pass walks the side whose chains start where ε is not, as
 ``alternation._chains`` does.  ε is a subword of every word, so it can
@@ -40,18 +40,20 @@ open every chain of the other side in place of its first word, and it
 extends every chain of the walked side by one; the other side's depths
 are the walked side's plus one.
 
-``cross_check`` feeds that pass the input's membership on one enumeration
-of the words and sets the depths against the levels and measures of one
-``alternation._walk``, the one its report was read from under ``classify
---oracle-check``.  Every automaton it compares, the input included, is
-stepped along the word order, never rerun from its start state.
+``cross_check`` sets those depths, from the input's membership, against
+the levels and measures of one ``alternation._walk``, the one its report
+was read from under ``classify --oracle-check``.  It steps each automaton
+along the word order once, never rerunning it from its start state.  A
+level of the other side is a walked level one depth lower, so each pair
+of automaton and walked depth is compared once; words are spelled out
+only for the sample of a level that disagrees.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from operator import ne
 from typing import Callable, Iterator
 
 from .alternation import _walk
@@ -72,22 +74,27 @@ DEFAULT_MAX_M = 3  # the highest level compared; the walk goes one deeper
 Membership = Callable[[str], bool]
 
 
+def _word_count(k: int, max_len: int, cap: int) -> int:
+    """The number of words over k letters up to length max_len, after the
+    cap checks that ``enumerate_words`` documents."""
+    if max_len < 0:
+        raise InputError(f"word length bound must be nonnegative, got {max_len}")
+    # two or more letters give k ** cap.bit_length() > cap, so the
+    # exponent never needs to pass cap.bit_length()
+    if k ** min(max_len, cap.bit_length()) > cap:
+        raise WordCapExceededError(f"{k}^{max_len} words exceed the cap of {cap}")
+    if max_len + 1 > cap:
+        raise WordCapExceededError(f"{max_len + 1} words exceed the cap of {cap}")
+    return sum(k**n for n in range(max_len + 1))
+
+
 def enumerate_words(alphabet: Alphabet, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[str]:
     """Every word of length up to max_len, shortest first, alphabet order
     within a length.  Raises WordCapExceededError when the longest
     generation alone, or the max_len + 1 generations together, would
     exceed ``cap`` words."""
-    if max_len < 0:
-        raise InputError(f"word length bound must be nonnegative, got {max_len}")
     letters = alphabet.letters
-    # two or more letters give len(letters) ** cap.bit_length() > cap, so
-    # the exponent never needs to pass cap.bit_length()
-    if len(letters) ** min(max_len, cap.bit_length()) > cap:
-        raise WordCapExceededError(
-            f"{len(letters)}^{max_len} words exceed the cap of {cap}"
-        )
-    if max_len + 1 > cap:
-        raise WordCapExceededError(f"{max_len + 1} words exceed the cap of {cap}")
+    _word_count(len(letters), max_len, cap)
     words: list[str] = []
     for n in range(max_len + 1):
         words.extend(map("".join, itertools.product(letters, repeat=n)))
@@ -113,43 +120,34 @@ class BoundedChainTable:
     minus_depth: dict[str, int]
 
 
-def _deletion_indices(k: int, n_words: int) -> Iterator[list[int]]:
-    """The distinct one-letter deletions of each of the first n_words
-    words over k letters, as shortlex indices, in word order; n_words
-    counts every word up to some length.  Word p·k + a + 1 is word p
-    followed by letter a.  Only the rows of words not yet extended are
-    kept."""
-    n_parents = (n_words - 1) // k
-    pending: deque[list[int]] = deque([[]])
-    yield []
-    for p in range(n_parents):
-        below = pending.popleft()
-        last = (p - 1) % k if p else -1
-        for a in range(k):
-            row = [d * k + a + 1 for d in below]
-            # when p ends in a, p itself is already in the row
-            if a != last:
-                row.append(p)
-            if p * k + a + 1 < n_parents:
-                pending.append(row)
-            yield row
+def _spread(below: list[int], block: int, k: int) -> Iterator[int]:
+    """``below`` with each block of ``block`` entries repeated k times."""
+    if block == 1:
+        return itertools.chain.from_iterable(zip(*[below] * k))
+    ends = range(block, len(below) + block, block)
+    blocks = map(below.__getitem__, map(slice, range(0, len(below), block), ends))
+    repeated = itertools.chain.from_iterable(map(itertools.repeat, blocks, itertools.repeat(k)))
+    return itertools.chain.from_iterable(repeated)
 
 
-def _depths(member: list[bool], k: int) -> tuple[list[int], list[int]]:
-    """The plus and the minus chain depths of every word over k letters up
-    to some length, given the words' memberships in shortlex order."""
+def _depths(member: list[bool], k: int) -> list[int]:
+    """The walked side's chain depths of every word over k letters up to
+    some length, given the words' memberships in shortlex order."""
     # the walked side's chains start where ε is not, so they put the words
     # whose membership differs from ε's at even depths and the others at
     # odd ones, -1 included: a word's depth is r or r + 1, whichever gives
     # an even sum with (inside == ε's membership)
     epsilon_in = member[0]
-    walked: list[int] = []
-    get = walked.__getitem__
-    for below, inside in zip(_deletion_indices(k, len(member)), member):
-        r = max(map(get, below), default=-1)
-        walked.append(r + ((r + (inside == epsilon_in)) & 1))
-    shifted = [d + 1 for d in walked]
-    return (shifted, walked) if epsilon_in else (walked, shifted)
+    depths, below, length = [-1], [-1], 0  # ε ends no chain of the walked side
+    while len(depths) < len(member):
+        length += 1
+        # one spread per letter position; their max is the deepest deletion
+        spreads = [_spread(below, k**i, k) for i in range(length)]
+        deepest = map(max, *spreads) if length > 1 else spreads[0]
+        inside = member[len(depths) : len(depths) + len(below) * k]
+        below = [r + ((r + (m == epsilon_in)) & 1) for r, m in zip(deepest, inside)]
+        depths += below
+    return depths
 
 
 def chain_table(
@@ -161,7 +159,9 @@ def chain_table(
     """Tabulate both sides' chain depths for all words up to max_len."""
     words = enumerate_words(alphabet, max_len, cap)
     member = [bool(membership(w)) for w in words]
-    plus, minus = _depths(member, len(alphabet))
+    walked = _depths(member, len(alphabet))
+    shifted = [d + 1 for d in walked]
+    plus, minus = (shifted, walked) if member[0] else (walked, shifted)
     return BoundedChainTable(
         max_len,
         tuple(words),
@@ -204,26 +204,36 @@ def cross_check(
 def _compare(dfa: Dfa, walk: tuple, max_len: int, max_m: int, cap: int) -> list[str]:
     """``cross_check`` against ``walk``, a ``_walk`` of ``minimize(dfa)``
     whose depth is at least max_m + 1."""
-    words = enumerate_words(dfa.alphabet, max_len, cap)
-    n_words = len(words)
+    n_words = _word_count(len(dfa.alphabet), max_len, cap)
     member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
-    depth_lists = _depths(member, len(dfa.alphabet))
+    depths = _depths(member, len(dfa.alphabet))
+    shifts = (1, 0) if member[0] else (0, 1)  # the shifted side is one deeper
     empty = empty_language(dfa.alphabet)
-    problems: list[str] = []
-    too_small: list[str] = []
-    for side, depths, measure, chain in zip(("plus", "minus"), depth_lists, walk[:2], walk[2:]):
+    # id of each level automaton -> (automaton, {walked depth: sample})
+    levels: dict[int, tuple[Dfa, dict[int, list[int]]]] = {}
+    reads = []
+    for side, shift, chain in zip(("plus", "minus"), shifts, walk[2:]):
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
-            accepting = machine.accepting
-            wrong = [
-                w
-                for w, r, s in zip(words, depths, _states(machine, n_words))
-                if (r >= m) != (s in accepting)
-            ]
-            if wrong:
-                sample = sorted(wrong, key=lambda w: (len(w), w))[:3]
-                problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
-        bound = max(depths)
+            samples = levels.setdefault(id(machine), (machine, {}))[1]
+            samples[m - shift] = []
+            reads.append((side, m, samples, m - shift))
+    for machine, samples in levels.values():
+        inside = list(map(machine.accepting.__contains__, _states(machine, n_words)))
+        for depth in samples:
+            level = list(map(depth.__le__, depths))
+            if level != inside:
+                wrong = itertools.compress(itertools.count(), map(ne, level, inside))
+                samples[depth] = list(itertools.islice(wrong, 3))
+    problems: list[str] = []
+    words: list[str] = []
+    for side, m, samples, depth in reads:
+        if samples[depth]:
+            words = words or enumerate_words(dfa.alphabet, max_len, cap)
+            sample = [words[i] for i in samples[depth]]
+            problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
+    for side, shift, measure in zip(("plus", "minus"), shifts, walk[:2]):
+        bound = max(depths) + shift
         if measure.is_finite and bound > measure.value:
-            too_small.append(f"{side} measure {measure} is below the brute-force bound {bound}")
-    return problems + too_small
+            problems.append(f"{side} measure {measure} is below the brute-force bound {bound}")
+    return problems

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, _topological_order, complement, minimize
+from .automata import Alphabet, Dfa, _topological_order, _unchecked_dfa, complement, minimize
 from .errors import NotUpwardClosedError
 
 __all__ = [
@@ -92,7 +92,7 @@ def upward_closure(dfa: Dfa) -> Dfa:
             targets[j] = ids[target]
         rows.append(tuple(targets))
     accepting = frozenset(i for i, mask in enumerate(subsets) if mask & accept_mask)
-    return minimize(Dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting))
+    return minimize(_unchecked_dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting))
 
 
 def _is_upward_closed(dfa: Dfa, order: list[int] | None) -> bool:

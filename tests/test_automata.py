@@ -17,7 +17,8 @@ from subseq.automata import (
     universal_language,
 )
 from subseq.errors import AlphabetMismatchError, InputError
-from subseq.subword import shuffle_ideal
+from subseq.cli import export, parse_dfa
+from subseq.subword import shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
@@ -382,8 +383,10 @@ def test_distinguishing_words_actually_distinguish():
 
 
 def test_operations_keep_tables_complete():
-    # constructing a Dfa validates completeness, so surviving construction
-    # is the check; exercise a chain of operations
+    # the library builds its automata without the constructor's checks,
+    # so each result must survive a rebuild through the public
+    # constructor, which validates completeness; exercise a chain of
+    # operations
     rng = random.Random(112)
     d1 = random_dfa(rng, 4)
     d2 = random_dfa(rng, 3)
@@ -394,6 +397,10 @@ def test_operations_keep_tables_complete():
         symmetric_difference(d1, d2),
         reverse_det(d1),
         determinize(build_chain_nfa(d1, 2)),
+        upward_closure(d1),
+        parse_dfa(export(d1)),
     ]:
+        fields = (result.alphabet, result.n_states, result.delta, result.start, result.accepting)
+        assert Dfa(*fields) == result
         assert len(result.delta) == result.n_states
         assert all(len(row) == len(result.alphabet) for row in result.delta)

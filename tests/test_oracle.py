@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ from subseq.alternation import _levels, l_plus, m_plus, mk_witness
 from subseq.automata import Alphabet, Dfa, complement, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import (
-    _deletion_indices,
     _states,
     chain_table,
     cross_check,
@@ -21,7 +21,6 @@ from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
-    _deletions,
     ab_star,
     bounded_level,
     build_chain_nfa,
@@ -247,16 +246,6 @@ def test_chain_table_matches_the_string_keyed_reference_on_random_predicates():
         assert table == reference_chain_table(chosen.__contains__, alphabet, max_len), i
 
 
-def test_deletion_indices_are_the_distinct_deletions():
-    for alphabet, max_len in zip(ALPHABETS, (9, 6, 4)):
-        words = words_up_to(alphabet.letters, max_len)
-        index = {w: i for i, w in enumerate(words)}
-        deletions = list(_deletion_indices(len(alphabet), len(words)))
-        assert len(deletions) == len(words)
-        for w, row in zip(words, deletions):
-            assert sorted(row) == sorted(index[d] for d in _deletions(w)), w
-
-
 def test_states_step_every_word_from_its_prefix():
     rng = random.Random(513)
     for alphabet, max_len in zip(ALPHABETS, (12, 8, 5)):
@@ -275,15 +264,31 @@ def test_cross_check_steps_automata_without_replaying_words(monkeypatch):
 
 
 def test_oracle_check_enumerates_the_words_once(capsys, monkeypatch):
-    # cross_check steps the input along one enumeration and tabulates the
-    # depths from that membership list, without a second pass through
-    # chain_table
+    # cross_check works on the words' shortlex indices and tabulates the
+    # depths from the input's membership list, without chain_table; it
+    # spells the words out once, and only when some level disagrees
     enumerations = count_calls(monkeypatch, enumerate_words)
     tables = count_calls(monkeypatch, chain_table)
     assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
+    assert len(enumerations) == 0
+    assert len(tables) == 0
+    substitute(monkeypatch, _levels, lambda dfa: _levels(mk_witness(1)))
+    assert len(cross_check(mk_witness(2), 4)) == 4
     assert len(enumerations) == 1
     assert len(tables) == 0
+
+
+def test_cross_check_memory_follows_the_depths_not_the_words():
+    # 131071 words up to length 16: the check keeps a few lists of one
+    # entry per word, never the words themselves or their deletion rows
+    tracemalloc.start()
+    try:
+        assert cross_check(mk_witness(3), 16) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_cross_check_is_clean_on_a_one_letter_alphabet():

@@ -1,10 +1,11 @@
 import itertools
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
+from subseq import patterns
 from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
 from subseq.patterns import (
     PatternWitness,
@@ -422,6 +423,28 @@ def test_loop_search_matches_both_references():
             assert got == want, (d, s1, t3, t4, j)
             results[want is not None] += 1
     assert min(results.values()) > 1000, results
+
+
+def test_p1_search_places_the_pivot_only_at_the_goal(monkeypatch):
+    # the pivot comes last in P1, so it is placed only with the embedded
+    # run at its goal: on mk_witness(3), looping at the start state with
+    # goal 2, the search enqueues 17 nodes and finds nothing; placing the
+    # pivot anywhere would enqueue 26
+    enqueued = []
+
+    class CountingDeque(deque):
+        def __init__(self, nodes=()):
+            super().__init__(nodes)
+            enqueued.extend(self)
+
+        def append(self, node):
+            enqueued.append(node)
+            super().append(node)
+
+    monkeypatch.setattr(patterns, "deque", CountingDeque)
+    assert find_loop_with_embedded_extension(mk_witness(3), 0, 2, "a") is None
+    assert len(enqueued) == 17
+    assert {q for _, q, placed in enqueued if placed} == {2}
 
 
 def test_decision_procedure_agrees_with_pattern_search():
