@@ -43,7 +43,6 @@ from .patterns import (
     detect_p1,
     detect_p2,
     detect_p3,
-    find_loop_with_embedded_extension,
     is_piecewise_testable,
 )
 from .subword import (

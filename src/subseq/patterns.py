@@ -54,7 +54,6 @@ from .subword import is_subword
 
 __all__ = [
     "PatternWitness",
-    "find_loop_with_embedded_extension",
     "detect_p1",
     "detect_p2",
     "detect_p3",
@@ -128,25 +127,22 @@ def _as_p3(dfa: Dfa, w: PatternWitness | None) -> PatternWitness | None:
     raise ValueError(f"unknown pattern kind {w.kind!r}")
 
 
-def _access_words(dfa: Dfa) -> dict[int, str]:
-    """Shortest word from the start state to each reachable state."""
+def _access_words(dfa: Dfa, minimal: Dfa) -> tuple[dict[int, str], dict[int, int]]:
+    """Shortest word from the start state to each reachable state, and the
+    state of the minimal automaton each stands for: two reachable states
+    are distinguishable exactly when theirs differ."""
     letters = dfa.alphabet.letters
     words = {dfa.start: ""}
+    classes = {dfa.start: minimal.start}
     queue = deque([dfa.start])
     while queue:
         s = queue.popleft()
-        for j, ch in enumerate(letters):
-            t = dfa.delta[s][j]
+        for j, t in enumerate(dfa.delta[s]):
             if t not in words:
-                words[t] = words[s] + ch
+                words[t] = words[s] + letters[j]
+                classes[t] = minimal.delta[classes[s]][j]
                 queue.append(t)
-    return words
-
-
-def _classes(minimal: Dfa, access: dict[int, str]) -> dict[int, int]:
-    """The state of the minimal automaton each reachable state stands for;
-    two reachable states are distinguishable exactly when theirs differ."""
-    return {s: minimal.run(w) for s, w in access.items()}
+    return words, classes
 
 
 def _separator(dfa: Dfa, p: int, q: int) -> str:
@@ -164,16 +160,6 @@ def _separator(dfa: Dfa, p: int, q: int) -> str:
             if target not in words:
                 words[target] = words[pair] + ch
                 queue.append(target)
-
-
-def find_loop_with_embedded_extension(
-    dfa: Dfa, s1: int, s2: int, letter: str
-) -> tuple[str, str] | None:
-    """Words (v, y) with v looping at s1, y running s1 -> s2, and y
-    followed by ``letter`` embedded in v as a subword; shortest v wins,
-    ties in alphabet order; None when no such pair of words exists."""
-    pivot = dfa.alphabet.index(letter)
-    return _loop_search(dfa.delta, dfa.alphabet.letters, s1, s1, s2, pivot, True)
 
 
 def _loop_search(
@@ -235,16 +221,16 @@ def detect_p1(dfa: Dfa) -> PatternWitness | None:
 
 
 def _detect_p1(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    access = _access_words(dfa)
+    access, classes = _access_words(dfa, minimal)
     reachable = sorted(access)
-    classes = _classes(minimal, access)
-    for j, a in enumerate(dfa.alphabet.letters):
+    letters = dfa.alphabet.letters
+    for j, a in enumerate(letters):
         for s1 in reachable:
             for s2 in reachable:
                 s3 = dfa.delta[s2][j]
                 if classes[s2] == classes[s3]:
                     continue
-                found = find_loop_with_embedded_extension(dfa, s1, s2, a)
+                found = _loop_search(dfa.delta, letters, s1, s1, s2, j, True)
                 if found is None:
                     continue
                 v, y = found
@@ -268,9 +254,8 @@ def detect_p2(dfa: Dfa) -> PatternWitness | None:
 
 
 def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    access = _access_words(dfa)
+    access, classes = _access_words(dfa, minimal)
     reachable = sorted(access)
-    classes = _classes(minimal, access)
     n = dfa.n_states
     letters = dfa.alphabet.letters
     square = [
@@ -313,42 +298,34 @@ def _detect_p3(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     return _as_p3(dfa, _detect_p1(dfa, minimal) or _detect_p2(dfa, minimal))
 
 
-def _joinable(dfa: Dfa, p: int, q: int, i: int, j: int) -> bool:
-    """Some word w over letters i and j gives p.w == q.w: breadth-first
-    search over state pairs driven by the same letter."""
-    delta = dfa.delta
-    seen = {(p, q)}
-    queue = deque(seen)
-    while queue:
-        s, t = queue.popleft()
-        if s == t:
-            return True
-        for c in (i, j):
-            pair = (delta[s][c], delta[t][c])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return False
-
-
 def is_piecewise_testable(dfa: Dfa) -> bool:
     """Boolean combination of shuffle ideals, decided on the minimal
     automaton: every cycle is a self-loop, and for every state q and
     letters a < b some w over {a, b} gives q.aw == q.bw.
 
-    O(k^2 n^3) at worst for n minimal states over k letters; the pattern
-    detectors decide the same question by exhaustive search.
+    O(k^2 n) for n minimal states over k letters: one pass per letter pair
+    over the states in reverse topological order.  With every cycle a
+    self-loop the {a, b}-steps that change the state terminate, so by
+    Newman's lemma local confluence is confluence: every state reaches
+    exactly one state that loops on both letters, and q is confluent
+    exactly when q.a and q.b reach the same one.  The pattern detectors
+    decide the same question by exhaustive search.
     """
     return _is_piecewise_testable(minimize(dfa))
 
 
 def _is_piecewise_testable(minimal: Dfa) -> bool:
-    if _topological_order(minimal) is None:
+    order = _topological_order(minimal)
+    if order is None:
         return False
     width = len(minimal.alphabet)
-    return all(
-        _joinable(minimal, row[i], row[j], i, j)
-        for row in minimal.delta
-        for i in range(width)
-        for j in range(i + 1, width)
-    )
+    for i in range(width):
+        for j in range(i + 1, width):
+            sink = [0] * minimal.n_states
+            for q in reversed(order):
+                row = minimal.delta[q]
+                ends = {sink[t] for t in (row[i], row[j]) if t != q}
+                if len(ends) > 1:
+                    return False
+                sink[q] = ends.pop() if ends else q
+    return True

@@ -22,9 +22,13 @@ reference for the library's split-based one.  The witness replay with one
 equation list per pattern kind is the reference for the library's single
 replay of the third-pattern form.  The two loop searches the pattern
 detectors ran before they shared one, with the detectors around them,
-are the references for that shared search.  A report serializer that
+are the references for that shared search, and the access words with a
+minimal-automaton run per state are the reference for the detectors'
+single breadth-first search that yields both.  A report serializer that
 spells out every key is the reference for the one that reads the
-dataclass fields.
+dataclass fields.  A breadth-first joinability search per state and
+letter pair is the reference for the piecewise-testability test's single
+pass per letter pair.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from subseq.alternation import AlternationMeasure, ClassificationReport, mk_witn
 from subseq.automata import (
     Alphabet,
     Dfa,
+    _topological_order,
     complement,
     intersection,
     is_empty,
@@ -49,13 +54,7 @@ from subseq.automata import (
 )
 from subseq.errors import InputError, ParseError
 from subseq.oracle import BoundedChainTable
-from subseq.patterns import (
-    PatternWitness,
-    _access_words,
-    _classes,
-    _separator,
-    is_piecewise_testable,
-)
+from subseq.patterns import PatternWitness, _separator, is_piecewise_testable
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 AB = Alphabet("ab")
@@ -808,11 +807,27 @@ def reference_coupled_loop_search(
     return None
 
 
+def reference_access_classes(dfa: Dfa) -> tuple[dict[int, str], dict[int, int]]:
+    """Shortest word from the start state to each reachable state, and the
+    state of the minimal automaton that word runs to."""
+    letters = dfa.alphabet.letters
+    words = {dfa.start: ""}
+    queue = deque([dfa.start])
+    while queue:
+        s = queue.popleft()
+        for j, ch in enumerate(letters):
+            t = dfa.delta[s][j]
+            if t not in words:
+                words[t] = words[s] + ch
+                queue.append(t)
+    minimal = minimize(dfa)
+    return words, {s: minimal.run(w) for s, w in words.items()}
+
+
 def reference_detect_p1(dfa: Dfa) -> PatternWitness | None:
     """``detect_p1`` through ``reference_find_loop_with_embedded_extension``."""
-    access = _access_words(dfa)
+    access, classes = reference_access_classes(dfa)
     reachable = sorted(access)
-    classes = _classes(minimize(dfa), access)
     for j, a in enumerate(dfa.alphabet.letters):
         for s1 in reachable:
             for s2 in reachable:
@@ -836,9 +851,8 @@ def reference_detect_p1(dfa: Dfa) -> PatternWitness | None:
 
 def reference_detect_p2(dfa: Dfa) -> PatternWitness | None:
     """``detect_p2`` through ``reference_coupled_loop_search``."""
-    access = _access_words(dfa)
+    access, classes = reference_access_classes(dfa)
     reachable = sorted(access)
-    classes = _classes(minimize(dfa), access)
     for s1 in reachable:
         for j, a in enumerate(dfa.alphabet.letters):
             s2 = dfa.delta[s1][j]
@@ -859,6 +873,38 @@ def reference_detect_p2(dfa: Dfa) -> PatternWitness | None:
                             states=(s1, s2, t3, t4),
                         )
     return None
+
+
+def _joinable(dfa: Dfa, p: int, q: int, i: int, j: int) -> bool:
+    """Some word w over letters i and j gives p.w == q.w: breadth-first
+    search over state pairs driven by the same letter."""
+    delta = dfa.delta
+    seen = {(p, q)}
+    queue = deque(seen)
+    while queue:
+        s, t = queue.popleft()
+        if s == t:
+            return True
+        for c in (i, j):
+            pair = (delta[s][c], delta[t][c])
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return False
+
+
+def reference_is_piecewise_testable(minimal: Dfa) -> bool:
+    """The Klíma–Polák test on a minimal automaton with one joinability
+    search per state and letter pair: O(k^2 n^3) at worst."""
+    if _topological_order(minimal) is None:
+        return False
+    width = len(minimal.alphabet)
+    return all(
+        _joinable(minimal, row[i], row[j], i, j)
+        for row in minimal.delta
+        for i in range(width)
+        for j in range(i + 1, width)
+    )
 
 
 def reference_report_dict(self: ClassificationReport) -> dict:

@@ -487,7 +487,7 @@ def test_classify_agrees_with_the_public_functions():
     corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
     rng = random.Random(15)
     randoms = [random_dfa(rng, rng.randint(2, 8)) for _ in range(300)]
-    assert sum(len(_access_words(d)) < d.n_states for d in randoms) > 100
+    assert sum(len(_access_words(d, minimize(d))[0]) < d.n_states for d in randoms) > 100
     for d in corpus + randoms:
         report = classify(d)
         got = (

@@ -11,13 +11,12 @@ from subseq.patterns import (
     PatternWitness,
     _access_words,
     _as_p3,
-    _classes,
+    _is_piecewise_testable,
     _loop_search,
     _separator,
     detect_p1,
     detect_p2,
     detect_p3,
-    find_loop_with_embedded_extension,
     is_piecewise_testable,
 )
 from subseq.cli import classify
@@ -31,20 +30,29 @@ from helpers import (
     dfa_from_rows,
     distinguishing_words,
     random_dfa,
+    reference_access_classes,
     reference_coupled_loop_search,
     reference_detect_p1,
     reference_detect_p2,
     reference_find_loop_with_embedded_extension,
     reference_holds_in,
+    reference_is_piecewise_testable,
     reverse_det,
     witness_corpus,
     words_up_to,
 )
 
 
+def _p1_search(dfa, s1, s2, letter):
+    """P1's loop search: v loops at s1 and y runs s1 -> s2 with y followed
+    by ``letter`` embedded in v."""
+    letters = dfa.alphabet.letters
+    return _loop_search(dfa.delta, letters, s1, s1, s2, letters.index(letter), True)
+
+
 def test_find_loop_on_alternating_loop():
     d = minimize(ab_star())
-    found = find_loop_with_embedded_extension(d, 0, 1, "a")
+    found = _p1_search(d, 0, 1, "a")
     assert found == ("abab", "a")
     v, y = found
     assert d.run(v, 0) == 0
@@ -54,7 +62,7 @@ def test_find_loop_on_alternating_loop():
 
 def test_find_loop_accepts_any_valid_witness_shape():
     d = minimize(ab_star())
-    found = find_loop_with_embedded_extension(d, 0, 1, "b")
+    found = _p1_search(d, 0, 1, "b")
     v, y = found
     assert d.run(v, 0) == 0
     assert d.run(y, 0) == 1
@@ -65,12 +73,12 @@ def test_find_loop_on_absorbing_accepting_state():
     # the sink loops on everything, so a witness exists even though the
     # pattern as a whole cannot fire there (no distinguishable successor)
     ideal = shuffle_ideal("a", AB)
-    assert find_loop_with_embedded_extension(ideal, 1, 1, "a") == ("a", "")
+    assert _p1_search(ideal, 1, 1, "a") == ("a", "")
 
 
 def test_find_loop_fails_when_target_unreachable():
     ideal = shuffle_ideal("a", AB)
-    assert find_loop_with_embedded_extension(ideal, 1, 0, "a") is None
+    assert _p1_search(ideal, 1, 0, "a") is None
 
 
 def test_detect_p1_on_alternating_language():
@@ -147,8 +155,8 @@ def test_classes_and_separators_agree_with_the_reference_table():
     # they reach different states of the minimal automaton, and the
     # separator is the shortlex-least word that tells them apart
     for d in _separation_corpus():
-        access = _access_words(d)
-        classes = _classes(minimize(d), access)
+        access, classes = _access_words(d, minimize(d))
+        assert (access, classes) == reference_access_classes(d), d
         table = distinguishing_words(d)
         reachable = sorted(access)
         for i, p in enumerate(reachable):
@@ -413,7 +421,7 @@ def test_loop_search_matches_both_references():
         for s1, s2 in itertools.product(range(n), repeat=2):
             for a in letters:
                 want = reference_find_loop_with_embedded_extension(d, s1, s2, a)
-                assert find_loop_with_embedded_extension(d, s1, s2, a) == want
+                assert _p1_search(d, s1, s2, a) == want
         for _ in range(12):
             s1, t3, t4 = (rng.randrange(n) for _ in range(3))
             j = rng.randrange(len(letters))
@@ -442,7 +450,7 @@ def test_p1_search_places_the_pivot_only_at_the_goal(monkeypatch):
             super().append(node)
 
     monkeypatch.setattr(patterns, "deque", CountingDeque)
-    assert find_loop_with_embedded_extension(mk_witness(3), 0, 2, "a") is None
+    assert _p1_search(mk_witness(3), 0, 2, "a") is None
     assert len(enqueued) == 17
     assert {q for _, q, placed in enqueued if placed} == {2}
 
@@ -464,10 +472,32 @@ def test_decision_procedure_agrees_with_pattern_search():
     assert min(verdicts.values()) >= 50, verdicts
 
 
+def test_confluence_pass_matches_the_joinability_reference():
+    # one pass per letter pair over the reverse topological order against
+    # one joinability search per state and letter pair, on the minimal
+    # automata of the exhaustive corpora and of seeded mostly-forward ones
+    abc, abcd = Alphabet("abc"), Alphabet("abcd")
+    corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
+    corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
+    rng = random.Random(2101)
+    corpus += [
+        _forward_dfa(rng, rng.randint(3, 10), rng.choice((AB, abc, abcd)))
+        for _ in range(3000)
+    ]
+    verdicts = Counter()
+    for d in corpus:
+        minimal = minimize(d)
+        verdict = _is_piecewise_testable(minimal)
+        assert verdict == reference_is_piecewise_testable(minimal), d
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 3000, verdicts
+
+
 def test_decision_procedure_is_polynomial_on_the_witness_family():
-    started = time.perf_counter()
-    assert is_piecewise_testable(mk_witness(256))
-    assert time.perf_counter() - started < 1.0
+    for k in (256, 4096):
+        started = time.perf_counter()
+        assert is_piecewise_testable(mk_witness(k))
+        assert time.perf_counter() - started < 1.0, k
 
 
 def test_classify_is_fast_on_a_deep_piecewise_testable_language():
