@@ -21,7 +21,7 @@ construction that guesses the whole chain at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
@@ -39,7 +39,7 @@ from .automata import (
 )
 from .errors import InfiniteMeasureError, InputError
 from .patterns import PatternWitness, _detect_p3, _is_piecewise_testable, _witness_fields
-from .subword import _is_upward_closed, _minimal_words, upward_closure
+from .subword import _minimal_words, upward_closure
 
 __all__ = [
     "AlternationMeasure",
@@ -253,21 +253,38 @@ def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Full verdict for one language."""
+    """Full verdict for one language: what ``classify`` decides, and the
+    class verdicts that the criterion (L is in the k-th class exactly when
+    m_plus < k) reads off the two measures, so no two of them disagree."""
 
     language: str
-    in_level_one_half: bool
-    in_co_level_one_half: bool
     ideal_decomposition: tuple[str, ...] | None
     m_plus: AlternationMeasure
     m_minus: AlternationMeasure
-    minimal_k_plus: int | None
-    minimal_k_co: int | None
-    piecewise_testable: bool
     pattern_witness: PatternWitness | None
 
+    @property
+    def in_level_one_half(self) -> bool:
+        return self.m_plus < AlternationMeasure.finite(1)
+
+    @property
+    def in_co_level_one_half(self) -> bool:
+        return self.m_minus < AlternationMeasure.finite(1)
+
+    @property
+    def minimal_k_plus(self) -> int | None:
+        return None if self.m_plus.value is None else self.m_plus.value + 1
+
+    @property
+    def minimal_k_co(self) -> int | None:
+        return None if self.m_minus.value is None else self.m_minus.value + 1
+
+    @property
+    def piecewise_testable(self) -> bool:
+        return self.m_plus.is_finite
+
     def to_dict(self) -> dict:
-        values = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        values = {name: getattr(self, name) for name in _REPORT_KEYS}
         if self.ideal_decomposition is not None:
             values["ideal_decomposition"] = list(self.ideal_decomposition)
         values["m_plus"] = self.m_plus.json_value()
@@ -277,32 +294,22 @@ class ClassificationReport:
         return values
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(ClassificationReport))
+_REPORT_KEYS = (
+    "language", "in_level_one_half", "in_co_level_one_half", "ideal_decomposition",
+    "m_plus", "m_minus", "minimal_k_plus", "minimal_k_co", "piecewise_testable",
+    "pattern_witness",
+)
 
 
 def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
-    """Internal consistency constraints, asserted on every classification.
-
-    They tie independent constructions together: the level-1/2 booleans
-    come from the single-letter insertion test and the measures from the
-    level chain of upward closures, so the two must agree at level one;
-    witness presence must agree with finiteness, and a witness must replay.
-    Finite measures differ by one, ∅ and Σ* included: one walk gives both, so
-    this checks the wiring; the two walks in ``tests/helpers.py`` check it.
+    """Internal consistency constraints, asserted on every classification:
+    a present witness must replay in ``dfa``, and finite measures differ by
+    one, ∅ and Σ* included.  One walk gives both measures, so this checks
+    the wiring; the two walks in ``tests/helpers.py`` check the shift lemma.
     """
-    plus, minus = report.m_plus, report.m_minus
-    one = AlternationMeasure.finite(1)
-    ok = (
-        report.piecewise_testable == plus.is_finite
-        and plus.is_finite == minus.is_finite
-        and report.in_level_one_half == (plus < one)
-        and report.in_co_level_one_half == (minus < one)
-        and (report.pattern_witness is None) == plus.is_finite
-        and (plus.is_finite or report.pattern_witness.holds_in(dfa))
-        and report.minimal_k_plus == (plus.value + 1 if plus.is_finite else None)
-        and report.minimal_k_co == (minus.value + 1 if minus.is_finite else None)
-        and (not plus.is_finite or abs(plus.value - minus.value) == 1)
-    )
+    plus, minus = report.m_plus.value, report.m_minus.value
+    w = report.pattern_witness
+    ok = (w is None or w.holds_in(dfa)) and (None in (plus, minus) or abs(plus - minus) == 1)
     if not ok:
         raise AssertionError(
             f"inconsistent classification for {report.language!r}: {report.to_dict()}"
@@ -312,10 +319,11 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
 def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     """Run every classification the toolkit offers on one automaton.
 
-    Every stage reads the one minimal automaton built here, whose order
-    serves both level-1/2 checks as the complement has the same graph, and
-    one level walk of it, whose verdict settles both measures; the pattern
-    search runs on ``dfa`` itself, and only when that verdict is no.
+    Every stage reads the one minimal automaton built here and one level
+    walk of it, whose verdict settles both measures; the class verdicts
+    follow from the measures, the decomposition is read off the minimal
+    automaton only when m_plus < 1, and the pattern search runs on ``dfa``
+    itself, only when that verdict is no.
     """
     minimal = minimize(dfa)
     return _classify(dfa, minimal, _walk(minimal), name)
@@ -323,11 +331,10 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
 
 def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationReport:
     """``classify`` reading its measures off ``walk``, any ``_walk`` of ``minimal``."""
-    order = _topological_order(minimal)
-    decomposition = None
-    if _is_upward_closed(minimal, order):
-        decomposition = _minimal_words(minimal, order)
     plus, minus = walk[:2]
+    decomposition = None
+    if plus < AlternationMeasure.finite(1):
+        decomposition = _minimal_words(minimal, _topological_order(minimal))
     witness = None
     if not plus.is_finite:
         witness = _detect_p3(dfa, minimal)
@@ -336,17 +343,6 @@ def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationR
                 f"piecewise-testability verdicts disagree on {name!r}: "
                 "is_piecewise_testable says no, detect_p3 finds no witness"
             )
-    report = ClassificationReport(
-        language=name,
-        in_level_one_half=decomposition is not None,
-        in_co_level_one_half=order is not None and _is_upward_closed(complement(minimal), order),
-        ideal_decomposition=decomposition,
-        m_plus=plus,
-        m_minus=minus,
-        minimal_k_plus=plus.value + 1 if plus.is_finite else None,
-        minimal_k_co=minus.value + 1 if minus.is_finite else None,
-        piecewise_testable=plus.is_finite,
-        pattern_witness=witness,
-    )
+    report = ClassificationReport(name, decomposition, plus, minus, witness)
     _check_report(report, dfa)
     return report

@@ -13,9 +13,11 @@ Automaton file format, one machine per file ('#' starts a comment line):
 
 followed by exactly one transition line per (state, letter) pair.
 
-Exit codes: 0 success, 1 input error, 2 word-cap exceeded.  The word cap
-used by oracle checks defaults to one million and can be overridden with
-a nonnegative integer in the SUBSEQ_WORD_CAP environment variable.
+Exit codes: 0 success, 1 input error, 2 word-cap exceeded or a usage
+error (an unknown option or a malformed argument; argparse prints a usage
+line on stderr).  The word cap used by oracle checks defaults to one
+million and can be overridden with a nonnegative integer in the
+SUBSEQ_WORD_CAP environment variable.
 """
 
 from __future__ import annotations

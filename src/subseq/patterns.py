@@ -21,8 +21,8 @@ distinguishable exactly when they reach different states of the minimal
 automaton (Myhill-Nerode), so one minimization filters every candidate
 pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
-in alphabet order, states in index order, breadth-first shortest words
-with alphabet-order tie-breaking.
+in alphabet order, states in index order, breadth-first shortest loop
+words, ties broken by breadth-first discovery order, not alphabet order.
 
 Both loop patterns share one search (``_loop_search``): a loop, a run
 embedded in it, and a pivot letter placed once, after the run for P1 and
@@ -174,8 +174,9 @@ def _loop_search(
     phase a letter may also extend e.  The pivot may be placed once; when
     it comes last, only with the embedded run already at ``goal``.
     Success means the loop run is back at ``loop`` and the embedded run
-    at ``goal`` with the pivot placed.  Shortest v wins, ties in alphabet
-    order; None when no such pair of words exists.
+    at ``goal`` with the pivot placed.  Shortest v; ties broken by
+    breadth-first discovery order, deterministic; None when no such pair
+    of words exists.
     """
     origin = (loop, start, False)
     target = (loop, goal, True)

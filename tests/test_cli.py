@@ -11,11 +11,11 @@ import pytest
 
 from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _walk, mk_witness
-from subseq.automata import Alphabet, Dfa, minimize
+from subseq.automata import Alphabet, Dfa, _topological_order, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, _detect_p1, _detect_p2, _is_piecewise_testable
-from subseq.subword import shuffle_ideal, upward_closure
+from subseq.subword import _is_upward_closed, shuffle_ideal, upward_closure
 
 from helpers import AB, ab_star, count_calls, reference_parse_dfa, substitute
 
@@ -422,6 +422,25 @@ def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
     assert len(closures) == expected
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfa")))
+def test_classify_reads_level_half_off_the_measures(monkeypatch, name):
+    # m_plus < 1 is the level-1/2 verdict, so the insertion test that
+    # is_level_one_half runs is left to the tests as an oracle
+    insertions = count_calls(monkeypatch, _is_upward_closed)
+    classify(parse_dfa(fixture_text(name)))
+    assert insertions == []
+
+
+@pytest.mark.parametrize("name", ["a_first.dfa", "ab_star.dfa", "ba_star.dfa", "m2.dfa", "m3.dfa"])
+def test_classify_sorts_once_outside_level_half(monkeypatch, name):
+    # the piecewise-testability verdict sorts the minimal automaton; with
+    # no decomposition to read off, nothing sorts it again
+    sorts = count_calls(monkeypatch, _topological_order)
+    report = classify(parse_dfa(fixture_text(name)))
+    assert not report.in_level_one_half
+    assert len(sorts) == 1
+
+
 @pytest.mark.parametrize("name", ["m3.dfa", "ab_star.dfa"])
 def test_classify_oracle_check_walks_the_chains_once(capsys, monkeypatch, name):
     # one verdict and one walk serve the report and the oracle check: on
@@ -668,6 +687,25 @@ def test_cli_batch_reports_past_a_file_over_the_word_cap(capsys, monkeypatch, tm
         else:
             assert captured.out == alone
         assert captured.err == f"error: {wide}: 8^3 words exceed the cap of 100\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--bogus", "m3.dfa"], "unrecognized arguments: --bogus"),
+        (["gen-mk", "notanint"], "argument k: invalid int value: 'notanint'"),
+    ],
+    ids=["unknown-option", "bad-integer"],
+)
+def test_usage_errors_exit_2_with_a_usage_line(capsys, argv, message):
+    # argparse shares exit code 2 with the word cap
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: subseq ")
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_python_dash_m_subseq_runs_the_cli():

@@ -433,6 +433,69 @@ def test_loop_search_matches_both_references():
     assert min(results.values()) > 1000, results
 
 
+def _subword_runs(delta, start, word):
+    """States that some subword of ``word`` leads to from ``start``."""
+    states = {start}
+    for j in word:
+        states |= {delta[s][j] for s in states}
+    return states
+
+
+def _shortest_loop_by_brute_force(delta, k, loop, start, goal, pivot, first, bound):
+    """Length of the shortest v of at most ``bound`` letters, over k
+    letters, that loops at ``loop`` and splits as x·pivot·y with a subword
+    of x (``first``) or of y (otherwise) running ``start`` -> ``goal``; or
+    None when there is none that short."""
+    for length in range(1, bound + 1):
+        for v in itertools.product(range(k), repeat=length):
+            p = loop
+            for j in v:
+                p = delta[p][j]
+            if p == loop and any(
+                j == pivot and goal in _subword_runs(delta, start, v[:i] if first else v[i + 1 :])
+                for i, j in enumerate(v)
+            ):
+                return length
+    return None
+
+
+def test_loop_search_finds_a_shortest_loop_by_brute_force():
+    # every word up to the bound, in both modes, against the search;
+    # among the shortest loop words, ties go by breadth-first discovery
+    # order, which is not alphabet order: here "ba" also qualifies
+    assert _loop_search(((0, 1), (0, 0)), "ab", 0, 0, 0, 1, True) == ("bb", "")
+    rng = random.Random(2207)
+    bound = 6
+    results = Counter()
+    for _ in range(240):
+        d = random_dfa(rng, rng.randint(2, 5), rng.choice((AB, Alphabet("abc"))))
+        n, letters = d.n_states, d.alphabet.letters
+        s1, s2, t3, t4 = (rng.randrange(n) for _ in range(4))
+        pivot = rng.randrange(len(letters))
+        square = _square(d)
+        for delta, loop, start, goal, first in (
+            (d.delta, s1, s1, s2, True),
+            (square, t3 * n + t4, s1 * n + s2, t3 * n + t4, False),
+        ):
+            found = _loop_search(delta, letters, loop, start, goal, pivot, first)
+            want = _shortest_loop_by_brute_force(
+                delta, len(letters), loop, start, goal, pivot, first, bound
+            )
+            results[first, found is not None] += 1
+            if found is None:
+                assert want is None, (d, loop, start, goal, pivot, first)
+                continue
+            v, e = found
+            assert want == (len(v) if len(v) <= bound else None), (d, loop, start, goal, first)
+            run = start
+            for a in e:
+                run = delta[run][letters.index(a)]
+            assert run == goal
+            embedded = e + letters[pivot] if first else letters[pivot] + e
+            assert is_subword(embedded, v)
+    assert min(results.values()) > 30, results
+
+
 def test_p1_search_places_the_pivot_only_at_the_goal(monkeypatch):
     # the pivot comes last in P1, so it is placed only with the embedded
     # run at its goal: on mk_witness(3), looping at the start state with
