@@ -96,18 +96,21 @@ class AlternationMeasure:
         return "inf" if self.value is None else self.value
 
 
-def _levels(minimal: Dfa) -> Iterator[Dfa]:
-    """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... in
-    order, stopping at the first empty level: after m_plus + 1 levels when
-    the language is piecewise testable, never otherwise.
+def _levels(minimal: Dfa, outside: Dfa) -> Iterator[Dfa]:
+    """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... of
+    the language of ``minimal`` in order, stopping at the first empty
+    level: after m_plus + 1 levels when the language is piecewise
+    testable, never otherwise.
 
     Level m is the upward closure of the valid chain endpoints, which even
     steps push out of the language and odd steps pull back in; a minimal
     automaton is empty exactly when it has no accepting state.  The one
-    caller, ``_chains``, passes the minimal automaton: the steps intersect
-    with it and its complement, and any other gives larger products.
+    caller, ``_chains``, passes the minimal automaton of the side it walks
+    and ``outside``, its complement, built once whichever side that is:
+    the steps intersect with these two, and any other pair gives larger
+    products.
     """
-    flip = (complement(minimal), minimal)
+    flip = (outside, minimal)
     current = minimal
     for step in itertools.count():
         closed = upward_closure(current)
@@ -123,11 +126,13 @@ def _chains(minimal: Dfa) -> tuple[Iterator[Dfa], Iterator[Dfa]]:
     ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same steps, so
     plus level i+1 is minus level i.  If ε ∉ L the sides swap.  Each level
     is closed once, when the first side reads it, and nothing is built
-    before a level is read."""
+    before a level is read; the complement is built once, and the walk
+    intersects with it and ``minimal`` whichever side it walks."""
     inside = minimal.start in minimal.accepting
 
     def walk() -> Iterator[Dfa]:
-        yield from _levels(complement(minimal) if inside else minimal)
+        outside = complement(minimal)
+        yield from _levels(outside, minimal) if inside else _levels(minimal, outside)
 
     walked, copy = itertools.tee(walk())
 

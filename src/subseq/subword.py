@@ -11,6 +11,11 @@ letter a.  One search over state pairs decides it on the minimal
 automaton, skipping every pair that reachability and transitivity already
 settle: at most O(k n^2) steps for n states and k letters, and close to
 linear on the long chains of shuffle ideals of single words.
+
+The upward closure itself, which every level of the alternation chains
+needs, is a subset construction that stops at accepting subsets: once the
+word read so far has an accepted subword, so has every extension of it,
+so such a subset has the residual Σ* and nothing past it needs building.
 """
 
 from __future__ import annotations
@@ -69,8 +74,15 @@ def upward_closure(dfa: Dfa) -> Dfa:
     is the subset construction of that machine, done directly.  Subsets
     are bit masks on the input states, built breadth-first from {start} in
     alphabet order, only the reachable ones, and S steps on letter a to
-    S | S.a through the per-state masks (1 << s) | (1 << s.a).  The number
-    of subsets can be exponential in the states; the result is minimized.
+    S | S.a through the per-state masks (1 << s) | (1 << s.a).
+
+    A subset that meets the accepting states is not expanded: it gets a
+    row of self-loops.  Reaching it means the word read so far has an
+    accepted subword, which stays a subword of every extension, so its
+    residual is Σ*; every accepting subset is one absorbing state of the
+    minimal result, and the loops give that same minimal automaton while
+    the subsets beyond them are never built.  The number of subsets can
+    still be exponential in the states; the result is minimized.
     """
     move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
     accept_mask = sum(1 << s for s in dfa.accepting)
@@ -78,6 +90,9 @@ def upward_closure(dfa: Dfa) -> Dfa:
     subsets = [1 << dfa.start]
     rows = []
     for mask in subsets:
+        if mask & accept_mask:
+            rows.append((len(rows),) * len(dfa.alphabet))
+            continue
         targets = [0] * len(dfa.alphabet)
         remaining = mask
         while remaining:

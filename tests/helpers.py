@@ -95,6 +95,21 @@ def random_dfa(rng: random.Random, n_states: int, alphabet=AB) -> Dfa:
     return Dfa(alphabet, n_states, rows, rng.randrange(n_states), accepting)
 
 
+def strongly_connected_dfa(rng: random.Random, n_states: int, alphabet=AB) -> Dfa:
+    """Random complete automaton in which every state reaches every other:
+    a shuffled cycle through all states on random letters, the other
+    moves random; accepting states drawn with probability 1/2."""
+    width = len(alphabet)
+    order = list(range(n_states))
+    rng.shuffle(order)
+    rows = [[None] * width for _ in range(n_states)]
+    for i, s in enumerate(order):
+        rows[s][rng.randrange(width)] = order[(i + 1) % n_states]
+    rows = [[rng.randrange(n_states) if t is None else t for t in row] for row in rows]
+    accepting = {s for s in range(n_states) if rng.random() < 0.5}
+    return dfa_from_rows(rows, accepting, alphabet=alphabet)
+
+
 def all_dfas(n_states: int, alphabet=AB):
     """Every complete automaton on the given state count: all transition
     tables crossed with all accepting sets, start state 0."""

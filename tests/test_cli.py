@@ -11,7 +11,7 @@ import pytest
 
 from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _walk, mk_witness
-from subseq.automata import Alphabet, Dfa, _topological_order, minimize
+from subseq.automata import Alphabet, Dfa, _topological_order, complement, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, _detect_p1, _detect_p2, _is_piecewise_testable
@@ -420,6 +420,16 @@ def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
         # the empty one after them
         assert expected == min(report.m_plus.value, report.m_minus.value) + 2
     assert len(closures) == expected
+
+
+@pytest.mark.parametrize("name", ["universal.dfa", "m3.dfa"])
+def test_classify_complements_once(monkeypatch, name):
+    # universal accepts ε, so the walk runs on its complement and flips
+    # back to the minimal automaton itself; m3 rejects ε and flips to its
+    # complement; either way the walk's one complement is built once
+    complements = count_calls(monkeypatch, complement)
+    classify(parse_dfa(fixture_text(name)))
+    assert len(complements) == 1
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfa")))

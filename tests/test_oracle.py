@@ -41,6 +41,11 @@ ALPHABETS = (A_ONLY, AB, Alphabet("abc"))
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _sides(d):
+    # _levels takes the walked automaton and its complement
+    return d, complement(d)
+
+
 def never(_):
     return False
 
@@ -273,7 +278,7 @@ def test_oracle_check_enumerates_the_words_once(capsys, monkeypatch):
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
     assert len(enumerations) == 0
     assert len(tables) == 0
-    substitute(monkeypatch, _levels, lambda dfa: _levels(mk_witness(1)))
+    substitute(monkeypatch, _levels, lambda *sides: _levels(*_sides(mk_witness(1))))
     assert len(cross_check(mk_witness(2), 4)) == 4
     assert len(enumerations) == 1
     assert len(tables) == 0
@@ -359,7 +364,7 @@ def test_cross_check_reports_wrong_predicate(monkeypatch):
     # a deliberately inconsistent pairing: the level chains of one
     # language, checked against the bounded sets of another, must be
     # flagged level by level and measure by measure
-    substitute(monkeypatch, _levels, lambda dfa: _levels(mk_witness(1)))
+    substitute(monkeypatch, _levels, lambda *sides: _levels(*_sides(mk_witness(1))))
     assert cross_check(mk_witness(2), 4) == [
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
@@ -372,7 +377,7 @@ def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
     # a level walk that starts one level late is reported level by level,
     # with the shortlex-first sample words, and so are the measures that
     # its shortened chains give; minus level 0 is Σ* whatever the walk
-    substitute(monkeypatch, _levels, lambda dfa: itertools.islice(_levels(dfa), 1, None))
+    substitute(monkeypatch, _levels, lambda *sides: itertools.islice(_levels(*sides), 1, None))
     assert cross_check(mk_witness(2), 4) == [
         "plus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
@@ -391,11 +396,11 @@ def test_level_walks_end_exactly_on_piecewise_testable_corpus_machines():
     for d in oracle_corpus():
         assert cross_check(d, 4 if len(d.alphabet) == 2 else 3, max_m=5) == [], d
         if not is_piecewise_testable(d):
-            assert len(list(itertools.islice(_levels(d), 6))) == 6, d
+            assert len(list(itertools.islice(_levels(*_sides(d)), 6))) == 6, d
             continue
         finite += 1
         for side in (d, complement(d)):
-            k = len(list(_levels(side)))
+            k = len(list(_levels(*_sides(side))))
             assert nfa_is_empty(build_chain_nfa(side, k)), side
             if k > 0:
                 assert not nfa_is_empty(build_chain_nfa(side, k - 1)), side

@@ -4,6 +4,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from subseq import subword
+from subseq.alternation import _walk
 from subseq.automata import (
     Alphabet,
     Dfa,
@@ -31,7 +33,9 @@ from subseq.subword import (
 from helpers import (
     AB,
     all_dfas,
+    boolean_combinations,
     closure_witness,
+    count_calls,
     dfa_from_rows,
     equivalent,
     lang_slice,
@@ -40,6 +44,7 @@ from helpers import (
     reference_is_upward_closed,
     reference_upward_closure,
     single_word,
+    strongly_connected_dfa,
     walk_decomposition,
     words_up_to,
 )
@@ -148,6 +153,62 @@ def test_upward_closure_idempotent_and_extensive():
         assert upward_closure(closed) == closed
         # extensive: nothing accepted is lost
         assert is_empty(difference(d, closed))
+
+
+def _closed_by_walks(monkeypatch, machines):
+    # every automaton the level walks close, to depth 4 on each side
+    closures = count_calls(monkeypatch, upward_closure)
+    for d in machines:
+        _walk(minimize(d), 4)
+    monkeypatch.undo()
+    return [args[0] for args in closures]
+
+
+def test_upward_closure_matches_reference_on_strongly_connected_walks(monkeypatch):
+    # a strongly connected machine with both accepting and rejecting
+    # states is not piecewise testable, so its walk closes four levels,
+    # and most subsets meet an accepting state early
+    rng = random.Random(205)
+    machines = [strongly_connected_dfa(rng, rng.randint(2, 8)) for _ in range(200)]
+    for d in _closed_by_walks(monkeypatch, machines):
+        assert upward_closure(d) == reference_upward_closure(d), d
+
+
+def test_upward_closure_matches_reference_on_boolean_combination_walks(monkeypatch):
+    machines = boolean_combinations(random.Random(3), 6, 4, 6)
+    for d in _closed_by_walks(monkeypatch, machines):
+        assert upward_closure(d) == reference_upward_closure(d), d
+
+
+def test_upward_closure_stops_at_accepting_subsets(monkeypatch):
+    # an accepting subset has the residual Σ*: the raw subset automaton
+    # handed to minimize loops on every letter there and expands it no
+    # further
+    raw = []
+    monkeypatch.setattr(subword, "minimize", lambda d: raw.append(d) or minimize(d))
+    rng = random.Random(206)
+    for _ in range(30):
+        upward_closure(strongly_connected_dfa(rng, rng.randint(2, 8)))
+    upward_closure(mk_witness(4))
+    stops = 0
+    for d in raw:
+        for q in d.accepting:
+            assert d.delta[q] == (q,) * len(d.alphabet), d
+            stops += 1
+    # the corpus reaches accepting subsets, more than one per closure
+    assert stops > len(raw)
+
+
+def test_upward_closure_subset_count_of_a_boolean_combination(monkeypatch):
+    # the states that the closures of one classify hand to minimize,
+    # summed: 31,734 when accepting subsets were expanded like any other
+    sizes = []
+    monkeypatch.setattr(subword, "minimize", lambda d: sizes.append(d.n_states) or minimize(d))
+    d = boolean_combinations(random.Random(5), 6, 5, 6)[1]
+    assert d.n_states == 114
+    report = classify(d)
+    assert report.m_plus.value == 3
+    assert sum(sizes) == 12_974
 
 
 def test_is_level_one_half_examples():
