@@ -38,7 +38,14 @@ from .automata import (
     universal_language,
 )
 from .errors import InfiniteMeasureError, InputError
-from .patterns import PatternWitness, _detect_p3, _is_piecewise_testable, _witness_fields
+from .patterns import (
+    PatternWitness,
+    _as_p3,
+    _cycle_witness,
+    _detect_p2,
+    _is_piecewise_testable,
+    _witness_fields,
+)
 from .subword import _minimal_words, upward_closure
 
 __all__ = [
@@ -160,18 +167,21 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-def _walk(
-    minimal: Dfa, depth: int = 0
-) -> tuple[AlternationMeasure, AlternationMeasure, list[Dfa], list[Dfa]]:
-    """(m_plus, m_minus, plus levels, minus levels) of the minimal automaton
-    ``minimal``, from one piecewise-testability verdict: if yes, the walk
-    runs to its end and each measure is its side's chain length less one;
-    if no, the walk would never end, both measures are infinite (level 1
-    is closed under complement) and each side keeps its first ``depth``."""
-    finite = _is_piecewise_testable(minimal)
+def _walk(minimal: Dfa, depth: int = 0) -> tuple[
+    AlternationMeasure, AlternationMeasure, list[Dfa], list[Dfa], list[int] | None
+]:
+    """(m_plus, m_minus, plus levels, minus levels, topological order) of
+    the minimal automaton ``minimal``, from one piecewise-testability
+    verdict: if yes, the walk runs to its end and each measure is its
+    side's chain length less one; if no, the walk would never end, both
+    measures are infinite (level 1 is closed under complement) and each
+    side keeps its first ``depth``.  The order is the verdict's own
+    ``_topological_order``, None when some cycle is not a self-loop."""
+    order = _topological_order(minimal)
+    finite = _is_piecewise_testable(minimal, order)
     plus, minus = (list(itertools.islice(c, None if finite else depth)) for c in _chains(minimal))
     measures = (len(plus) - 1, len(minus) - 1) if finite else (None, None)
-    return (*map(AlternationMeasure, measures), plus, minus)
+    return (*map(AlternationMeasure, measures), plus, minus, order)
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -235,7 +245,7 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    _, minus, _, levels = _walk(minimize(dfa))
+    _, minus, _, levels, _ = _walk(minimize(dfa))
     if not minus.is_finite:
         raise InfiniteMeasureError("language has unbounded alternation depth")
     return levels
@@ -327,26 +337,31 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     Every stage reads the one minimal automaton built here and one level
     walk of it, whose verdict settles both measures; the class verdicts
     follow from the measures, the decomposition is read off the minimal
-    automaton only when m_plus < 1, and the pattern search runs on ``dfa``
-    itself, only when that verdict is no.
+    automaton only when m_plus < 1, and a pattern search runs on ``dfa``
+    itself, only when that verdict is no.  The witness comes from one loop
+    search when the minimal automaton has a cycle through distinct states,
+    from the P2 search otherwise, where no P1 witness exists; the
+    exhaustive detectors are left to ``patterns`` and the tests.
     """
     minimal = minimize(dfa)
     return _classify(dfa, minimal, _walk(minimal), name)
 
 
 def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationReport:
-    """``classify`` reading its measures off ``walk``, any ``_walk`` of ``minimal``."""
-    plus, minus = walk[:2]
+    """``classify`` reading its measures, and the minimal automaton's
+    topological order, off ``walk``, any ``_walk`` of ``minimal``."""
+    plus, minus, _, _, order = walk
     decomposition = None
     if plus < AlternationMeasure.finite(1):
-        decomposition = _minimal_words(minimal, _topological_order(minimal))
+        decomposition = _minimal_words(minimal, order)
     witness = None
     if not plus.is_finite:
-        witness = _detect_p3(dfa, minimal)
+        search = _cycle_witness if order is None else _detect_p2
+        witness = _as_p3(dfa, search(dfa, minimal))
         if witness is None:
             raise AssertionError(
                 f"piecewise-testability verdicts disagree on {name!r}: "
-                "is_piecewise_testable says no, detect_p3 finds no witness"
+                "is_piecewise_testable says no, the pattern search finds no witness"
             )
     report = ClassificationReport(name, decomposition, plus, minus, witness)
     _check_report(report, dfa)

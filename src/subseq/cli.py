@@ -285,7 +285,8 @@ def _cmd_classify(args) -> int:
             raise InputError("classify needs a FILE or --batch DIR")
         paths = [Path(args.file)]
 
-    dicts, texts = [], []
+    # each file's report in the one form that gets printed
+    entries: list = []
     failed = capped = False
     for path in paths:
         try:
@@ -299,8 +300,7 @@ def _cmd_classify(args) -> int:
         minimal = minimize(dfa)
         walk = _walk(minimal, 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
         report = _classify(dfa, minimal, walk, path.stem)
-        entry = report.to_dict()
-        text = _render_report(report, args.witness)
+        entry = report.to_dict() if args.json else _render_report(report, args.witness)
         if args.oracle_check is not None:
             try:
                 problems = _compare(dfa, walk, args.oracle_check, DEFAULT_MAX_M, _word_cap())
@@ -311,21 +311,21 @@ def _cmd_classify(args) -> int:
                 capped = True
                 continue
             failed = failed or bool(problems)
-            entry["oracle_check"] = {
-                "max_len": args.oracle_check,
-                "ok": not problems,
-                "problems": problems,
-            }
-            text += f"oracle check (n={args.oracle_check}): {'MISMATCH' if problems else 'ok'}\n"
-            text += "".join(f"  {problem}\n" for problem in problems)
-        dicts.append(entry)
-        texts.append(text)
+            if args.json:
+                entry["oracle_check"] = {
+                    "max_len": args.oracle_check,
+                    "ok": not problems,
+                    "problems": problems,
+                }
+            else:
+                entry += f"oracle check (n={args.oracle_check}): {'MISMATCH' if problems else 'ok'}\n"
+                entry += "".join(f"  {problem}\n" for problem in problems)
+        entries.append(entry)
 
     if args.json:
-        payload = dicts if args.batch else dicts[0]
-        sys.stdout.write(_json_dump(payload))
+        sys.stdout.write(_json_dump(entries if args.batch else entries[0]))
     else:
-        sys.stdout.write("\n".join(texts) if args.batch else texts[0])
+        sys.stdout.write("\n".join(entries) if args.batch else entries[0])
     return 2 if capped else int(failed)
 
 

@@ -212,7 +212,7 @@ def _compare(dfa: Dfa, walk: tuple, max_len: int, max_m: int, cap: int) -> list[
     # id of each level automaton -> (automaton, {walked depth: sample})
     levels: dict[int, tuple[Dfa, dict[int, list[int]]]] = {}
     reads = []
-    for side, shift, chain in zip(("plus", "minus"), shifts, walk[2:]):
+    for side, shift, chain in zip(("plus", "minus"), shifts, walk[2:4]):
         for m in range(max_m + 1):
             machine = chain[m] if m < len(chain) else empty
             samples = levels.setdefault(id(machine), (machine, {}))[1]

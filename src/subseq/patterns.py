@@ -23,6 +23,18 @@ pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
 in alphabet order, states in index order, breadth-first shortest loop
 words, ties broken by breadth-first discovery order, not alphabet order.
+The detectors stay exhaustive: the ``patterns`` subcommand reports them,
+and the tests use them as the reference.
+
+``classify`` needs only one witness, and builds it in polynomial time.
+When the minimal automaton has a cycle through distinct states it runs
+one loop search (``_cycle_witness``): a P1 witness with y = ε, so s2 = s1,
+whose loop v is found by one breadth-first search over (state, pivot read
+yet).  Such a witness exists exactly then: a step of that cycle changes
+the minimal state, and following the cycle's word from a reachable state
+repeats a state, which closes a loop that reads the changing letter.
+Otherwise every letter of a loop at s1 loops at s1's minimal state, so no
+P1 witness exists and ``classify`` runs the P2 search alone.
 
 Both loop patterns share one search (``_loop_search``): a loop, a run
 embedded in it, and a pivot letter placed once, after the run for P1 and
@@ -160,6 +172,100 @@ def _separator(dfa: Dfa, p: int, q: int) -> str:
             if target not in words:
                 words[target] = words[pair] + ch
                 queue.append(target)
+
+
+def _loop_letters(delta, start: int) -> set[tuple[int, int]]:
+    """(state, letter index) pairs, over the states reachable from
+    ``start``, such that some loop at the state reads the letter: its
+    strongly connected component has a step on that letter inside it.
+    The components come from Tarjan's algorithm with an explicit stack of
+    (state, successors left), so deep automata need no recursion."""
+    index = {start: 0}
+    low = {start: 0}
+    component: dict[int, int] = {}
+    open_states = [start]
+    work = [(start, iter(delta[start]))]
+    while work:
+        s, successors = work[-1]
+        for t in successors:
+            if t not in index:
+                index[t] = low[t] = len(index)
+                open_states.append(t)
+                work.append((t, iter(delta[t])))
+                break
+            if t not in component and index[t] < low[s]:
+                low[s] = index[t]
+        else:
+            work.pop()
+            if work and low[s] < low[work[-1][0]]:
+                low[work[-1][0]] = low[s]
+            if low[s] == index[s]:
+                while True:
+                    t = open_states.pop()
+                    component[t] = s
+                    if t == s:
+                        break
+    inner = {
+        (c, j) for s, c in component.items() for j, t in enumerate(delta[s]) if component[t] == c
+    }
+    return {(s, j) for s, c in component.items() for j in range(len(delta[s])) if (c, j) in inner}
+
+
+def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+    """The P1 witness with y = ε and s2 = s1 that ``classify`` reports on
+    an input whose minimal automaton has a cycle through distinct states,
+    None on any other input (see the module docstring).
+
+    The first letter a, then the first reachable state s1, such that the
+    step s1·a changes minimal state and some loop at s1 reads a; v is the
+    shortlex-least such loop.  A candidate whose loop search fails is
+    dead; the first one builds ``_loop_letters``, and from then on only
+    candidates it names are searched.  So at most one search fails, and
+    the candidates, the searches and the component pass take O(k·n) steps;
+    the separator's search over state pairs, O(k·n²), is the largest.
+    """
+    access, classes = _access_words(dfa, minimal)
+    reachable = sorted(access)
+    letters = dfa.alphabet.letters
+    live = None
+    for j, a in enumerate(letters):
+        for s1 in reachable:
+            s3 = dfa.delta[s1][j]
+            if classes[s1] == classes[s3] or (live is not None and (s1, j) not in live):
+                continue
+            v = _loop_reading(dfa.delta, letters, s1, j)
+            if v is None:
+                live = _loop_letters(dfa.delta, dfa.start)
+                continue
+            return PatternWitness(
+                kind="P1",
+                letter=a,
+                x=access[s1],
+                v=v,
+                z=_separator(dfa, s1, s3),
+                states=(s1, s1, s3),
+            )
+    return None
+
+
+def _loop_reading(delta, letters: str, s1: int, pivot: int) -> str | None:
+    """Shortlex-least word that runs from ``s1`` back to it and reads the
+    pivot letter, None when there is none: breadth-first search over
+    (state, pivot read yet), letters in alphabet order."""
+    target = (s1, True)
+    words = {(s1, False): ""}
+    queue = deque(words)
+    while queue:
+        node = queue.popleft()
+        s, read = node
+        for j, t in enumerate(delta[s]):
+            step = (t, read or j == pivot)
+            if step not in words:
+                words[step] = words[node] + letters[j]
+                if step == target:
+                    return words[step]
+                queue.append(step)
+    return None
 
 
 def _loop_search(
@@ -312,11 +418,13 @@ def is_piecewise_testable(dfa: Dfa) -> bool:
     exactly when q.a and q.b reach the same one.  The pattern detectors
     decide the same question by exhaustive search.
     """
-    return _is_piecewise_testable(minimize(dfa))
+    minimal = minimize(dfa)
+    return _is_piecewise_testable(minimal, _topological_order(minimal))
 
 
-def _is_piecewise_testable(minimal: Dfa) -> bool:
-    order = _topological_order(minimal)
+def _is_piecewise_testable(minimal: Dfa, order: list[int] | None) -> bool:
+    """The test on ``minimal`` and its ``_topological_order``, None when
+    some cycle is not a self-loop."""
     if order is None:
         return False
     width = len(minimal.alphabet)

@@ -24,7 +24,10 @@ replay of the third-pattern form.  The two loop searches the pattern
 detectors ran before they shared one, with the detectors around them,
 are the references for that shared search, and the access words with a
 minimal-automaton run per state are the reference for the detectors'
-single breadth-first search that yields both.  A report serializer that
+single breadth-first search that yields both.  The witness ``classify``
+reports on an automaton with a cycle, spelled out by its definition with
+plain reachability and shortlex enumeration of loop words, is the
+reference for its one loop search.  A report serializer that
 spells out every key is the reference for the one that reads the
 dataclass fields.  A breadth-first joinability search per state and
 letter pair is the reference for the piecewise-testability test's single
@@ -887,6 +890,51 @@ def reference_detect_p2(dfa: Dfa) -> PatternWitness | None:
                             z_prime=_separator(dfa, t3, t4),
                             states=(s1, s2, t3, t4),
                         )
+    return None
+
+
+def _reach(dfa: Dfa, s: int) -> set[int]:
+    """Every state reachable from s, s included."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for t in dfa.delta[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def reference_cycle_witness(dfa: Dfa) -> PatternWitness | None:
+    """``classify``'s P1 witness with y = ε and s2 = s1 by its definition:
+    the first letter a, then the first reachable state s1, whose a-step
+    changes the minimal-automaton state and which some loop reading a
+    passes through, that is some p reachable from s1 has p·a reaching s1
+    back; v is the first word in shortlex order, up to length 2n, that
+    loops at s1 and contains a.  None when no candidate exists."""
+    access, classes = reference_access_classes(dfa)
+    letters = dfa.alphabet.letters
+    for a in letters:
+        for s1 in sorted(access):
+            s3 = dfa.step(s1, a)
+            if classes[s1] == classes[s3]:
+                continue
+            if not any(s1 in _reach(dfa, dfa.step(p, a)) for p in _reach(dfa, s1)):
+                continue
+            loops = (
+                "".join(w)
+                for length in range(1, 2 * dfa.n_states + 1)
+                for w in itertools.product(letters, repeat=length)
+            )
+            v = next(w for w in loops if a in w and dfa.run(w, s1) == s1)
+            return PatternWitness(
+                kind="P1",
+                letter=a,
+                x=access[s1],
+                v=v,
+                z=_separator(dfa, s1, s3),
+                states=(s1, s1, s3),
+            )
     return None
 
 

@@ -17,6 +17,7 @@ from subseq.alternation import (
 )
 from subseq.automata import (
     Alphabet,
+    _topological_order,
     complement,
     difference,
     empty_language,
@@ -27,7 +28,7 @@ from subseq.automata import (
     universal_language,
 )
 from subseq.errors import InfiniteMeasureError, InputError, NotUpwardClosedError
-from subseq.patterns import _access_words, detect_p3, is_piecewise_testable
+from subseq.patterns import _access_words, _as_p3, detect_p3, is_piecewise_testable
 from subseq.subword import (
     decompose_level_half,
     is_co_level_one_half,
@@ -50,6 +51,7 @@ from helpers import (
     nfa_is_empty,
     oracle_corpus,
     random_dfa,
+    reference_cycle_witness,
     reference_report_dict,
     two_walk_chains,
     two_walk_measures,
@@ -181,7 +183,7 @@ def test_walk_to_depth_zero_builds_no_level(monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     inf = AlternationMeasure.infinite()
     for m in machines:
-        assert _walk(m, 0) == (inf, inf, [], [])
+        assert _walk(m, 0) == (inf, inf, [], [], None)
     assert (len(complements), len(universals), len(closures)) == (0, 0, 0)
 
 
@@ -402,9 +404,9 @@ def _agrees_with_the_two_walks(d) -> bool:
     # measures and the normal form; the rest: both measures infinite and
     # the first 3 levels per side
     if not is_piecewise_testable(d):
-        assert _walk(minimize(d), 3) == (*two_walk_measures(d), *two_walk_chains(d, 3)), d
+        assert _walk(minimize(d), 3)[:4] == (*two_walk_measures(d), *two_walk_chains(d, 3)), d
         return False
-    plus, minus, *chains = _walk(minimize(d))
+    plus, minus, *chains, _ = _walk(minimize(d))
     assert tuple(chains) == two_walk_chains(d), d
     assert (plus, minus) == two_walk_measures(d), d
     assert normal_form_decomposition(d) == chains[1], d
@@ -475,8 +477,17 @@ def _public_verdicts(d):
         decomposition,
         plus,
         m_minus(d),
-        None if plus.is_finite else detect_p3(d),
+        None if plus.is_finite else _reference_witness(d),
     )
+
+
+def _reference_witness(d):
+    # classify's witness comes from one loop search when the minimal
+    # automaton has a cycle through distinct states, and is detect_p3's
+    # otherwise, where no P1 witness exists
+    if _topological_order(minimize(d)) is None:
+        return _as_p3(d, reference_cycle_witness(d))
+    return detect_p3(d)
 
 
 def test_classify_agrees_with_the_public_functions():
@@ -499,6 +510,7 @@ def test_classify_agrees_with_the_public_functions():
             report.pattern_witness,
         )
         assert got == _public_verdicts(d), d
+        assert report.pattern_witness is None or report.pattern_witness.holds_in(d), d
 
 
 def test_report_dict_matches_the_explicit_serializer():

@@ -251,8 +251,8 @@ def test_classify_alternating_language_carries_valid_witness():
 def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
     # the level walk never ends on a language that is not piecewise
     # testable, so a missing witness must stop classify, not fall through
-    monkeypatch.setattr(alternation, "_detect_p3", lambda dfa, minimal: None)
-    with pytest.raises(AssertionError, match="detect_p3 finds no witness"):
+    monkeypatch.setattr(alternation, "_cycle_witness", lambda dfa, minimal: None)
+    with pytest.raises(AssertionError, match="the pattern search finds no witness"):
         classify(ab_star(), name="abstar")
 
 
@@ -260,7 +260,7 @@ def test_classify_raises_when_the_witness_does_not_replay(monkeypatch):
     # a witness of the right kind whose loop word does not loop at s1
     broken = PatternWitness(kind="P3", letter="a", v="a", states=(0, 0, 1, 1, 2))
     assert not broken.holds_in(ab_star())
-    monkeypatch.setattr(alternation, "_detect_p3", lambda dfa, minimal: broken)
+    monkeypatch.setattr(alternation, "_cycle_witness", lambda dfa, minimal: broken)
     with pytest.raises(AssertionError, match="inconsistent classification"):
         classify(ab_star(), name="abstar")
 
@@ -319,6 +319,14 @@ def test_cli_classify_witness_flag_prints_pattern(capsys):
     assert main(["classify", str(FIXTURES / "ab_star.dfa"), "--witness"]) == 0
     out = capsys.readouterr().out
     assert "pattern witness" in out and "m_plus: inf" in out
+
+
+def test_cli_classify_json_renders_no_text_report(capsys, monkeypatch):
+    # under --json only the dictionaries are printed, so no text is built
+    renders = count_calls(monkeypatch, cli._render_report)
+    assert main(["classify", "--batch", str(FIXTURES), "--json", "--oracle-check", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == len(list(FIXTURES.glob("*.dfa")))
+    assert renders == []
 
 
 def test_cli_classify_infinite_measure_json(capsys):
@@ -448,6 +456,16 @@ def test_classify_sorts_once_outside_level_half(monkeypatch, name):
     sorts = count_calls(monkeypatch, _topological_order)
     report = classify(parse_dfa(fixture_text(name)))
     assert not report.in_level_one_half
+    assert len(sorts) == 1
+
+
+@pytest.mark.parametrize("name", ["a_ideal.dfa", "empty.dfa", "universal.dfa"])
+def test_classify_decomposes_with_the_verdicts_order(monkeypatch, name):
+    # the walk hands on the order its verdict sorted, so the decomposition
+    # of a level-1/2 language does not sort the minimal automaton again
+    sorts = count_calls(monkeypatch, _topological_order)
+    report = classify(parse_dfa(fixture_text(name)))
+    assert report.in_level_one_half
     assert len(sorts) == 1
 
 

@@ -3,15 +3,26 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import replace
+from pathlib import Path
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
 from subseq import patterns
-from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
+from subseq.automata import (
+    Alphabet,
+    Dfa,
+    _topological_order,
+    complement,
+    minimize,
+    universal_language,
+)
 from subseq.patterns import (
     PatternWitness,
     _access_words,
     _as_p3,
+    _cycle_witness,
+    _detect_p1,
     _is_piecewise_testable,
+    _loop_letters,
     _loop_search,
     _separator,
     detect_p1,
@@ -19,7 +30,7 @@ from subseq.patterns import (
     detect_p3,
     is_piecewise_testable,
 )
-from subseq.cli import classify
+from subseq.cli import classify, parse_dfa
 from subseq.subword import is_subword, shuffle_ideal
 
 from helpers import (
@@ -27,11 +38,13 @@ from helpers import (
     ab_star,
     all_dfas,
     ba_star,
+    count_calls,
     dfa_from_rows,
     distinguishing_words,
     random_dfa,
     reference_access_classes,
     reference_coupled_loop_search,
+    reference_cycle_witness,
     reference_detect_p1,
     reference_detect_p2,
     reference_find_loop_with_embedded_extension,
@@ -376,14 +389,17 @@ def _self_loop_acyclic_corpus():
     runs to its first witness, or through every candidate pair when the
     language is piecewise testable."""
     rng = random.Random(1901)
-    corpus = []
-    for _ in range(320):
-        alphabet = rng.choice((AB, Alphabet("abc")))
-        n = rng.randint(2, 7)
-        rows = tuple(tuple(rng.randrange(s, n) for _ in alphabet.letters) for s in range(n))
-        accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
-        corpus.append(Dfa(alphabet, n, rows, 0, accepting))
-    return corpus
+    return [_self_loop_acyclic(rng, 2, 7) for _ in range(320)]
+
+
+def _self_loop_acyclic(rng, least, most):
+    """A random automaton over ``ab`` or ``abc`` with ``least`` to ``most``
+    states whose every step stays put or moves to a higher state."""
+    alphabet = rng.choice((AB, Alphabet("abc")))
+    n = rng.randint(least, most)
+    rows = tuple(tuple(rng.randrange(s, n) for _ in alphabet.letters) for s in range(n))
+    accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
+    return Dfa(alphabet, n, rows, 0, accepting)
 
 
 def test_detectors_match_the_two_search_references():
@@ -398,6 +414,54 @@ def test_detectors_match_the_two_search_references():
         found["P1", first is not None] += 1
         found["P2", second is not None] += 1
     assert min(found.values()) > 500, found
+
+
+def _cyclic(dfa):
+    return _topological_order(minimize(dfa)) is None
+
+
+def test_cycle_witness_matches_its_reference(monkeypatch):
+    # classify's one loop search against its witness spelled out by
+    # definition: on every machine of the witness corpus, None exactly on
+    # those whose minimal automaton is acyclic apart from self-loops, and
+    # on seeded random cyclic machines; every witness it returns replays,
+    # and no machine needs more than one component pass
+    rng = random.Random(2401)
+    randoms = []
+    while len(randoms) < 2000:
+        d = random_dfa(rng, rng.randint(2, 8), rng.choice((AB, Alphabet("abc"))))
+        if _cyclic(d):
+            randoms.append(d)
+    found = 0
+    passes = count_calls(monkeypatch, _loop_letters)
+    for d in witness_corpus() + randoms:
+        passes.clear()
+        got = _cycle_witness(d, minimize(d))
+        assert len(passes) <= 1, d
+        assert got == reference_cycle_witness(d), d
+        assert (got is not None) == _cyclic(d), d
+        if got is not None:
+            assert got.holds_in(d), d
+            found += 1
+    assert found > 5000
+
+
+def test_classify_skips_p1_on_acyclic_inputs(monkeypatch):
+    # with every cycle of the minimal automaton a self-loop no P1 witness
+    # exists, so classify runs the P2 search alone, and its witness is
+    # still detect_p3's
+    a_first = parse_dfa((Path(__file__).parent / "fixtures" / "a_first.dfa").read_text())
+    corpus = [a_first] + _self_loop_acyclic_corpus()
+    rng = random.Random(2402)
+    seeded = (_self_loop_acyclic(rng, 3, 10) for _ in itertools.count())
+    corpus += itertools.islice((d for d in seeded if not is_piecewise_testable(d)), 200)
+    first = count_calls(monkeypatch, _detect_p1)
+    witnesses = [classify(d).pattern_witness for d in corpus]
+    assert first == []
+    monkeypatch.undo()
+    assert witnesses == [detect_p3(d) for d in corpus]
+    assert witnesses[0] is not None
+    assert sum(w is not None for w in witnesses) > 220
 
 
 def _square(dfa):
@@ -550,7 +614,7 @@ def test_confluence_pass_matches_the_joinability_reference():
     verdicts = Counter()
     for d in corpus:
         minimal = minimize(d)
-        verdict = _is_piecewise_testable(minimal)
+        verdict = _is_piecewise_testable(minimal, _topological_order(minimal))
         assert verdict == reference_is_piecewise_testable(minimal), d
         verdicts[verdict] += 1
     assert min(verdicts.values()) > 3000, verdicts
@@ -561,6 +625,22 @@ def test_decision_procedure_is_polynomial_on_the_witness_family():
         started = time.perf_counter()
         assert is_piecewise_testable(mk_witness(k))
         assert time.perf_counter() - started < 1.0, k
+
+
+def test_classify_witness_is_polynomial_on_a_chain_into_a_cycle():
+    # a advances along a 400-letter chain into a 2-cycle on a, b loops
+    # everywhere, odd states accept: the exhaustive P1 search grows like
+    # n^3.7 here and took 1.5 s at 50 states; the one loop search finds
+    # the cycle's first state
+    n = 402
+    rows = tuple((i + 1 if i < n - 1 else n - 2, i) for i in range(n))
+    d = Dfa(AB, n, rows, 0, frozenset(range(1, n, 2)))
+    started = time.perf_counter()
+    report = classify(d)
+    assert time.perf_counter() - started < 0.5
+    assert report.pattern_witness == PatternWitness(
+        kind="P3", letter="a", x="a" * 400, v="aa", states=(400, 400, 401, 400, 401)
+    )
 
 
 def test_classify_is_fast_on_a_deep_piecewise_testable_language():
