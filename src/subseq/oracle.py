@@ -21,9 +21,11 @@ length at a time:
   B = k^(ℓ-1-i) and c its letter at position i, loses that letter to
   become the word of rank hi·B + lo of length ℓ - 1.  So the depths of
   the words' deletions at position i are the previous length's depths
-  with each block of B entries repeated k times (``_spread``), and one
-  ``max`` over the ℓ spreads gives every word's deepest deletion.  A run
-  of equal letters repeats a deletion, which does not change a max.
+  with each block of B entries repeated k times (``_spread``), and the
+  elementwise max of the ℓ spreads gives every word's deepest deletion.
+  At i = 0, B is the whole previous length, so that spread is its depths
+  repeated k times.  A run of equal letters repeats a deletion, which
+  does not change a max.
 
 Depth never falls along the subword order: a chain ending at a subword
 of w ends at w too, after replacing that subword by w or appending w.  So
@@ -141,9 +143,11 @@ def _depths(member: list[bool], k: int) -> list[int]:
     depths, below, length = [-1], [-1], 0  # ε ends no chain of the walked side
     while len(depths) < len(member):
         length += 1
-        # one spread per letter position; their max is the deepest deletion
-        spreads = [_spread(below, k**i, k) for i in range(length)]
-        deepest = map(max, *spreads) if length > 1 else spreads[0]
+        # one spread per letter position, folded into the first letter's
+        # deletion by a conditional per element, cheaper than max() calls
+        deepest = below * k
+        for i in range(length - 1):
+            deepest = [a if a >= b else b for a, b in zip(deepest, _spread(below, k**i, k))]
         inside = member[len(depths) : len(depths) + len(below) * k]
         below = [r + ((r + (m == epsilon_in)) & 1) for r, m in zip(deepest, inside)]
         depths += below

@@ -16,6 +16,9 @@ The upward closure itself, which every level of the alternation chains
 needs, is a subset construction that stops at accepting subsets: once the
 word read so far has an accepted subword, so has every extension of it,
 so such a subset has the residual Σ* and nothing past it needs building.
+Every state may stay put on every letter, so a subset contains the one it
+was reached from, and it steps only the states it adds to that one: the
+rest of its step is its predecessor's, already built.
 """
 
 from __future__ import annotations
@@ -76,6 +79,14 @@ def upward_closure(dfa: Dfa) -> Dfa:
     alphabet order, only the reachable ones, and S steps on letter a to
     S | S.a through the per-state masks (1 << s) | (1 << s.a).
 
+    A subset only grows: a subset T first reached from S contains S, and
+    the image of a union is the union of the images, so T's step on every
+    letter is S's, OR-ed with the masks of the states in T & ~S.  Each new
+    subset therefore records the subset that reached it and that one's
+    targets, shared by its siblings and never changed, and steps only the
+    states it adds; the record is dropped once the subset is expanded, so
+    the records held follow the breadth-first frontier.
+
     A subset that meets the accepting states is not expanded: it gets a
     row of self-loops.  Reaching it means the word read so far has an
     accepted subword, which stays a subword of every extension, so its
@@ -84,28 +95,36 @@ def upward_closure(dfa: Dfa) -> Dfa:
     the subsets beyond them are never built.  The number of subsets can
     still be exponential in the states; the result is minimized.
     """
+    width = len(dfa.alphabet)
     move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
     accept_mask = sum(1 << s for s in dfa.accepting)
     ids = {1 << dfa.start: 0}
     subsets = [1 << dfa.start]
+    # seeds[i]: the subset that first reached subset i, and its targets
+    seeds: list[tuple[int, list[int]] | None] = [(0, [0] * width)]
     rows = []
-    for mask in subsets:
+    for i, mask in enumerate(subsets):
+        base, inherited = seeds[i]
+        seeds[i] = None
         if mask & accept_mask:
-            rows.append((len(rows),) * len(dfa.alphabet))
+            rows.append((i,) * width)
             continue
-        targets = [0] * len(dfa.alphabet)
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
+        targets = inherited.copy()
+        added = mask & ~base
+        while added:
+            low = added & -added
+            added ^= low
             for j, bits in enumerate(move[low.bit_length() - 1]):
                 targets[j] |= bits
-        for j, target in enumerate(targets):
+        seed = (mask, targets)
+        row = []
+        for target in targets:
             if target not in ids:
                 ids[target] = len(subsets)
                 subsets.append(target)
-            targets[j] = ids[target]
-        rows.append(tuple(targets))
+                seeds.append(seed)
+            row.append(ids[target])
+        rows.append(tuple(row))
     accepting = frozenset(i for i, mask in enumerate(subsets) if mask & accept_mask)
     return minimize(_unchecked_dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting))
 

@@ -6,7 +6,9 @@ direct simulation, and chain levels through a tuple-state automaton that
 guesses the whole chain at once, so agreement is meaningful.  The general
 nondeterministic automaton, its subset construction, reversal and language
 equivalence live here too: the library needs none of them, and the tests
-use them as second constructions, as do the string-keyed chain table
+use them as second constructions, as does the subset construction that
+steps every state of every subset, the reference for the upward
+closure's incremental one, and so do the string-keyed chain table
 that the library's index-keyed one is checked against, with the reach
 of each word beside it, a per-level walk over word deletions that the
 levels read off the chain table's depth fields are checked against,
@@ -295,6 +297,37 @@ def reference_upward_closure(dfa: Dfa) -> Dfa:
     )
     looped = Nfa(dfa.alphabet, dfa.n_states, delta, frozenset({dfa.start}), dfa.accepting)
     return minimize(determinize(looped))
+
+
+def reference_closure_subsets(dfa: Dfa) -> Dfa:
+    """The raw subset automaton of subword.upward_closure before its final
+    minimize, built by stepping every state of every subset on every
+    letter; the reference for the library's construction, which steps only
+    the states a subset adds to the one that first reached it."""
+    move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
+    accept_mask = sum(1 << s for s in dfa.accepting)
+    ids = {1 << dfa.start: 0}
+    subsets = [1 << dfa.start]
+    rows = []
+    for mask in subsets:
+        if mask & accept_mask:
+            rows.append((len(rows),) * len(dfa.alphabet))
+            continue
+        targets = [0] * len(dfa.alphabet)
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            for j, bits in enumerate(move[low.bit_length() - 1]):
+                targets[j] |= bits
+        for j, target in enumerate(targets):
+            if target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+            targets[j] = ids[target]
+        rows.append(tuple(targets))
+    accepting = frozenset(i for i, mask in enumerate(subsets) if mask & accept_mask)
+    return Dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting)
 
 
 def reference_is_upward_closed(dfa: Dfa) -> bool:
