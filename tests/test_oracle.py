@@ -360,11 +360,21 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
     assert len(closures) == 4
 
 
+def _walk_of_m1(*_):
+    # the level chains of another language that rejects ε
+    return _levels(*_sides(mk_witness(1)))
+
+
+def _late_walk(*sides):
+    # a level walk that starts one level late
+    return itertools.islice(_levels(*sides), 1, None)
+
+
 def test_cross_check_reports_wrong_predicate(monkeypatch):
     # a deliberately inconsistent pairing: the level chains of one
     # language, checked against the bounded sets of another, must be
     # flagged level by level and measure by measure
-    substitute(monkeypatch, _levels, lambda *sides: _levels(*_sides(mk_witness(1))))
+    substitute(monkeypatch, _levels, _walk_of_m1)
     assert cross_check(mk_witness(2), 4) == [
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
@@ -373,11 +383,23 @@ def test_cross_check_reports_wrong_predicate(monkeypatch):
     ]
 
 
+def test_cross_check_reports_wrong_predicate_when_epsilon_is_in(monkeypatch):
+    # ε is in the complement of mk_witness(2), so its walk is the one of
+    # mk_witness(2) and its plus side is the shifted one
+    substitute(monkeypatch, _levels, _walk_of_m1)
+    assert cross_check(complement(mk_witness(2)), 4) == [
+        "plus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "minus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "plus measure 1 is below the brute-force bound 2",
+        "minus measure 0 is below the brute-force bound 1",
+    ]
+
+
 def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
     # a level walk that starts one level late is reported level by level,
     # with the shortlex-first sample words, and so are the measures that
     # its shortened chains give; minus level 0 is Σ* whatever the walk
-    substitute(monkeypatch, _levels, lambda *sides: itertools.islice(_levels(*sides), 1, None))
+    substitute(monkeypatch, _levels, _late_walk)
     assert cross_check(mk_witness(2), 4) == [
         "plus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
         "plus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
@@ -385,6 +407,19 @@ def test_cross_check_reports_each_kind_of_mismatch(monkeypatch):
         "minus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
         "plus measure 0 is below the brute-force bound 1",
         "minus measure 1 is below the brute-force bound 2",
+    ]
+
+
+def test_cross_check_reports_each_kind_of_mismatch_when_epsilon_is_in(monkeypatch):
+    # the same late walk on the complement: plus level 0 is now Σ*
+    substitute(monkeypatch, _levels, _late_walk)
+    assert cross_check(complement(mk_witness(2)), 4) == [
+        "plus level 1: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
+        "plus level 2: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "minus level 0: bounded sets disagree, e.g. ['a', 'ab', 'ba']",
+        "minus level 1: bounded sets disagree, e.g. ['aa', 'aaa', 'aab']",
+        "plus measure 1 is below the brute-force bound 2",
+        "minus measure 0 is below the brute-force bound 1",
     ]
 
 
