@@ -9,13 +9,13 @@ k decides membership in the k-th class of the difference hierarchy built
 over the upward closed languages (plus measure below k).
 
 Both chains come from one walk of the side whose start rejects ε; the
-other side is Σ* followed by it (``_chains``).  ``_walk`` decides piecewise
-testability once and walks to the end only on a yes; every measure and
-chain here, and the oracle's comparison, read one ``_walk`` of the minimal
-automaton, which each public function builds once.  The walk stays within
-minimized automata, one step per level, and stops at the first empty
-level.  The tests check it against two separate walks and a tuple-state
-construction that guesses the whole chain at once.
+other side is Σ* followed by it (``_levels``, ``_shifts``).  ``_walk``
+decides piecewise testability once and walks to the end only on a yes;
+every measure here, and the oracle's comparison, read one ``_Walk`` of
+the minimal automaton, which each public function builds once.  The
+walk stays within minimized automata, one step per level, and stops at
+the first empty level.  The tests check it against two separate walks
+and a tuple-state construction that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -103,20 +103,30 @@ class AlternationMeasure:
         return "inf" if self.value is None else self.value
 
 
-def _levels(minimal: Dfa, outside: Dfa) -> Iterator[Dfa]:
-    """Minimal automata for the nonempty plus-side levels 0, 1, 2, ... of
-    the language of ``minimal`` in order, stopping at the first empty
-    level: after m_plus + 1 levels when the language is piecewise
-    testable, never otherwise.
+def _shifts(epsilon_in: bool) -> tuple[int, int]:
+    """How many Σ* levels the plus and the minus side have ahead of the
+    levels that ``_levels`` walks, given whether ε is in the language."""
+    return (1, 0) if epsilon_in else (0, 1)
 
-    Level m is the upward closure of the valid chain endpoints, which even
-    steps push out of the language and odd steps pull back in; a minimal
-    automaton is empty exactly when it has no accepting state.  The one
-    caller, ``_chains``, passes the minimal automaton of the side it walks
-    and ``outside``, its complement, built once whichever side that is:
-    the steps intersect with these two, and any other pair gives larger
-    products.
+
+def _levels(minimal: Dfa) -> Iterator[Dfa]:
+    """Minimal automata for the nonempty levels 0, 1, 2, ... of the side
+    of ``minimal``'s language whose chains start where ε is not, up to the
+    first empty level: after that side's measure + 1 levels when the
+    language is piecewise testable, never otherwise.
+
+    The other side is Σ* followed by these levels (the shift lemma): if
+    ε ∈ L, plus level 0 is ↑L = Σ*, and plus level 1 is ↑(Σ* ∩ Lᶜ) = ↑Lᶜ,
+    minus level 0; both then take the same steps, so plus level i+1 is
+    minus level i.  If ε ∉ L the sides swap (``_shifts``).  Level m is the
+    upward closure of the valid chain endpoints, which even steps push out
+    of the walked language and odd steps pull back in.  The complement is
+    built once, when the first level is read; the steps intersect with it
+    and ``minimal``, as any other pair gives larger products.
     """
+    outside = complement(minimal)
+    if minimal.start in minimal.accepting:
+        minimal, outside = outside, minimal
     flip = (outside, minimal)
     current = minimal
     for step in itertools.count():
@@ -127,39 +137,17 @@ def _levels(minimal: Dfa, outside: Dfa) -> Iterator[Dfa]:
         current = minimize(intersection(closed, flip[step % 2]))
 
 
-def _chains(minimal: Dfa) -> tuple[Iterator[Dfa], Iterator[Dfa]]:
-    """Both sides' levels, lazily, off one walk of the side that rejects ε
-    (the shift lemma): if ε ∈ L, plus level 0 is ↑L = Σ*, and level 1 is
-    ↑(Σ* ∩ Lᶜ) = ↑Lᶜ, minus level 0; both then take the same steps, so
-    plus level i+1 is minus level i.  If ε ∉ L the sides swap.  Each level
-    is closed once, when the first side reads it, and nothing is built
-    before a level is read; the complement is built once, and the walk
-    intersects with it and ``minimal`` whichever side it walks."""
-    inside = minimal.start in minimal.accepting
-
-    def walk() -> Iterator[Dfa]:
-        outside = complement(minimal)
-        yield from _levels(outside, minimal) if inside else _levels(minimal, outside)
-
-    walked, copy = itertools.tee(walk())
-
-    def shifted() -> Iterator[Dfa]:
-        yield universal_language(minimal.alphabet)
-        yield from copy
-
-    return (shifted(), walked) if inside else (walked, shifted())
-
-
 def l_plus(dfa: Dfa, m: int) -> Dfa:
     """Minimal automaton for the plus-side level m.
 
-    Reads the plus side of ``_chains`` only up to level m, so it closes at
-    most m levels when ε ∈ L and m + 1 otherwise."""
+    Reads ``_levels`` only up to level m, so it closes at most m levels
+    when ε ∈ L and m + 1 otherwise."""
     if m < 0:
         raise InputError("chain level must be nonnegative")
     dfa = minimize(dfa)
-    plus, _ = _chains(dfa)
-    return next(itertools.islice(plus, m, None), empty_language(dfa.alphabet))
+    shift = _shifts(dfa.start in dfa.accepting)[0]
+    levels = itertools.chain([universal_language(dfa.alphabet)] * shift, _levels(dfa))
+    return next(itertools.islice(levels, m, None), empty_language(dfa.alphabet))
 
 
 def l_minus(dfa: Dfa, m: int) -> Dfa:
@@ -167,21 +155,36 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-def _walk(minimal: Dfa, depth: int = 0) -> tuple[
-    AlternationMeasure, AlternationMeasure, list[Dfa], list[Dfa], list[int] | None
-]:
-    """(m_plus, m_minus, plus levels, minus levels, topological order) of
-    the minimal automaton ``minimal``, from one piecewise-testability
-    verdict: if yes, the walk runs to its end and each measure is its
-    side's chain length less one; if no, the walk would never end, both
-    measures are infinite (level 1 is closed under complement) and each
-    side keeps its first ``depth``.  The order is the verdict's own
-    ``_topological_order``, None when some cycle is not a self-loop."""
+@dataclass(frozen=True)
+class _Walk:
+    """One level walk of the minimal automaton ``minimal``, after one
+    piecewise-testability verdict, ``finite``.  On a yes, ``walked`` is
+    all of ``_levels`` and each measure is its side's chain length less
+    one; on a no, the walk would never end, both measures are infinite
+    (level 1 is closed under complement) and ``walked`` is a prefix.
+    ``order`` is the verdict's ``_topological_order``, None when some
+    cycle is not a self-loop."""
+
+    minimal: Dfa
+    order: list[int] | None
+    finite: bool
+    walked: tuple[Dfa, ...]
+
+    @property
+    def measures(self) -> tuple[AlternationMeasure, AlternationMeasure]:
+        """(m_plus, m_minus)."""
+        shifts = _shifts(self.minimal.start in self.minimal.accepting)
+        return tuple(
+            AlternationMeasure(len(self.walked) - 1 + s if self.finite else None) for s in shifts
+        )
+
+
+def _walk(minimal: Dfa, depth: int = 0) -> _Walk:
+    """The walk of ``minimal``: to its end if piecewise testable, else ``depth`` levels."""
     order = _topological_order(minimal)
     finite = _is_piecewise_testable(minimal, order)
-    plus, minus = (list(itertools.islice(c, None if finite else depth)) for c in _chains(minimal))
-    measures = (len(plus) - 1, len(minus) - 1) if finite else (None, None)
-    return (*map(AlternationMeasure, measures), plus, minus, order)
+    walked = tuple(itertools.islice(_levels(minimal), None if finite else depth))
+    return _Walk(minimal, order, finite, walked)
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -194,12 +197,12 @@ def m_plus(dfa: Dfa) -> AlternationMeasure:
     bound exponential in the automaton size would then settle infinity,
     which is not a practical algorithm.)
     """
-    return _walk(minimize(dfa))[0]
+    return _walk(minimize(dfa)).measures[0]
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return _walk(minimize(dfa))[1]
+    return _walk(minimize(dfa)).measures[1]
 
 
 def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
@@ -245,10 +248,11 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    _, minus, _, levels, _ = _walk(minimize(dfa))
-    if not minus.is_finite:
+    walk = _walk(minimize(dfa))
+    if not walk.finite:
         raise InfiniteMeasureError("language has unbounded alternation depth")
-    return levels
+    shift = _shifts(walk.minimal.start in walk.minimal.accepting)[1]
+    return [universal_language(dfa.alphabet)] * shift + list(walk.walked)
 
 
 def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
@@ -343,21 +347,20 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     from the P2 search otherwise, where no P1 witness exists; the
     exhaustive detectors are left to ``patterns`` and the tests.
     """
-    minimal = minimize(dfa)
-    return _classify(dfa, minimal, _walk(minimal), name)
+    return _classify(dfa, _walk(minimize(dfa)), name)
 
 
-def _classify(dfa: Dfa, minimal: Dfa, walk: tuple, name: str) -> ClassificationReport:
-    """``classify`` reading its measures, and the minimal automaton's
-    topological order, off ``walk``, any ``_walk`` of ``minimal``."""
-    plus, minus, _, _, order = walk
+def _classify(dfa: Dfa, walk: _Walk, name: str) -> ClassificationReport:
+    """``classify`` reading its measures, the minimal automaton and its
+    topological order off ``walk``, any ``_walk`` of ``minimize(dfa)``."""
+    plus, minus = walk.measures
     decomposition = None
     if plus < AlternationMeasure.finite(1):
-        decomposition = _minimal_words(minimal, order)
+        decomposition = _minimal_words(walk.minimal, walk.order)
     witness = None
-    if not plus.is_finite:
-        search = _cycle_witness if order is None else _detect_p2
-        witness = _as_p3(dfa, search(dfa, minimal))
+    if not walk.finite:
+        search = _cycle_witness if walk.order is None else _detect_p2
+        witness = _as_p3(dfa, search(dfa, walk.minimal))
         if witness is None:
             raise AssertionError(
                 f"piecewise-testability verdicts disagree on {name!r}: "

@@ -297,9 +297,8 @@ def _cmd_classify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
-        minimal = minimize(dfa)
-        walk = _walk(minimal, 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
-        report = _classify(dfa, minimal, walk, path.stem)
+        walk = _walk(minimize(dfa), 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
+        report = _classify(dfa, walk, path.stem)
         entry = report.to_dict() if args.json else _render_report(report, args.witness)
         if args.oracle_check is not None:
             try:
@@ -331,7 +330,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus, minus = _walk(minimize(dfa))[:2]
+    plus, minus = _walk(minimize(dfa)).measures
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})

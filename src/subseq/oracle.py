@@ -37,7 +37,7 @@ deepest chain ending at any of its subwords, so every bounded level m is
 the set of words whose depth is at least m.
 
 The pass walks the side whose chains start where ε is not, as
-``alternation._chains`` does.  ε is a subword of every word, so it can
+``alternation._levels`` does.  ε is a subword of every word, so it can
 open every chain of the other side in place of its first word, and it
 extends every chain of the walked side by one; the other side's depths
 are the walked side's plus one.
@@ -46,9 +46,9 @@ are the walked side's plus one.
 the levels and measures of one ``alternation._walk``, the one its report
 was read from under ``classify --oracle-check``.  It steps each automaton
 along the word order once, never rerunning it from its start state.  A
-level of the other side is a walked level one depth lower, so each pair
-of automaton and walked depth is compared once; words are spelled out
-only for the sample of a level that disagrees.
+level of the other side is a walked level one depth lower, so each
+walked depth is compared once, Σ* at depth -1 included; words are
+spelled out only for the sample of a level that disagrees.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from dataclasses import dataclass
 from operator import ne
 from typing import Callable, Iterator
 
-from .alternation import _walk
-from .automata import Alphabet, Dfa, empty_language, minimize
+from .alternation import _Walk, _shifts, _walk
+from .automata import Alphabet, Dfa, minimize, universal_language
 from .errors import InputError, WordCapExceededError
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_WORD_CAP = 10**6
-DEFAULT_MAX_M = 3  # the highest level compared; the walk goes one deeper
+DEFAULT_MAX_M = 3  # the highest level compared; the walk takes max_m + 1 levels
 
 Membership = Callable[[str], bool]
 
@@ -164,8 +164,7 @@ def chain_table(
     words = enumerate_words(alphabet, max_len, cap)
     member = [bool(membership(w)) for w in words]
     walked = _depths(member, len(alphabet))
-    shifted = [d + 1 for d in walked]
-    plus, minus = (shifted, walked) if member[0] else (walked, shifted)
+    plus, minus = ([d + shift for d in walked] for shift in _shifts(member[0]))
     return BoundedChainTable(
         max_len,
         tuple(words),
@@ -205,38 +204,35 @@ def cross_check(
     return _compare(dfa, _walk(minimize(dfa), max_m + 1), max_len, max_m, cap)
 
 
-def _compare(dfa: Dfa, walk: tuple, max_len: int, max_m: int, cap: int) -> list[str]:
+def _compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int) -> list[str]:
     """``cross_check`` against ``walk``, a ``_walk`` of ``minimize(dfa)``
-    whose depth is at least max_m + 1."""
+    that holds at least max_m + 1 levels or ends before."""
     n_words = _word_count(len(dfa.alphabet), max_len, cap)
     member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
     depths = _depths(member, len(dfa.alphabet))
-    shifts = (1, 0) if member[0] else (0, 1)  # the shifted side is one deeper
-    empty = empty_language(dfa.alphabet)
-    # id of each level automaton -> (automaton, {walked depth: sample})
-    levels: dict[int, tuple[Dfa, dict[int, list[int]]]] = {}
-    reads = []
-    for side, shift, chain in zip(("plus", "minus"), shifts, walk[2:4]):
-        for m in range(max_m + 1):
-            machine = chain[m] if m < len(chain) else empty
-            samples = levels.setdefault(id(machine), (machine, {}))[1]
-            samples[m - shift] = []
-            reads.append((side, m, samples, m - shift))
-    for machine, samples in levels.values():
-        inside = list(map(machine.accepting.__contains__, _states(machine, n_words)))
-        for depth in samples:
-            level = list(map(depth.__le__, depths))
-            if level != inside:
-                wrong = itertools.compress(itertools.count(), map(ne, level, inside))
-                samples[depth] = list(itertools.islice(wrong, 3))
+    shifts = _shifts(member[0])
+    # level i, for i = -1..max_m, against the words of walked depth >= i:
+    # Σ*, then the walked levels, then empty ones past the walk's end
+    machines = (universal_language(dfa.alphabet), *walk.walked)
+    samples = []  # per level, the indices of its first mismatching words
+    for depth in range(-1, max_m + 1):
+        level = list(map(depth.__le__, depths))
+        if depth + 1 < len(machines):
+            machine = machines[depth + 1]
+            inside = list(map(machine.accepting.__contains__, _states(machine, n_words)))
+        else:
+            inside = [False] * n_words
+        wrong = itertools.compress(itertools.count(), map(ne, level, inside))
+        samples.append([] if level == inside else list(itertools.islice(wrong, 3)))
     problems: list[str] = []
     words: list[str] = []
-    for side, m, samples, depth in reads:
-        if samples[depth]:
-            words = words or enumerate_words(dfa.alphabet, max_len, cap)
-            sample = [words[i] for i in samples[depth]]
-            problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
-    for side, shift, measure in zip(("plus", "minus"), shifts, walk[:2]):
+    for side, shift in zip(("plus", "minus"), shifts):
+        for m in range(max_m + 1):
+            if sample := samples[m - shift + 1]:
+                words = words or enumerate_words(dfa.alphabet, max_len, cap)
+                sample = [words[i] for i in sample]
+                problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
+    for side, shift, measure in zip(("plus", "minus"), shifts, walk.measures):
         bound = max(depths) + shift
         if measure.is_finite and bound > measure.value:
             problems.append(f"{side} measure {measure} is below the brute-force bound {bound}")

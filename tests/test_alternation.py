@@ -4,6 +4,8 @@ import pytest
 
 from subseq.alternation import (
     AlternationMeasure,
+    _Walk,
+    _shifts,
     _walk,
     classify,
     in_boolean_level,
@@ -183,7 +185,9 @@ def test_walk_to_depth_zero_builds_no_level(monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     inf = AlternationMeasure.infinite()
     for m in machines:
-        assert _walk(m, 0) == (inf, inf, [], [], None)
+        walk = _walk(m, 0)
+        assert walk == _Walk(m, None, False, ())
+        assert walk.measures == (inf, inf)
     assert (len(complements), len(universals), len(closures)) == (0, 0, 0)
 
 
@@ -399,16 +403,27 @@ def test_finite_measures_differ_by_one_off_the_edges():
     assert checked > 10
 
 
+def _sides_of(walk, depth=None):
+    # each side's levels, at most ``depth`` of them: the walked ones after
+    # as many Σ* levels as the shift lemma puts ahead of them
+    shifts = _shifts(walk.minimal.start in walk.minimal.accepting)
+    sigma = universal_language(walk.minimal.alphabet)
+    return tuple(([sigma] * shift + list(walk.walked))[:depth] for shift in shifts)
+
+
 def _agrees_with_the_two_walks(d) -> bool:
     # piecewise testable machines: every level of both chains, both
     # measures and the normal form; the rest: both measures infinite and
     # the first 3 levels per side
     if not is_piecewise_testable(d):
-        assert _walk(minimize(d), 3)[:4] == (*two_walk_measures(d), *two_walk_chains(d, 3)), d
+        walk = _walk(minimize(d), 3)
+        assert walk.measures == two_walk_measures(d), d
+        assert _sides_of(walk, 3) == two_walk_chains(d, 3), d
         return False
-    plus, minus, *chains, _ = _walk(minimize(d))
-    assert tuple(chains) == two_walk_chains(d), d
-    assert (plus, minus) == two_walk_measures(d), d
+    walk = _walk(minimize(d))
+    chains = _sides_of(walk)
+    assert chains == two_walk_chains(d), d
+    assert walk.measures == two_walk_measures(d), d
     assert normal_form_decomposition(d) == chains[1], d
     return True
 

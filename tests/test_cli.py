@@ -482,9 +482,12 @@ def test_classify_oracle_check_walks_the_chains_once(capsys, monkeypatch, name):
 
 
 def _walk_of_m1():
-    # the comparison reads the walk of mk_witness(1) when it checks
-    # mk_witness(2), so its bounded sets and measures disagree
-    return _walk(minimize(mk_witness(1)))
+    # the comparison reads the walked levels and measures of mk_witness(1)
+    # when it checks mk_witness(2), so they disagree with its bounded sets;
+    # both reject ε, so the shifted side is the same
+    walk = _walk(minimize(mk_witness(1)))
+    assert (walk.finite, len(walk.walked)) == (True, 1)
+    return walk
 
 
 _SWAPPED_PROBLEMS = (

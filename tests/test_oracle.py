@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from subseq.alternation import _levels, l_plus, m_plus, mk_witness
+from subseq.alternation import _levels, _shifts, l_plus, m_plus, mk_witness
 from subseq.automata import Alphabet, Dfa, complement, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import (
@@ -16,7 +16,7 @@ from subseq.oracle import (
     enumerate_words,
 )
 from subseq.patterns import is_piecewise_testable
-from subseq.cli import main
+from subseq.cli import main, parse_dfa
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
 
 from helpers import (
@@ -39,11 +39,6 @@ from helpers import (
 A_ONLY = Alphabet("a")
 ALPHABETS = (A_ONLY, AB, Alphabet("abc"))
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _sides(d):
-    # _levels takes the walked automaton and its complement
-    return d, complement(d)
 
 
 def never(_):
@@ -278,7 +273,7 @@ def test_oracle_check_enumerates_the_words_once(capsys, monkeypatch):
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
     assert len(enumerations) == 0
     assert len(tables) == 0
-    substitute(monkeypatch, _levels, lambda *sides: _levels(*_sides(mk_witness(1))))
+    substitute(monkeypatch, _levels, _walk_of_m1)
     assert len(cross_check(mk_witness(2), 4)) == 4
     assert len(enumerations) == 1
     assert len(tables) == 0
@@ -360,14 +355,28 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
     assert len(closures) == 4
 
 
-def _walk_of_m1(*_):
+def _walk_of_m1(_):
     # the level chains of another language that rejects ε
-    return _levels(*_sides(mk_witness(1)))
+    return _levels(mk_witness(1))
 
 
-def _late_walk(*sides):
+def _late_walk(minimal):
     # a level walk that starts one level late
-    return itertools.islice(_levels(*sides), 1, None)
+    return itertools.islice(_levels(minimal), 1, None)
+
+
+def test_cross_check_steps_each_level_once(monkeypatch):
+    # the input, Σ* and each walked level are stepped along the words once,
+    # the walked levels shared by both sides included; a level past the
+    # walk's end is empty, so nothing is stepped for it
+    m3 = parse_dfa((FIXTURES / "m3.dfa").read_text(encoding="utf-8"))
+    steps = count_calls(monkeypatch, _states)
+    counts = []
+    for d in (mk_witness(1), mk_witness(3), complement(mk_witness(2)), m3):
+        before = len(steps)
+        assert cross_check(d, 6) == []
+        counts.append(len(steps) - before)
+    assert counts == [3, 5, 4, 5]
 
 
 def test_cross_check_reports_wrong_predicate(monkeypatch):
@@ -426,16 +435,18 @@ def test_cross_check_reports_each_kind_of_mismatch_when_epsilon_is_in(monkeypatc
 def test_level_walks_end_exactly_on_piecewise_testable_corpus_machines():
     # cross_check agrees with the brute force on every corpus machine; a
     # piecewise testable walk of k levels ends where the chain NFA first
-    # turns empty, and every other walk keeps going
+    # turns empty, on the shifted side after k + 1, and every other walk
+    # keeps going
     finite = 0
     for d in oracle_corpus():
         assert cross_check(d, 4 if len(d.alphabet) == 2 else 3, max_m=5) == [], d
         if not is_piecewise_testable(d):
-            assert len(list(itertools.islice(_levels(*_sides(d)), 6))) == 6, d
+            assert len(list(itertools.islice(_levels(d), 6))) == 6, d
             continue
         finite += 1
+        walked = len(list(_levels(d)))
         for side in (d, complement(d)):
-            k = len(list(_levels(*_sides(side))))
+            k = walked + _shifts(side.start in side.accepting)[0]
             assert nfa_is_empty(build_chain_nfa(side, k)), side
             if k > 0:
                 assert not nfa_is_empty(build_chain_nfa(side, k - 1)), side
