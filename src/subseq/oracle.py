@@ -21,8 +21,10 @@ length at a time:
   B = k^(ℓ-1-i) and c its letter at position i, loses that letter to
   become the word of rank hi·B + lo of length ℓ - 1.  So the depths of
   the words' deletions at position i are the previous length's depths
-  with each block of B entries repeated k times (``_spread``), and the
-  elementwise max of the ℓ spreads gives every word's deepest deletion.
+  with each block of B entries repeated k times (``_spread``, by slice
+  copies: one strided copy per offset and copy when B² is at most the
+  previous length, else one per block), and the elementwise max of the ℓ
+  spreads gives every word's deepest deletion.
   At i = 0, B is the whole previous length, so that spread is its depths
   repeated k times.  A run of equal letters repeats a deletion, which
   does not change a max.
@@ -44,22 +46,29 @@ are the walked side's plus one.
 
 ``cross_check`` sets those depths, from the input's membership, against
 the levels and measures of one ``alternation._walk``, the one its report
-was read from under ``classify --oracle-check``.  It steps each automaton
-along the word order once, never rerunning it from its start state.  A
-level of the other side is a walked level one depth lower, so each
-walked depth is compared once, Σ* at depth -1 included; words are
-spelled out only for the sample of a level that disagrees.
+was read from under ``classify --oracle-check``.  One breadth-first
+search steps the input and the walked levels 0..max_m together over
+their state tuples (``_joint``), expanding only the tuples that words
+shorter than the length bound reach, so it builds no more tuples than
+there are words; each tuple carries the input's membership and a bit per
+level that accepts it, and one pass of ``_states`` over the tuples' rows
+gives every word its tuple.  A level of the other side is a walked level
+one depth lower, so each walked depth is compared once: a word of walked
+depth d belongs to levels 0..d, and one list comparison of the words'
+bits settles every level.  Σ*, the shifted side's extra level, holds
+every word, so it is neither stepped nor compared.  Words are spelled out
+only for the sample of a level that disagrees.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ne
-from typing import Callable, Iterator
+from operator import getitem, xor
+from typing import Callable, Sequence
 
 from .alternation import _Walk, _shifts, _walk
-from .automata import Alphabet, Dfa, minimize, universal_language
+from .automata import Alphabet, Dfa, minimize
 from .errors import InputError, WordCapExceededError
 
 __all__ = [
@@ -122,14 +131,23 @@ class BoundedChainTable:
     minus_depth: dict[str, int]
 
 
-def _spread(below: list[int], block: int, k: int) -> Iterator[int]:
+def _spread(below: list[int], block: int, k: int) -> list[int]:
     """``below`` with each block of ``block`` entries repeated k times."""
-    if block == 1:
-        return itertools.chain.from_iterable(zip(*[below] * k))
-    ends = range(block, len(below) + block, block)
-    blocks = map(below.__getitem__, map(slice, range(0, len(below), block), ends))
-    repeated = itertools.chain.from_iterable(map(itertools.repeat, blocks, itertools.repeat(k)))
-    return itertools.chain.from_iterable(repeated)
+    n = len(below)
+    if block * block <= n:
+        # block·k strided copies of n / block entries: the entries at one
+        # offset within their blocks, into one of the k copies
+        out = [0] * (n * k)
+        for offset in range(block):
+            column = below[offset::block]
+            for first in range(offset, block * k, block):
+                out[first :: block * k] = column
+        return out
+    # n / block slice copies of block entries
+    out = []
+    for start in range(0, n, block):
+        out += below[start : start + block] * k
+    return out
 
 
 def _depths(member: list[bool], k: int) -> list[int]:
@@ -174,14 +192,34 @@ def chain_table(
     )
 
 
-def _states(machine: Dfa, n_words: int) -> list[int]:
-    """The state ``machine`` reaches on each of the first n_words words in
-    shortlex order; n_words counts every word up to some length."""
-    delta = machine.delta
-    states = [machine.start]
-    for p in range((n_words - 1) // len(machine.alphabet)):
+def _states(delta: Sequence[Sequence[int]], start: int, k: int, n_words: int) -> list[int]:
+    """The state that the transition rows ``delta`` over k letters reach
+    from ``start`` on each of the first n_words words in shortlex order;
+    n_words counts every word up to some length."""
+    states = [start]
+    for p in range((n_words - 1) // k):
         states += delta[states[p]]
     return states
+
+
+def _joint(machines: Sequence[Dfa], max_len: int) -> tuple[list[int], list[list[int]]]:
+    """The state tuples that ``machines`` reach together on the words up to
+    max_len, breadth first from the tuple of start states: each tuple's
+    acceptance bits, bit i set when machine i accepts, and the successor
+    indices by letter of the tuples that words shorter than max_len reach.
+
+    Only those tuples are expanded, so there are never more tuples than
+    words, whatever the size of the full product."""
+    deltas = [machine.delta for machine in machines]
+    index = {tuple(machine.start for machine in machines): 0}
+    rows: list[list[int]] = []
+    for _ in range(max_len):
+        for states in list(index)[len(rows) :]:
+            successors = zip(*map(getitem, deltas, states))
+            rows.append([index.setdefault(t, len(index)) for t in successors])
+    accepting = [machine.accepting for machine in machines]
+    bits = [sum(1 << i for i, (q, acc) in enumerate(zip(t, accepting)) if q in acc) for t in index]
+    return bits, rows
 
 
 def cross_check(
@@ -207,33 +245,36 @@ def cross_check(
 def _compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int) -> list[str]:
     """``cross_check`` against ``walk``, a ``_walk`` of ``minimize(dfa)``
     that holds at least max_m + 1 levels or ends before."""
-    n_words = _word_count(len(dfa.alphabet), max_len, cap)
-    member = list(map(dfa.accepting.__contains__, _states(dfa, n_words)))
-    depths = _depths(member, len(dfa.alphabet))
-    shifts = _shifts(member[0])
-    # level i, for i = -1..max_m, against the words of walked depth >= i:
-    # Σ*, then the walked levels, then empty ones past the walk's end
-    machines = (universal_language(dfa.alphabet), *walk.walked)
-    samples = []  # per level, the indices of its first mismatching words
-    for depth in range(-1, max_m + 1):
-        level = list(map(depth.__le__, depths))
-        if depth + 1 < len(machines):
-            machine = machines[depth + 1]
-            inside = list(map(machine.accepting.__contains__, _states(machine, n_words)))
-        else:
-            inside = [False] * n_words
-        wrong = itertools.compress(itertools.count(), map(ne, level, inside))
-        samples.append([] if level == inside else list(itertools.islice(wrong, 3)))
+    k = len(dfa.alphabet)
+    n_words = _word_count(k, max_len, cap)
+    bits, rows = _joint((dfa, *walk.walked[: max_m + 1]), max_len)
+    reached = _states(rows, 0, k, n_words)  # the tuple of each word
+    member = [bool(b & 1) for b in bits]
+    depths = _depths(list(map(member.__getitem__, reached)), k)
+    deepest = max(depths)
+    # bit i of a word's mask is set when walked level i accepts it, and a
+    # word of walked depth d belongs to levels 0..d, so its expected mask,
+    # indexed by d (-1 reads the trailing 0), has bits 0..min(d, max_m);
+    # levels past the walk's end are empty and never set their bits
+    masks = [b >> 1 for b in bits]
+    expected = [(1 << min(d + 1, max_m + 1)) - 1 for d in range(deepest + 1)] + [0]
+    observed = list(map(masks.__getitem__, reached))
+    wanted = list(map(expected.__getitem__, depths))
     problems: list[str] = []
-    words: list[str] = []
-    for side, shift in zip(("plus", "minus"), shifts):
-        for m in range(max_m + 1):
-            if sample := samples[m - shift + 1]:
-                words = words or enumerate_words(dfa.alphabet, max_len, cap)
-                sample = [words[i] for i in sample]
-                problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
+    shifts = _shifts(member[0])
+    if observed != wanted:
+        words = enumerate_words(dfa.alphabet, max_len, cap)
+        wrong = list(map(xor, observed, wanted))
+        samples = [
+            list(itertools.islice(itertools.compress(words, (w >> i & 1 for w in wrong)), 3))
+            for i in range(max_m + 1)
+        ]
+        for side, shift in zip(("plus", "minus"), shifts):
+            for m in range(shift, max_m + 1):
+                if sample := samples[m - shift]:
+                    problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
     for side, shift, measure in zip(("plus", "minus"), shifts, walk.measures):
-        bound = max(depths) + shift
+        bound = deepest + shift
         if measure.is_finite and bound > measure.value:
             problems.append(f"{side} measure {measure} is below the brute-force bound {bound}")
     return problems

@@ -12,6 +12,9 @@ closure's incremental one, and so do the string-keyed chain table
 that the library's index-keyed one is checked against, with the reach
 of each word beside it, a per-level walk over word deletions that the
 levels read off the chain table's depth fields are checked against,
+the oracle's comparison with one stepping pass per automaton and its
+spread by lazy iterators, the references for its joint pass over state
+tuples and its slice copies,
 Moore's minimization, the reference for the library's Hopcroft
 one, the unpruned all-pairs insertion search, the reference for the
 library's search that skips pairs settled by reachability, a backward
@@ -39,6 +42,7 @@ pass per letter pair.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 import sys
@@ -46,7 +50,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from subseq.alternation import AlternationMeasure, ClassificationReport, mk_witness
+from subseq.alternation import (
+    AlternationMeasure,
+    ClassificationReport,
+    _shifts,
+    _Walk,
+    mk_witness,
+)
 from subseq.automata import (
     Alphabet,
     Dfa,
@@ -56,8 +66,10 @@ from subseq.automata import (
     is_empty,
     minimize,
     product,
+    universal_language,
 )
 from subseq.errors import InputError, ParseError
+from subseq import oracle
 from subseq.oracle import BoundedChainTable
 from subseq.patterns import PatternWitness, _separator, is_piecewise_testable
 from subseq.subword import is_subword, shuffle_ideal, upward_closure
@@ -239,6 +251,58 @@ def bounded_level(table: BoundedChainTable, depth: dict[str, int], m: int) -> se
         if b >= m:
             out.add(w)
     return out
+
+
+def reference_spread(below: list[int], block: int, k: int) -> Iterator[int]:
+    """``below`` with each block of ``block`` entries repeated k times, by
+    chained lazy iterators; the reference for the oracle's slice copies."""
+    if block == 1:
+        return itertools.chain.from_iterable(zip(*[below] * k))
+    ends = range(block, len(below) + block, block)
+    blocks = map(below.__getitem__, map(slice, range(0, len(below), block), ends))
+    repeated = itertools.chain.from_iterable(map(itertools.repeat, blocks, itertools.repeat(k)))
+    return itertools.chain.from_iterable(repeated)
+
+
+def _reference_states(machine: Dfa, n_words: int) -> list[int]:
+    delta = machine.delta
+    states = [machine.start]
+    for p in range((n_words - 1) // len(machine.alphabet)):
+        states += delta[states[p]]
+    return states
+
+
+def reference_compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int) -> list[str]:
+    """The oracle's comparison with one stepping pass per automaton, Σ*
+    included, and one list per level; the reference for its joint pass."""
+    n_words = oracle._word_count(len(dfa.alphabet), max_len, cap)
+    member = list(map(dfa.accepting.__contains__, _reference_states(dfa, n_words)))
+    depths = oracle._depths(member, len(dfa.alphabet))
+    shifts = _shifts(member[0])
+    machines = (universal_language(dfa.alphabet), *walk.walked)
+    samples = []
+    for depth in range(-1, max_m + 1):
+        level = list(map(depth.__le__, depths))
+        if depth + 1 < len(machines):
+            machine = machines[depth + 1]
+            inside = list(map(machine.accepting.__contains__, _reference_states(machine, n_words)))
+        else:
+            inside = [False] * n_words
+        wrong = itertools.compress(itertools.count(), map(operator.ne, level, inside))
+        samples.append([] if level == inside else list(itertools.islice(wrong, 3)))
+    problems: list[str] = []
+    words: list[str] = []
+    for side, shift in zip(("plus", "minus"), shifts):
+        for m in range(max_m + 1):
+            if sample := samples[m - shift + 1]:
+                words = words or oracle.enumerate_words(dfa.alphabet, max_len, cap)
+                sample = [words[i] for i in sample]
+                problems.append(f"{side} level {m}: bounded sets disagree, e.g. {sample}")
+    for side, shift, measure in zip(("plus", "minus"), shifts, walk.measures):
+        bound = max(depths) + shift
+        if measure.is_finite and bound > measure.value:
+            problems.append(f"{side} measure {measure} is below the brute-force bound {bound}")
+    return problems
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from subseq.alternation import _levels, _shifts, l_plus, m_plus, mk_witness
-from subseq.automata import Alphabet, Dfa, complement, universal_language
+from subseq.alternation import _levels, _shifts, _walk, l_plus, m_plus, mk_witness
+from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
 from subseq.errors import WordCapExceededError
 from subseq.oracle import (
+    DEFAULT_WORD_CAP,
+    _compare,
+    _joint,
+    _spread,
     _states,
     chain_table,
     cross_check,
@@ -22,6 +26,7 @@ from subseq.subword import is_subword, shuffle_ideal, upward_closure
 from helpers import (
     AB,
     ab_star,
+    boolean_combinations,
     bounded_level,
     build_chain_nfa,
     count_calls,
@@ -32,6 +37,8 @@ from helpers import (
     reach_level,
     reference_chain_table,
     reference_chain_walk,
+    reference_compare,
+    reference_spread,
     substitute,
     words_up_to,
 )
@@ -252,7 +259,7 @@ def test_states_step_every_word_from_its_prefix():
         words = enumerate_words(alphabet, max_len)
         for _ in range(20):
             d = random_dfa(rng, rng.randint(1, 6), alphabet)
-            assert _states(d, len(words)) == [d.run(w) for w in words]
+            assert _states(d.delta, d.start, len(alphabet), len(words)) == [d.run(w) for w in words]
 
 
 def test_cross_check_steps_automata_without_replaying_words(monkeypatch):
@@ -366,17 +373,92 @@ def _late_walk(minimal):
 
 
 def test_cross_check_steps_each_level_once(monkeypatch):
-    # the input, Σ* and each walked level are stepped along the words once,
-    # the walked levels shared by both sides included; a level past the
-    # walk's end is empty, so nothing is stepped for it
+    # one stepping pass per check, over the state tuples of the input and
+    # the walked levels 0..max_m together, the levels shared by both sides
+    # included; Σ* and the empty levels past the walk's end hold every word
+    # and none, so nothing is stepped for them
     m3 = parse_dfa((FIXTURES / "m3.dfa").read_text(encoding="utf-8"))
     steps = count_calls(monkeypatch, _states)
-    counts = []
+    joint = count_calls(monkeypatch, _joint)
     for d in (mk_witness(1), mk_witness(3), complement(mk_witness(2)), m3):
-        before = len(steps)
         assert cross_check(d, 6) == []
-        counts.append(len(steps) - before)
-    assert counts == [3, 5, 4, 5]
+    assert len(steps) == 4
+    assert [len(machines) for machines, _ in joint] == [2, 4, 3, 4]
+
+
+def test_joint_pass_builds_no_more_tuples_than_words(monkeypatch):
+    # a piecewise testable input of 312 states, whose product with its
+    # first four levels reaches 688 tuples; only the tuples of the 15 words
+    # up to length 3 are built
+    big = boolean_combinations(random.Random(1), 6, 6, 7)[5]
+    assert big.n_states == 312
+    built = []
+
+    def joint(machines, max_len):
+        bits, rows = _joint(machines, max_len)
+        built.append((len(machines), len(bits)))
+        return bits, rows
+
+    substitute(monkeypatch, _joint, joint)
+    assert cross_check(big, 3) == []
+    assert len(built) == 1 and built[0][0] == 5
+    assert built[0][1] <= len(enumerate_words(AB, 3)) == 15
+
+
+def test_spread_repeats_each_block_k_times():
+    # block sizes k^i with block² up to the length take the strided copies,
+    # the larger ones a copy per block; each entry is its own index, so a
+    # misplaced copy shows
+    for k in (1, 2, 3):
+        for n in range(6):
+            below = list(range(k**n))
+            for i in range(n + 1):
+                block = k**i
+                by_definition = [
+                    x
+                    for start in range(0, len(below), block)
+                    for _ in range(k)
+                    for x in below[start : start + block]
+                ]
+                assert _spread(below, block, k) == by_definition, (k, n, i)
+                assert list(reference_spread(below, block, k)) == by_definition, (k, n, i)
+
+
+def _compare_both(d, max_len, max_m):
+    # the joint pass and the reference on one walk, which may be substituted
+    walk = _walk(minimize(d), max_m + 1)
+    problems = _compare(d, walk, max_len, max_m, DEFAULT_WORD_CAP)
+    assert problems == reference_compare(d, walk, max_len, max_m, DEFAULT_WORD_CAP), (d, max_m)
+    return problems
+
+
+def test_joint_pass_matches_the_reference_comparison(monkeypatch):
+    fixtures = [parse_dfa(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.glob("*.dfa"))]
+    for d in oracle_corpus() + fixtures:
+        assert _compare_both(d, 4 if len(d.alphabet) == 2 else 3, 5) == [], d
+    for d in fixtures:
+        assert _compare_both(d, 0, 3) == [], d
+    # seeded random machines over one, two and three letters, each with ε
+    # on both sides, compared through levels up to 0..4
+    rng = random.Random(515)
+    machines = []
+    for alphabet in ALPHABETS:
+        for _ in range(20):
+            d = random_dfa(rng, rng.randint(1, 6), alphabet)
+            machines += [d, complement(d)]
+    for i, d in enumerate(machines):
+        assert _compare_both(d, (10, 6, 4)[len(d.alphabet) - 1], i % 5) == [], d
+    # walks that disagree, so the samples and measure problems are compared
+    # too, on both shifts
+    two_letters = [d for d in machines if d.alphabet == AB]
+    two_letters += [mk_witness(2), complement(mk_witness(2))]
+    mismatches = 0
+    for walk, inputs in ((_walk_of_m1, two_letters), (_late_walk, machines)):
+        with monkeypatch.context() as patch:
+            substitute(patch, _levels, walk)
+            for i, d in enumerate(inputs):
+                mismatches += bool(_compare_both(d, (10, 6, 4)[len(d.alphabet) - 1], i % 5))
+    assert (mismatches, len(two_letters) + len(machines)) == (129, 162)
 
 
 def test_cross_check_reports_wrong_predicate(monkeypatch):
