@@ -11,6 +11,10 @@ breadth-first renumbering from the start state following alphabet order.
 The renumbering, not the order of the splits, makes equal languages
 minimize to structurally identical values; golden tests rely on that.
 
+One component pass, ``_components`` (Tarjan, SIAM J. Comput. 1972),
+answers every cycle question: ``_topological_order`` reads off it whether
+every cycle is a self-loop, and ``patterns`` which letters loop at a state.
+
 All types are immutable after construction and operations are pure
 functions, so values can be shared freely between threads.
 """
@@ -166,22 +170,16 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
 def minimize(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal automaton in canonical form.
 
-    Hopcroft's partition refinement over the reachable states, in
-    O(k·n log n) for k letters and n states, then a breadth-first
-    renumbering from the start state with letters in alphabet order.  The
-    refinement fixes only which states merge; the renumbering fixes their
-    numbers, so two inputs with the same language come out structurally
-    equal whatever order the blocks were split in.  Idempotent.
+    Hopcroft's partition refinement over all states, in O(k·n log n) for
+    k letters and n states, then a breadth-first renumbering from the
+    start state with letters in alphabet order.  The refinement fixes only
+    which states merge; the renumbering fixes their numbers and is the
+    only reachability pass, dropping the blocks no reachable state is in,
+    so two inputs with the same language come out structurally equal
+    whatever order the blocks were split in.  Idempotent.
     """
-    width = len(dfa.alphabet)
+    n = dfa.n_states
     delta = dfa.delta
-    order = [dfa.start]
-    seen = {dfa.start}
-    for s in order:
-        for t in delta[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
 
     # Start from {accepting, rejecting}; pop a pending block B and split
     # every block by the preimage a⁻¹B, for every letter a.  A split keeps
@@ -190,17 +188,17 @@ def minimize(dfa: Dfa) -> Dfa:
     # queued part settles the larger part too.  A state is queued only
     # when its block at least halves, so O(log n) times, and costs its k
     # preimage lists each time.
-    final = [s for s in order if s in dfa.accepting]
-    block = [1] * dfa.n_states
+    final = dfa.accepting
+    block = [1] * n
     for s in final:
         block[s] = 0
-    blocks = [set(final), seen.difference(final)]
-    if 0 < len(final) < len(order):
-        inverse = [[[] for _ in delta] for _ in range(width)]
-        for s in order:
-            for pre, t in zip(inverse, delta[s]):
+    blocks = [set(final), set(range(n)) - final]
+    if 0 < len(final) < n:
+        inverse = [[[] for _ in delta] for _ in dfa.alphabet]
+        for s, row in enumerate(delta):
+            for pre, t in zip(inverse, row):
                 pre[t].append(s)
-        pending = [0 if 2 * len(final) <= len(order) else 1]
+        pending = [0 if 2 * len(final) <= n else 1]
         while pending:
             splitter = tuple(blocks[pending.pop()])
             for pre in inverse:
@@ -225,10 +223,10 @@ def minimize(dfa: Dfa) -> Dfa:
                         block[p] = len(blocks)
                     blocks.append(part)
 
-    # the first reachable state of each block represents it
+    # the final partition is a congruence, so any member represents its block
     representative = [-1] * len(blocks)
-    for s in reversed(order):
-        representative[block[s]] = s
+    for s, b in enumerate(block):
+        representative[b] = s
 
     canonical = [-1] * len(blocks)
     canonical[block[dfa.start]] = 0
@@ -313,24 +311,51 @@ def is_empty(dfa: Dfa) -> bool:
     return True
 
 
+def _components(delta, start: int) -> tuple[dict[int, int], list[int]]:
+    """Strongly connected components of the states reachable from
+    ``start`` in the transition table ``delta``: each state's component,
+    named by its root, and the roots in the order their components close,
+    which is a reverse topological order of the components.  Tarjan's
+    algorithm with an explicit stack of (state, successors left), so deep
+    automata need no recursion."""
+    index = {start: 0}
+    low = {start: 0}
+    component: dict[int, int] = {}
+    roots = []
+    open_states = [start]
+    work = [(start, iter(delta[start]))]
+    while work:
+        s, successors = work[-1]
+        for t in successors:
+            if t not in index:
+                index[t] = low[t] = len(index)
+                open_states.append(t)
+                work.append((t, iter(delta[t])))
+                break
+            if t not in component and index[t] < low[s]:
+                low[s] = index[t]
+        else:
+            work.pop()
+            if work and low[s] < low[work[-1][0]]:
+                low[work[-1][0]] = low[s]
+            if low[s] == index[s]:
+                roots.append(s)
+                while True:
+                    t = open_states.pop()
+                    component[t] = s
+                    if t == s:
+                        break
+    return component, roots
+
+
 def _topological_order(dfa: Dfa) -> list[int] | None:
     """States ordered so that every edge s -> t with s != t points forward,
-    by Kahn's algorithm; None when some cycle is not a self-loop."""
-    successors = [{t for t in row if t != s} for s, row in enumerate(dfa.delta)]
-    indegree = [0] * dfa.n_states
-    for targets in successors:
-        for t in targets:
-            indegree[t] += 1
-    ready = [s for s in range(dfa.n_states) if indegree[s] == 0]
-    order = []
-    while ready:
-        s = ready.pop()
-        order.append(s)
-        for t in successors[s]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-    return order if len(order) == dfa.n_states else None
+    None when some cycle is not a self-loop: the reversed roots of
+    ``_components`` when every component is a single state.  ``dfa`` must
+    be minimal, as every caller's is, so every state is reachable and the
+    order holds them all."""
+    component, roots = _components(dfa.delta, dfa.start)
+    return roots[::-1] if len(roots) == len(component) else None
 
 
 def empty_language(alphabet: Alphabet) -> Dfa:

@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields, replace
 
-from .automata import Dfa, _topological_order, minimize
+from .automata import Dfa, _components, _topological_order, minimize
 from .subword import is_subword
 
 __all__ = [
@@ -177,34 +177,8 @@ def _separator(dfa: Dfa, p: int, q: int) -> str:
 def _loop_letters(delta, start: int) -> set[tuple[int, int]]:
     """(state, letter index) pairs, over the states reachable from
     ``start``, such that some loop at the state reads the letter: its
-    strongly connected component has a step on that letter inside it.
-    The components come from Tarjan's algorithm with an explicit stack of
-    (state, successors left), so deep automata need no recursion."""
-    index = {start: 0}
-    low = {start: 0}
-    component: dict[int, int] = {}
-    open_states = [start]
-    work = [(start, iter(delta[start]))]
-    while work:
-        s, successors = work[-1]
-        for t in successors:
-            if t not in index:
-                index[t] = low[t] = len(index)
-                open_states.append(t)
-                work.append((t, iter(delta[t])))
-                break
-            if t not in component and index[t] < low[s]:
-                low[s] = index[t]
-        else:
-            work.pop()
-            if work and low[s] < low[work[-1][0]]:
-                low[work[-1][0]] = low[s]
-            if low[s] == index[s]:
-                while True:
-                    t = open_states.pop()
-                    component[t] = s
-                    if t == s:
-                        break
+    component in ``_components`` has a step on that letter inside it."""
+    component, _ = _components(delta, start)
     inner = {
         (c, j) for s, c in component.items() for j, t in enumerate(delta[s]) if component[t] == c
     }
@@ -219,10 +193,11 @@ def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     The first letter a, then the first reachable state s1, such that the
     step s1·a changes minimal state and some loop at s1 reads a; v is the
     shortlex-least such loop.  A candidate whose loop search fails is
-    dead; the first one builds ``_loop_letters``, and from then on only
-    candidates it names are searched.  So at most one search fails, and
-    the candidates, the searches and the component pass take O(k·n) steps;
-    the separator's search over state pairs, O(k·n²), is the largest.
+    dead.  The component pass is built lazily, at the first dead
+    candidate, as ``_loop_letters``; from then on only the candidates it
+    names are searched.  So at most one search fails, and the candidates,
+    the searches and the component pass take O(k·n) steps; the
+    separator's search over state pairs, O(k·n²), is the largest.
     """
     access, classes = _access_words(dfa, minimal)
     reachable = sorted(access)
@@ -398,10 +373,7 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     """Third pattern, subsuming the other two: a P1 or P2 witness is one in
     its third-pattern form, and conversely the third pattern forces one of
     the other two to be present, so the disjunction is exact."""
-    return _detect_p3(dfa, minimize(dfa))
-
-
-def _detect_p3(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+    minimal = minimize(dfa)
     return _as_p3(dfa, _detect_p1(dfa, minimal) or _detect_p2(dfa, minimal))
 
 

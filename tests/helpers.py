@@ -1113,10 +1113,17 @@ def closure_witness(dfa: Dfa) -> str | None:
 def substitute(monkeypatch, function, replacement) -> None:
     """Rebind a library function to ``replacement`` in every module of the
     package that names it, so callers see the substitute wherever they
-    import it from."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "subseq" and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, replacement)
+    import it from.  Raises LookupError when no module names it, as after
+    an earlier substitute of it, whose replacement would otherwise stay."""
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "subseq" and getattr(module, function.__name__, None) is function
+    ]
+    if not modules:
+        raise LookupError(f"no module of the package names {function.__qualname__}")
+    for module in modules:
+        monkeypatch.setattr(module, function.__name__, replacement)
 
 
 def count_calls(monkeypatch, function) -> list[tuple]:

@@ -7,6 +7,8 @@ from subseq.alternation import l_plus, mk_witness
 from subseq.automata import (
     Alphabet,
     Dfa,
+    _components,
+    _topological_order,
     complement,
     empty_language,
     intersection,
@@ -18,13 +20,16 @@ from subseq.automata import (
 )
 from subseq.errors import AlphabetMismatchError, InputError
 from subseq.cli import export, parse_dfa
+from subseq.patterns import _loop_letters
 from subseq.subword import shuffle_ideal, upward_closure
 
 from helpers import (
     AB,
     Nfa,
+    _reach,
     all_dfas,
     build_chain_nfa,
+    count_calls,
     determinize,
     dfa_from_rows,
     distinguishing_words,
@@ -35,6 +40,7 @@ from helpers import (
     reverse_det,
     shortest_accepted_word,
     symmetric_difference,
+    witness_corpus,
     words_up_to,
 )
 
@@ -136,6 +142,13 @@ def test_minimize_removes_unreachable_states():
     m = minimize(d)
     assert m.n_states == 2
     assert equivalent(m, d)
+
+
+def test_minimize_refines_for_unreachable_states_alone():
+    # every reachable state accepts and only the unreachable ones reject,
+    # so the refinement runs for them alone; the renumbering drops them
+    d = dfa_from_rows([(1, 0), (0, 1), (3, 0), (2, 2)], {0, 1})
+    assert minimize(d) == universal_language(AB)
 
 
 def test_minimize_is_canonical_for_equal_languages():
@@ -404,3 +417,69 @@ def test_operations_keep_tables_complete():
         assert Dfa(*fields) == result
         assert len(result.delta) == result.n_states
         assert all(len(row) == len(result.alphabet) for row in result.delta)
+
+
+def _check_cycle_questions(dfa):
+    """``_topological_order`` of the minimal automaton and ``_loop_letters``
+    of ``dfa`` against their definitions; returns whether the order exists."""
+    reach = {s: _reach(dfa, s) for s in _reach(dfa, dfa.start)}
+    minimal = minimize(dfa)
+    order = _topological_order(minimal)
+    closed = [_reach(minimal, s) for s in range(minimal.n_states)]
+    if any(s != t and s in closed[t] for s in range(minimal.n_states) for t in closed[s]):
+        assert order is None, dfa
+    else:
+        assert sorted(order) == list(range(minimal.n_states)), dfa
+        position = {s: i for i, s in enumerate(order)}
+        for s, row in enumerate(minimal.delta):
+            assert all(position[s] < position[t] for t in row if t != s), dfa
+    loops = {
+        (s, j)
+        for s in reach
+        for p in reach[s]
+        for j, t in enumerate(dfa.delta[p])
+        if s in reach[t]
+    }
+    assert _loop_letters(dfa.delta, dfa.start) == loops, dfa
+    return order is not None
+
+
+def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
+    # None exactly when some state reaches itself through a distinct state,
+    # else every edge between distinct states points forward; a letter
+    # loops at s exactly when some p reachable from s steps on it to a
+    # state that reaches s.  Half the random machines only stay put or
+    # move up, so their order exists.
+    rng = random.Random(2801)
+    randoms = []
+    for i in range(2000):
+        alphabet = rng.choice((AB, Alphabet("abc")))
+        n = rng.randint(2, 40)
+        if i % 2:
+            rows = tuple(tuple(rng.randrange(s, n) for _ in alphabet) for s in range(n))
+            accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
+            randoms.append(Dfa(alphabet, n, rows, 0, accepting))
+        else:
+            randoms.append(random_dfa(rng, n, alphabet))
+    passes = count_calls(monkeypatch, _components)
+    ordered = 0
+    corpus = witness_corpus() + randoms
+    for d in corpus:
+        ordered += _check_cycle_questions(d)
+    # one pass per order and one per loop-letter set
+    assert len(passes) == 2 * len(corpus)
+    assert 2000 < ordered < len(corpus) - 2000
+
+
+def test_component_pass_does_not_recurse():
+    # 20,000 states, far past the recursion limit: the minimal automaton
+    # of the ideal of a^19999, a chain, and the same states closed into
+    # one a-cycle
+    n = 20000
+    chain = Dfa(AB, n, tuple((min(s + 1, n - 1), s) for s in range(n)), 0, frozenset({n - 1}))
+    assert minimize(chain) == chain
+    assert _topological_order(chain) == list(range(n))
+    assert _loop_letters(chain.delta, 0) == {(s, 1) for s in range(n)} | {(n - 1, 0)}
+    cycle = Dfa(AB, n, tuple(((s + 1) % n, s) for s in range(n)), 0, frozenset({0}))
+    assert _topological_order(cycle) is None
+    assert _loop_letters(cycle.delta, 0) == {(s, j) for s in range(n) for j in (0, 1)}

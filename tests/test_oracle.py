@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from subseq import alternation
 from subseq.alternation import _levels, _shifts, _walk, l_plus, m_plus, mk_witness
 from subseq.automata import Alphabet, Dfa, complement, minimize, universal_language
 from subseq.errors import WordCapExceededError
@@ -459,6 +460,15 @@ def test_joint_pass_matches_the_reference_comparison(monkeypatch):
             for i, d in enumerate(inputs):
                 mismatches += bool(_compare_both(d, (10, 6, 4)[len(d.alphabet) - 1], i % 5))
     assert (mismatches, len(two_letters) + len(machines)) == (129, 162)
+
+
+def test_substitute_refuses_a_function_no_module_names(monkeypatch):
+    # once replaced, _levels is named by no module, so a second substitute
+    # of it must fail rather than leave the first replacement in place
+    substitute(monkeypatch, _levels, _walk_of_m1)
+    with pytest.raises(LookupError):
+        substitute(monkeypatch, _levels, _late_walk)
+    assert alternation._levels is _walk_of_m1
 
 
 def test_cross_check_reports_wrong_predicate(monkeypatch):
