@@ -20,23 +20,36 @@ length at a time:
 - Within its length ℓ, a word of rank x = hi·k·B + c·B + lo, with
   B = k^(ℓ-1-i) and c its letter at position i, loses that letter to
   become the word of rank hi·B + lo of length ℓ - 1.  So the depths of
-  the words' deletions at position i are the previous length's depths
-  with each block of B entries repeated k times (``_spread``, by slice
+  the words' deletions at position i are the previous length's lanes
+  with each block of B lanes repeated k times (``_spread``, by slice
   copies: one strided copy per offset and copy when B² is at most the
-  previous length, else one per block), and the elementwise max of the ℓ
+  previous length, else one per block), and the lanewise max of the ℓ
   spreads gives every word's deepest deletion.
-  At i = 0, B is the whole previous length, so that spread is its depths
+  At i = 0, B is the whole previous length, so that spread is its lanes
   repeated k times.  A run of equal letters repeats a deletion, which
-  does not change a max.
+  does not change a max; over one letter every B is 1, every deletion
+  the same word, and the spread at i = 0 the only one taken.
+
+``_depths`` holds each length's depths as one lane per word of a typed
+``array``, storing depth + 1 so that 0 is no chain, and takes the max
+with a spread in a few big-int operations on ``int.from_bytes`` of the
+lanes, SIMD within a register (Fisher & Dietz, LCPC 1998): with H the
+top bit of every lane, a guard that the lanes keep clear, the lanes of
+(a | H) - b that keep H are those where a >= b, and adding a - b there to
+b gives the max.  A depth is at most its word's length, so one-byte
+lanes cover every bound up to 127, every call over two or more letters
+under the default word cap among them; a one-letter alphabet past that
+takes wider ones.
 
 Depth never falls along the subword order: a chain ending at a subword
 of w ends at w too, after replacing that subword by w or appending w.  So
 the deepest chain ending at a proper subword of w is the deepest one
 ending at a deletion, r, and w's depth is r or r + 1, whichever has the
 parity that w's membership forces on the last word of a chain (-1, no
-chain, counts as odd).  For the same reason a word's depth is also the
-deepest chain ending at any of its subwords, so every bounded level m is
-the set of words whose depth is at least m.
+chain, counts as odd), one masked add over a length's lanes.  For the
+same reason a word's depth is also the deepest chain ending at any of
+its subwords, so every bounded level m is the set of words whose depth
+is at least m.
 
 The pass walks the side whose chains start where ε is not, as
 ``alternation._levels`` does.  ε is a subword of every word, so it can
@@ -54,15 +67,18 @@ there are words; each tuple carries the input's membership and a bit per
 level that accepts it, and one pass of ``_states`` over the tuples' rows
 gives every word its tuple.  A level of the other side is a walked level
 one depth lower, so each walked depth is compared once: a word of walked
-depth d belongs to levels 0..d, and one list comparison of the words'
-bits settles every level.  Σ*, the shifted side's extra level, holds
-every word, so it is neither stepped nor compared.  Words are spelled out
-only for the sample of a level that disagrees.
+depth d belongs to levels 0..d, its expected bits are looked up by its
+lane, and one list comparison of the words' bits settles every level.
+Σ*, the shifted side's extra level, holds every word, so it is neither
+stepped nor compared.  Words are spelled out only for the sample of a
+level that disagrees.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from operator import getitem, xor
 from typing import Callable, Sequence
@@ -131,45 +147,71 @@ class BoundedChainTable:
     minus_depth: dict[str, int]
 
 
-def _spread(below: list[int], block: int, k: int) -> list[int]:
-    """``below`` with each block of ``block`` entries repeated k times."""
+def _spread(below: array, block: int, k: int) -> array:
+    """``below`` with each block of ``block`` lanes repeated k times."""
     n = len(below)
     if block * block <= n:
-        # block·k strided copies of n / block entries: the entries at one
-        # offset within their blocks, into one of the k copies
-        out = [0] * (n * k)
+        # block·k strided copies of n / block lanes: the lanes at one
+        # offset within their blocks, into one of the k copies, over a
+        # buffer of the right size whose every lane they overwrite
+        out = below * k
         for offset in range(block):
             column = below[offset::block]
             for first in range(offset, block * k, block):
                 out[first :: block * k] = column
         return out
-    # n / block slice copies of block entries
-    out = []
+    # n / block slice copies of block lanes
+    out = array(below.typecode)
     for start in range(0, n, block):
         out += below[start : start + block] * k
     return out
 
 
-def _depths(member: list[bool], k: int) -> list[int]:
-    """The walked side's chain depths of every word over k letters up to
-    some length, given the words' memberships in shortlex order."""
-    # the walked side's chains start where ε is not, so they put the words
-    # whose membership differs from ε's at even depths and the others at
-    # odd ones, -1 included: a word's depth is r or r + 1, whichever gives
-    # an even sum with (inside == ε's membership)
+def _depths(member: list[bool], k: int) -> array:
+    """The walked side's chain depths plus one, one lane per word over k
+    letters up to some length, given the words' memberships in shortlex
+    order; 0 is no chain."""
+    longest, count = 0, 1
+    while count < len(member):
+        longest += 1
+        count += k**longest
+    # a lane holds at most longest, below its guard bit, the top one
+    typecode = next(t for t in "BHIQ" if longest < 1 << (8 * array(t).itemsize - 1))
+    width = array(typecode).itemsize
+    guard = 8 * width - 1
+    order = sys.byteorder
     epsilon_in = member[0]
-    depths, below, length = [-1], [-1], 0  # ε ends no chain of the walked side
-    while len(depths) < len(member):
-        length += 1
-        # one spread per letter position, folded into the first letter's
-        # deletion by a conditional per element, cheaper than max() calls
-        deepest = below * k
-        for i in range(length - 1):
-            deepest = [a if a >= b else b for a, b in zip(deepest, _spread(below, k**i, k))]
-        inside = member[len(depths) : len(depths) + len(below) * k]
-        below = [r + ((r + (m == epsilon_in)) & 1) for r, m in zip(deepest, inside)]
-        depths += below
-    return depths
+    lanes, below = array(typecode, [0]), array(typecode, [0])  # ε ends no chain
+    for _ in range(longest):
+        n = len(below) * k
+        low = int.from_bytes(array(typecode, [1]) * n, order)
+        high = low << guard
+        # one spread per letter position, the first letter's deletion, whose
+        # block is the whole previous length, first, then blocks 1, k, k², ...
+        # below it: none over one letter, where every deletion is one word.
+        # Each max keeps the guard bit of (a | high) - b, set in the lanes
+        # where a >= b, and adds a - b to b there
+        deepest = int.from_bytes(below * k, order)
+        block = 1
+        while block < len(below):
+            spread = int.from_bytes(_spread(below, block, k), order)
+            diff = (deepest | high) - spread
+            keep = diff & high
+            deepest = spread + (diff & (keep - (keep >> guard)))
+            block *= k
+        # the walked side's chains start where ε is not, so they put the
+        # words whose membership differs from ε's at even depths, odd
+        # lanes, and the others at odd depths or -1, even lanes: a word's
+        # lane is its deepest deletion's, r, or r + 1, whichever has that
+        # parity, so 1 is added where r's low bit is not the word's in
+        # ``differs``
+        start = len(lanes)
+        inside = int.from_bytes(array(typecode, member[start : start + n]), order)
+        differs = inside ^ (low if epsilon_in else 0)
+        deepest += (deepest ^ differs) & low
+        below = array(typecode, deepest.to_bytes(n * width, order))
+        lanes += below
+    return lanes
 
 
 def chain_table(
@@ -181,8 +223,8 @@ def chain_table(
     """Tabulate both sides' chain depths for all words up to max_len."""
     words = enumerate_words(alphabet, max_len, cap)
     member = [bool(membership(w)) for w in words]
-    walked = _depths(member, len(alphabet))
-    plus, minus = ([d + shift for d in walked] for shift in _shifts(member[0]))
+    lanes = _depths(member, len(alphabet))
+    plus, minus = (map((shift - 1).__add__, lanes) for shift in _shifts(member[0]))
     return BoundedChainTable(
         max_len,
         tuple(words),
@@ -250,16 +292,16 @@ def _compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int) -> list[
     bits, rows = _joint((dfa, *walk.walked[: max_m + 1]), max_len)
     reached = _states(rows, 0, k, n_words)  # the tuple of each word
     member = [bool(b & 1) for b in bits]
-    depths = _depths(list(map(member.__getitem__, reached)), k)
-    deepest = max(depths)
+    lanes = _depths(list(map(member.__getitem__, reached)), k)
+    deepest = max(lanes) - 1
     # bit i of a word's mask is set when walked level i accepts it, and a
     # word of walked depth d belongs to levels 0..d, so its expected mask,
-    # indexed by d (-1 reads the trailing 0), has bits 0..min(d, max_m);
-    # levels past the walk's end are empty and never set their bits
+    # indexed by its lane d + 1, has bits 0..min(d, max_m); levels past
+    # the walk's end are empty and never set their bits
     masks = [b >> 1 for b in bits]
-    expected = [(1 << min(d + 1, max_m + 1)) - 1 for d in range(deepest + 1)] + [0]
+    expected = [(1 << min(lane, max_m + 1)) - 1 for lane in range(deepest + 2)]
     observed = list(map(masks.__getitem__, reached))
-    wanted = list(map(expected.__getitem__, depths))
+    wanted = list(map(expected.__getitem__, lanes))
     problems: list[str] = []
     shifts = _shifts(member[0])
     if observed != wanted:

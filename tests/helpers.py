@@ -12,9 +12,10 @@ closure's incremental one, and so do the string-keyed chain table
 that the library's index-keyed one is checked against, with the reach
 of each word beside it, a per-level walk over word deletions that the
 levels read off the chain table's depth fields are checked against,
-the oracle's comparison with one stepping pass per automaton and its
-spread by lazy iterators, the references for its joint pass over state
-tuples and its slice copies,
+the oracle's comparison with one stepping pass per automaton, its
+spread by lazy iterators and its depths by one list max per word, the
+references for its joint pass over state tuples, its slice copies and
+its depth lanes,
 Moore's minimization, the reference for the library's Hopcroft
 one, the unpruned all-pairs insertion search, the reference for the
 library's search that skips pairs settled by reachability, a backward
@@ -264,6 +265,24 @@ def reference_spread(below: list[int], block: int, k: int) -> Iterator[int]:
     return itertools.chain.from_iterable(repeated)
 
 
+def reference_index_depths(member: list[bool], k: int) -> list[int]:
+    """The walked side's chain depths of every word over k letters up to
+    some length, -1 for no chain, given the words' memberships in shortlex
+    order: one list per length, an elementwise max over the spreads of the
+    previous length's depths; the reference for the oracle's lanes."""
+    epsilon_in = member[0]
+    depths, below, length = [-1], [-1], 0
+    while len(depths) < len(member):
+        length += 1
+        deepest = below * k
+        for i in range(length - 1):
+            deepest = [a if a >= b else b for a, b in zip(deepest, reference_spread(below, k**i, k))]
+        inside = member[len(depths) : len(depths) + len(below) * k]
+        below = [r + ((r + (m == epsilon_in)) & 1) for r, m in zip(deepest, inside)]
+        depths += below
+    return depths
+
+
 def _reference_states(machine: Dfa, n_words: int) -> list[int]:
     delta = machine.delta
     states = [machine.start]
@@ -277,7 +296,7 @@ def reference_compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int)
     included, and one list per level; the reference for its joint pass."""
     n_words = oracle._word_count(len(dfa.alphabet), max_len, cap)
     member = list(map(dfa.accepting.__contains__, _reference_states(dfa, n_words)))
-    depths = oracle._depths(member, len(dfa.alphabet))
+    depths = reference_index_depths(member, len(dfa.alphabet))
     shifts = _shifts(member[0])
     machines = (universal_language(dfa.alphabet), *walk.walked)
     samples = []

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from subseq.errors import WordCapExceededError
 from subseq.oracle import (
     DEFAULT_WORD_CAP,
     _compare,
+    _depths,
     _joint,
     _spread,
     _states,
@@ -39,6 +41,7 @@ from helpers import (
     reference_chain_table,
     reference_chain_walk,
     reference_compare,
+    reference_index_depths,
     reference_spread,
     substitute,
     words_up_to,
@@ -408,8 +411,8 @@ def test_joint_pass_builds_no_more_tuples_than_words(monkeypatch):
 
 def test_spread_repeats_each_block_k_times():
     # block sizes k^i with block² up to the length take the strided copies,
-    # the larger ones a copy per block; each entry is its own index, so a
-    # misplaced copy shows
+    # the larger ones a copy per block; each lane is its own index, so a
+    # misplaced copy shows, in one-byte lanes and in wider ones
     for k in (1, 2, 3):
         for n in range(6):
             below = list(range(k**n))
@@ -421,8 +424,45 @@ def test_spread_repeats_each_block_k_times():
                     for _ in range(k)
                     for x in below[start : start + block]
                 ]
-                assert _spread(below, block, k) == by_definition, (k, n, i)
+                for typecode in "BH":
+                    spread = _spread(array(typecode, below), block, k)
+                    assert spread == array(typecode, by_definition), (k, n, i, typecode)
                 assert list(reference_spread(below, block, k)) == by_definition, (k, n, i)
+
+
+def test_depth_lanes_match_the_reference_lists():
+    # every bound from 0 up, on the corpus machines' memberships and on
+    # seeded random ones over one, two and three letters; a lane is the
+    # reference's depth + 1
+    longest = {1: 11, 2: 7, 3: 5}
+    memberships = []
+    for d in oracle_corpus():
+        words = enumerate_words(d.alphabet, longest[len(d.alphabet)])
+        memberships.append((list(map(d.accepts, words)), len(d.alphabet)))
+    rng = random.Random(529)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        n_words = len(enumerate_words(Alphabet("abc"[:k]), longest[k]))
+        memberships.append(([rng.random() < 0.5 for _ in range(n_words)], k))
+    for member, k in memberships:
+        for max_len in range(longest[k] + 1):
+            prefix = member[: sum(k**n for n in range(max_len + 1))]
+            want = [d + 1 for d in reference_index_depths(prefix, k)]
+            assert _depths(prefix, k).tolist() == want, (prefix, k)
+
+
+def test_wide_lanes_give_the_closed_form_depths():
+    # (aa)* holds ε and its chain a^0 ⊑ a^1 ⊑ ... alternates at every
+    # letter, so the walked, minus side's lane at a^n is n: the largest
+    # one-byte lanes hold at 127, two-byte ones past it
+    even = Dfa(A_ONLY, 2, ((1,), (0,)), 0, frozenset({0}))
+    for max_len in (127, 128, 300):
+        table = chain_table(even.accepts, A_ONLY, max_len)
+        plus = [table.plus_depth["a" * n] for n in range(max_len + 1)]
+        minus = [table.minus_depth["a" * n] for n in range(max_len + 1)]
+        assert plus == list(range(max_len + 1)), max_len
+        assert minus == list(range(-1, max_len)), max_len
+        assert cross_check(even, max_len) == [], max_len
 
 
 def _compare_both(d, max_len, max_m):
