@@ -40,10 +40,8 @@ from .automata import (
 from .errors import InfiniteMeasureError, InputError
 from .patterns import (
     PatternWitness,
-    _as_p3,
-    _cycle_witness,
-    _detect_p2,
     _is_piecewise_testable,
+    _witness,
     _witness_fields,
 )
 from .subword import _minimal_words, upward_closure
@@ -342,10 +340,10 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     walk of it, whose verdict settles both measures; the class verdicts
     follow from the measures, the decomposition is read off the minimal
     automaton only when m_plus < 1, and a pattern search runs on ``dfa``
-    itself, only when that verdict is no.  The witness comes from one loop
-    search when the minimal automaton has a cycle through distinct states,
-    from the P2 search otherwise, where no P1 witness exists; the
-    exhaustive detectors are left to ``patterns`` and the tests.
+    itself, only when that verdict is no.  The witness is ``detect_p3``'s:
+    the polynomial P1 search's when the minimal automaton has a cycle
+    through distinct states, the exhaustive P2 search's otherwise, where
+    no P1 witness exists.
     """
     return _classify(dfa, _walk(minimize(dfa)), name)
 
@@ -359,8 +357,7 @@ def _classify(dfa: Dfa, walk: _Walk, name: str) -> ClassificationReport:
         decomposition = _minimal_words(walk.minimal, walk.order)
     witness = None
     if not walk.finite:
-        search = _cycle_witness if walk.order is None else _detect_p2
-        witness = _as_p3(dfa, search(dfa, walk.minimal))
+        witness = _witness(dfa, walk.minimal)
         if witness is None:
             raise AssertionError(
                 f"piecewise-testability verdicts disagree on {name!r}: "

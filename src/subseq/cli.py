@@ -34,7 +34,7 @@ from .alternation import ClassificationReport, _classify, _walk, classify, mk_wi
 from .automata import Alphabet, Dfa, _unchecked_dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_MAX_M, DEFAULT_WORD_CAP, _compare, cross_check
-from .patterns import PatternWitness, _as_p3, _detect_p1, _detect_p2, _witness_fields
+from .patterns import PatternWitness, _as_p3, _cycle_witness, _detect_p2, _witness_fields
 from .subword import decompose_level_half, upward_closure
 
 __all__ = [
@@ -343,7 +343,7 @@ def _cmd_mplus(args) -> int:
 def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
     minimal = minimize(dfa)
-    first, second = _detect_p1(dfa, minimal), _detect_p2(dfa, minimal)
+    first, second = _cycle_witness(dfa, minimal), _detect_p2(dfa, minimal)
     witnesses = {"P1": first, "P2": second, "P3": _as_p3(dfa, first or second)}
     if args.json:
         payload = {

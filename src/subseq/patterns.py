@@ -23,29 +23,27 @@ pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
 in alphabet order, states in index order, breadth-first shortest loop
 words, ties broken by breadth-first discovery order, not alphabet order.
-The detectors stay exhaustive: the ``patterns`` subcommand reports them,
-and the tests use them as the reference.
 
-``classify`` needs only one witness, and builds it in polynomial time.
-When the minimal automaton has a cycle through distinct states it runs
-one loop search (``_cycle_witness``): a P1 witness with y = ε, so s2 = s1,
-whose loop v is found by one breadth-first search over (state, pivot read
-yet).  Such a witness exists exactly then: a step of that cycle changes
-the minimal state, and following the cycle's word from a reachable state
-repeats a state, which closes a loop that reads the changing letter.
-Otherwise every letter of a loop at s1 loops at s1's minimal state, so no
-P1 witness exists and ``classify`` runs the P2 search alone.
+There is one P1 search (``_cycle_witness``), polynomial: a P1 witness
+with y = ε, so s2 = s1, whose loop v is found by one breadth-first search
+over (state, pivot read yet).  A P1 witness exists exactly when the
+minimal automaton has a cycle through distinct states.  If it has one, a
+step of that cycle changes the minimal state, and following the cycle's
+word from a reachable state repeats a state, which closes a loop that
+reads the changing letter.  If not, every letter of a loop at s1 loops at
+s1's minimal state, so do the y and pivot it embeds, and s2, s3 are not
+distinguishable.
 
-Both loop patterns share one search (``_loop_search``): a loop, a run
-embedded in it, and a pivot letter placed once, after the run for P1 and
-before it for P2.  P2 runs it on the square automaton, whose state p·n + q
-steps both p and q on the same letter: a loop at both t3 and t4 is a loop
-at (t3, t4), and the runs s1 -> t3 and s2 -> t4 on one word are one run
-(s1, s2) -> (t3, t4).  The nodes map one to one onto those of a search
-over the automaton itself that tracks two loop runs, two embedded runs
-and the pivot flag, with the same moves in the same order, so
-breadth-first search reaches each by the same parent and returns the
-same words.
+The P2 search (``_detect_p2``) stays exhaustive: one loop search
+(``_loop_search``) per candidate, in order, up to the first success, on
+the square automaton, whose state p·n + q steps both p and q on the same
+letter: a loop at both t3 and t4 is a loop at (t3, t4), and the runs
+s1 -> t3 and s2 -> t4 on one word are one run (s1, s2) -> (t3, t4).  Its
+nodes map one to one, with the same moves in the same order, onto those
+of a search over the automaton itself that tracks two loop runs, two runs
+of z and the pivot flag, so both return the same words.  ``detect_p3``
+and ``classify`` report the P1 witness when there is one, the P2 one
+otherwise (``_witness``), as does the P3 line of ``patterns``.
 
 There is one replay: the third pattern's equations, on a witness's
 third-pattern form (``_as_p3``), which holds exactly when the witness
@@ -186,9 +184,9 @@ def _loop_letters(delta, start: int) -> set[tuple[int, int]]:
 
 
 def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    """The P1 witness with y = ε and s2 = s1 that ``classify`` reports on
-    an input whose minimal automaton has a cycle through distinct states,
-    None on any other input (see the module docstring).
+    """The P1 witness with y = ε and s2 = s1 on an input whose minimal
+    automaton has a cycle through distinct states, None on any other
+    input, where no P1 witness exists (see the module docstring).
 
     The first letter a, then the first reachable state s1, such that the
     step s1·a changes minimal state and some loop at s1 reads a; v is the
@@ -244,35 +242,30 @@ def _loop_reading(delta, letters: str, s1: int, pivot: int) -> str | None:
 
 
 def _loop_search(
-    delta, letters: str, loop: int, start: int, goal: int, pivot: int, first: bool
+    delta, letters: str, loop: int, start: int, pivot: int
 ) -> tuple[str, str] | None:
-    """Words (v, e) with v looping at ``loop``, e running ``start`` ->
-    ``goal``, and e embedded in v together with the pivot letter: e before
-    the pivot when ``first``, after it otherwise.
+    """Words (u, e) with u looping at ``loop``, e running ``start`` ->
+    ``loop``, and the pivot letter followed by e embedded in u.
 
     Breadth-first search over (loop run, embedded run, pivot placed).
-    Every consumed letter extends v; while the embedded run is in its
-    phase a letter may also extend e.  The pivot may be placed once; when
-    it comes last, only with the embedded run already at ``goal``.
-    Success means the loop run is back at ``loop`` and the embedded run
-    at ``goal`` with the pivot placed.  Shortest v; ties broken by
+    Every consumed letter extends u; the pivot may be placed once, and
+    after it a letter may also extend e.  Success means both runs are at
+    ``loop`` with the pivot placed.  Shortest u; ties broken by
     breadth-first discovery order, deterministic; None when no such pair
     of words exists.
     """
     origin = (loop, start, False)
-    target = (loop, goal, True)
+    target = (loop, loop, True)
     parents: dict[tuple[int, int, bool], tuple | None] = {origin: None}
     queue = deque([origin])
     while queue:
         node = queue.popleft()
         p, q, placed = node
-        embeds = placed != first
-        places = not placed and (q == goal or not first)
         for j, forward in enumerate(delta[p]):
             moves: list[tuple[tuple[int, int, bool], bool]] = [((forward, q, placed), False)]
-            if embeds:
-                moves.append(((forward, delta[q][j], placed), True))
-            if places and j == pivot:
+            if placed:
+                moves.append(((forward, delta[q][j], True), True))
+            elif j == pivot:
                 moves.append(((forward, q, True), False))
             for step, into_e in moves:
                 if step not in parents:
@@ -298,34 +291,11 @@ def _rebuild_two_words(parents, node, letters) -> tuple[str, str]:
 
 def detect_p1(dfa: Dfa) -> PatternWitness | None:
     """First pattern: a loop at s1 embeds y plus the pivot letter, and the
-    pivot step out of delta(s1, y) changes some later acceptance."""
-    return _detect_p1(dfa, minimize(dfa))
-
-
-def _detect_p1(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    access, classes = _access_words(dfa, minimal)
-    reachable = sorted(access)
-    letters = dfa.alphabet.letters
-    for j, a in enumerate(letters):
-        for s1 in reachable:
-            for s2 in reachable:
-                s3 = dfa.delta[s2][j]
-                if classes[s2] == classes[s3]:
-                    continue
-                found = _loop_search(dfa.delta, letters, s1, s1, s2, j, True)
-                if found is None:
-                    continue
-                v, y = found
-                return PatternWitness(
-                    kind="P1",
-                    letter=a,
-                    x=access[s1],
-                    v=v,
-                    y=y,
-                    z=_separator(dfa, s2, s3),
-                    states=(s1, s2, s3),
-                )
-    return None
+    pivot step out of delta(s1, y) changes some later acceptance.  Here
+    y = ε, so s2 = s1: the first letter a, then the first reachable s1 whose
+    a-step changes minimal state and some loop at s1 reads a, with v the
+    shortlex-least such loop (``_cycle_witness``)."""
+    return _cycle_witness(dfa, minimize(dfa))
 
 
 def detect_p2(dfa: Dfa) -> PatternWitness | None:
@@ -353,7 +323,7 @@ def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
                     if classes[t3] == classes[t4]:
                         continue
                     pair = t3 * n + t4
-                    found = _loop_search(square, letters, pair, s1 * n + s2, pair, j, False)
+                    found = _loop_search(square, letters, pair, s1 * n + s2, j)
                     if found is None:
                         continue
                     u, z = found
@@ -373,8 +343,12 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     """Third pattern, subsuming the other two: a P1 or P2 witness is one in
     its third-pattern form, and conversely the third pattern forces one of
     the other two to be present, so the disjunction is exact."""
-    minimal = minimize(dfa)
-    return _as_p3(dfa, _detect_p1(dfa, minimal) or _detect_p2(dfa, minimal))
+    return _witness(dfa, minimize(dfa))
+
+
+def _witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+    """``detect_p3`` on ``minimal``, the minimal automaton of ``dfa``."""
+    return _as_p3(dfa, _cycle_witness(dfa, minimal) or _detect_p2(dfa, minimal))
 
 
 def is_piecewise_testable(dfa: Dfa) -> bool:
@@ -387,8 +361,8 @@ def is_piecewise_testable(dfa: Dfa) -> bool:
     self-loop the {a, b}-steps that change the state terminate, so by
     Newman's lemma local confluence is confluence: every state reaches
     exactly one state that loops on both letters, and q is confluent
-    exactly when q.a and q.b reach the same one.  The pattern detectors
-    decide the same question by exhaustive search.
+    exactly when q.a and q.b reach the same one.  ``detect_p3`` decides
+    the same question by its two searches, the P2 one exhaustive.
     """
     minimal = minimize(dfa)
     return _is_piecewise_testable(minimal, _topological_order(minimal))

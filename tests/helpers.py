@@ -26,14 +26,15 @@ gives both chains, and a parser of the automaton file format that keeps a
 (token, column) pair per token and a (state, letter) table, the
 reference for the library's split-based one.  The witness replay with one
 equation list per pattern kind is the reference for the library's single
-replay of the third-pattern form.  The two loop searches the pattern
-detectors ran before they shared one, with the detectors around them,
-are the references for that shared search, and the access words with a
+replay of the third-pattern form.  The exhaustive P1 search over every
+(letter, s1, s2), with its detector, is the independent oracle for
+whether a P1 witness exists; the P2 loop search over the automaton
+itself, with its detector, is the reference for the library's search on
+the square automaton; and the access words with a
 minimal-automaton run per state are the reference for the detectors'
-single breadth-first search that yields both.  The witness ``classify``
-reports on an automaton with a cycle, spelled out by its definition with
-plain reachability and shortlex enumeration of loop words, is the
-reference for its one loop search.  A report serializer that
+single breadth-first search that yields both.  The P1 witness, spelled
+out by its definition with plain reachability and shortlex enumeration
+of loop words, is the reference for the one P1 search.  A report serializer that
 spells out every key is the reference for the one that reads the
 dataclass fields.  A breadth-first joinability search per state and
 letter pair is the reference for the piecewise-testability test's single
@@ -959,7 +960,9 @@ def reference_access_classes(dfa: Dfa) -> tuple[dict[int, str], dict[int, int]]:
 
 
 def reference_detect_p1(dfa: Dfa) -> PatternWitness | None:
-    """``detect_p1`` through ``reference_find_loop_with_embedded_extension``."""
+    """The exhaustive P1 search, one
+    ``reference_find_loop_with_embedded_extension`` per (letter, s1, s2):
+    the oracle for whether ``detect_p1`` finds a witness."""
     access, classes = reference_access_classes(dfa)
     reachable = sorted(access)
     for j, a in enumerate(dfa.alphabet.letters):
@@ -1022,7 +1025,7 @@ def _reach(dfa: Dfa, s: int) -> set[int]:
 
 
 def reference_cycle_witness(dfa: Dfa) -> PatternWitness | None:
-    """``classify``'s P1 witness with y = ε and s2 = s1 by its definition:
+    """``detect_p1``'s witness, with y = ε and s2 = s1, by its definition:
     the first letter a, then the first reachable state s1, whose a-step
     changes the minimal-automaton state and which some loop reading a
     passes through, that is some p reachable from s1 has p·a reaching s1

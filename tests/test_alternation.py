@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from subseq.automata import (
     union,
     universal_language,
 )
+from subseq.cli import export, main
 from subseq.errors import InfiniteMeasureError, InputError, NotUpwardClosedError
 from subseq.patterns import _access_words, _as_p3, detect_p3, is_piecewise_testable
 from subseq.subword import (
@@ -54,6 +56,7 @@ from helpers import (
     oracle_corpus,
     random_dfa,
     reference_cycle_witness,
+    reference_detect_p2,
     reference_report_dict,
     two_walk_chains,
     two_walk_measures,
@@ -497,23 +500,25 @@ def _public_verdicts(d):
 
 
 def _reference_witness(d):
-    # classify's witness comes from one loop search when the minimal
-    # automaton has a cycle through distinct states, and is detect_p3's
-    # otherwise, where no P1 witness exists
+    # classify's witness comes from the P1 search when the minimal
+    # automaton has a cycle through distinct states, and from the P2
+    # search otherwise, where no P1 witness exists
     if _topological_order(minimize(d)) is None:
         return _as_p3(d, reference_cycle_witness(d))
-    return detect_p3(d)
+    return _as_p3(d, reference_detect_p2(d))
 
 
-def test_classify_agrees_with_the_public_functions():
+def test_classify_agrees_with_the_public_functions(tmp_path, capsys):
     # classify minimizes once and feeds the private stages; each public
-    # function minimizes on its own, so the two paths share no automaton
+    # function minimizes on its own, so the two paths share no automaton.
+    # Its witness is also detect_p3's and the P3 line of ``patterns``
     abc = Alphabet("abc")
     corpus = [d for n in (1, 2, 3) for d in all_dfas(n)]
     corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
     rng = random.Random(15)
     randoms = [random_dfa(rng, rng.randint(2, 8)) for _ in range(300)]
     assert sum(len(_access_words(d, minimize(d))[0]) < d.n_states for d in randoms) > 100
+    path = tmp_path / "language.dfa"
     for d in corpus + randoms:
         report = classify(d)
         got = (
@@ -526,6 +531,13 @@ def test_classify_agrees_with_the_public_functions():
         )
         assert got == _public_verdicts(d), d
         assert report.pattern_witness is None or report.pattern_witness.holds_in(d), d
+        assert report.pattern_witness == detect_p3(d), d
+        path.write_text(export(d), encoding="utf-8")
+        assert main(["patterns", str(path), "--json"]) == 0
+        witness = report.to_dict()["pattern_witness"]
+        if witness is not None:
+            del witness["kind"]
+        assert json.loads(capsys.readouterr().out)["P3"] == witness, d
 
 
 def test_report_dict_matches_the_explicit_serializer():

@@ -14,7 +14,7 @@ from subseq.alternation import AlternationMeasure, _walk, mk_witness
 from subseq.automata import Alphabet, Dfa, _topological_order, complement, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
-from subseq.patterns import PatternWitness, _detect_p1, _detect_p2, _is_piecewise_testable
+from subseq.patterns import PatternWitness, _cycle_witness, _detect_p2, _is_piecewise_testable
 from subseq.subword import _is_upward_closed, shuffle_ideal, upward_closure
 
 from helpers import AB, ab_star, count_calls, reference_parse_dfa, substitute
@@ -251,7 +251,7 @@ def test_classify_alternating_language_carries_valid_witness():
 def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
     # the level walk never ends on a language that is not piecewise
     # testable, so a missing witness must stop classify, not fall through
-    monkeypatch.setattr(alternation, "_cycle_witness", lambda dfa, minimal: None)
+    monkeypatch.setattr(alternation, "_witness", lambda dfa, minimal: None)
     with pytest.raises(AssertionError, match="the pattern search finds no witness"):
         classify(ab_star(), name="abstar")
 
@@ -260,7 +260,7 @@ def test_classify_raises_when_the_witness_does_not_replay(monkeypatch):
     # a witness of the right kind whose loop word does not loop at s1
     broken = PatternWitness(kind="P3", letter="a", v="a", states=(0, 0, 1, 1, 2))
     assert not broken.holds_in(ab_star())
-    monkeypatch.setattr(alternation, "_cycle_witness", lambda dfa, minimal: broken)
+    monkeypatch.setattr(alternation, "_witness", lambda dfa, minimal: broken)
     with pytest.raises(AssertionError, match="inconsistent classification"):
         classify(ab_star(), name="abstar")
 
@@ -367,7 +367,7 @@ def test_cli_patterns(capsys):
 
 
 def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
-    first = count_calls(monkeypatch, _detect_p1)
+    first = count_calls(monkeypatch, _cycle_witness)
     second = count_calls(monkeypatch, _detect_p2)
     assert main(["patterns", str(FIXTURES / "m3.dfa")]) == 0
     assert "piecewise testable: yes" in capsys.readouterr().out

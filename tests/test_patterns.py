@@ -1,12 +1,11 @@
 import itertools
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
-from subseq import patterns
 from subseq.automata import (
     Alphabet,
     Dfa,
@@ -20,7 +19,7 @@ from subseq.patterns import (
     _access_words,
     _as_p3,
     _cycle_witness,
-    _detect_p1,
+    _detect_p2,
     _is_piecewise_testable,
     _loop_letters,
     _loop_search,
@@ -47,51 +46,12 @@ from helpers import (
     reference_cycle_witness,
     reference_detect_p1,
     reference_detect_p2,
-    reference_find_loop_with_embedded_extension,
     reference_holds_in,
     reference_is_piecewise_testable,
     reverse_det,
     witness_corpus,
     words_up_to,
 )
-
-
-def _p1_search(dfa, s1, s2, letter):
-    """P1's loop search: v loops at s1 and y runs s1 -> s2 with y followed
-    by ``letter`` embedded in v."""
-    letters = dfa.alphabet.letters
-    return _loop_search(dfa.delta, letters, s1, s1, s2, letters.index(letter), True)
-
-
-def test_find_loop_on_alternating_loop():
-    d = minimize(ab_star())
-    found = _p1_search(d, 0, 1, "a")
-    assert found == ("abab", "a")
-    v, y = found
-    assert d.run(v, 0) == 0
-    assert d.run(y, 0) == 1
-    assert is_subword(y + "a", v)
-
-
-def test_find_loop_accepts_any_valid_witness_shape():
-    d = minimize(ab_star())
-    found = _p1_search(d, 0, 1, "b")
-    v, y = found
-    assert d.run(v, 0) == 0
-    assert d.run(y, 0) == 1
-    assert is_subword(y + "b", v)
-
-
-def test_find_loop_on_absorbing_accepting_state():
-    # the sink loops on everything, so a witness exists even though the
-    # pattern as a whole cannot fire there (no distinguishable successor)
-    ideal = shuffle_ideal("a", AB)
-    assert _p1_search(ideal, 1, 1, "a") == ("a", "")
-
-
-def test_find_loop_fails_when_target_unreachable():
-    ideal = shuffle_ideal("a", AB)
-    assert _p1_search(ideal, 1, 0, "a") is None
 
 
 def test_detect_p1_on_alternating_language():
@@ -403,14 +363,18 @@ def _self_loop_acyclic(rng, least, most):
 
 
 def test_detectors_match_the_two_search_references():
-    # one loop search serves both patterns; the detectors built on the two
-    # searches it replaced must return the same witnesses, byte for byte
+    # the one P1 search finds a witness exactly when the exhaustive search
+    # over every (letter, s1, s2) does, and it is the cycle witness; the
+    # P2 detector returns the exhaustive reference's witness byte for byte
     found = Counter()
     for d in witness_corpus() + _self_loop_acyclic_corpus():
         first, second = reference_detect_p1(d), reference_detect_p2(d)
-        assert detect_p1(d) == first, d
+        got = detect_p1(d)
+        assert (got is None) == (first is None), d
+        assert got == reference_cycle_witness(d), d
+        assert got is None or got.holds_in(d), d
         assert detect_p2(d) == second, d
-        assert detect_p3(d) == _as_p3(d, first or second), d
+        assert detect_p3(d) == _as_p3(d, got or second), d
         found["P1", first is not None] += 1
         found["P2", second is not None] += 1
     assert min(found.values()) > 500, found
@@ -448,16 +412,16 @@ def test_cycle_witness_matches_its_reference(monkeypatch):
 
 def test_classify_skips_p1_on_acyclic_inputs(monkeypatch):
     # with every cycle of the minimal automaton a self-loop no P1 witness
-    # exists, so classify runs the P2 search alone, and its witness is
-    # still detect_p3's
+    # exists, so classify's witness comes from one P2 search per input that
+    # is not piecewise testable, and it is still detect_p3's
     a_first = parse_dfa((Path(__file__).parent / "fixtures" / "a_first.dfa").read_text())
     corpus = [a_first] + _self_loop_acyclic_corpus()
     rng = random.Random(2402)
     seeded = (_self_loop_acyclic(rng, 3, 10) for _ in itertools.count())
     corpus += itertools.islice((d for d in seeded if not is_piecewise_testable(d)), 200)
-    first = count_calls(monkeypatch, _detect_p1)
+    second = count_calls(monkeypatch, _detect_p2)
     witnesses = [classify(d).pattern_witness for d in corpus]
-    assert first == []
+    assert [args[0] for args in second] == [d for d in corpus if not is_piecewise_testable(d)]
     monkeypatch.undo()
     assert witnesses == [detect_p3(d) for d in corpus]
     assert witnesses[0] is not None
@@ -474,24 +438,25 @@ def _square(dfa):
 
 
 def test_loop_search_matches_both_references():
-    # P1's search on the automaton, on every argument tuple, and P2's on
+    # the search on the automaton itself, on every argument tuple, and on
     # its square automaton of state pairs, on a seeded sample of tuples,
-    # against the search each replaced
+    # against the P2 search it replaced: on the automaton, looping at t
+    # from s is the coupled search with both loops at t and both runs from s
     rng = random.Random(1902)
     results = Counter()
     for d in witness_corpus()[::11] + _self_loop_acyclic_corpus():
         n, letters = d.n_states, d.alphabet.letters
         square = _square(d)
-        for s1, s2 in itertools.product(range(n), repeat=2):
-            for a in letters:
-                want = reference_find_loop_with_embedded_extension(d, s1, s2, a)
-                assert _p1_search(d, s1, s2, a) == want
+        for s, t in itertools.product(range(n), repeat=2):
+            for j in range(len(letters)):
+                want = reference_coupled_loop_search(d, s, s, t, t, j)
+                assert _loop_search(d.delta, letters, t, s, j) == want
         for _ in range(12):
             s1, t3, t4 = (rng.randrange(n) for _ in range(3))
             j = rng.randrange(len(letters))
             s2 = d.delta[s1][j]
             want = reference_coupled_loop_search(d, s1, s2, t3, t4, j)
-            got = _loop_search(square, letters, t3 * n + t4, s1 * n + s2, t3 * n + t4, j, False)
+            got = _loop_search(square, letters, t3 * n + t4, s1 * n + s2, j)
             assert got == want, (d, s1, t3, t4, j)
             results[want is not None] += 1
     assert min(results.values()) > 1000, results
@@ -505,29 +470,30 @@ def _subword_runs(delta, start, word):
     return states
 
 
-def _shortest_loop_by_brute_force(delta, k, loop, start, goal, pivot, first, bound):
-    """Length of the shortest v of at most ``bound`` letters, over k
+def _shortest_loop_by_brute_force(delta, k, loop, start, pivot, bound):
+    """Length of the shortest u of at most ``bound`` letters, over k
     letters, that loops at ``loop`` and splits as x·pivot·y with a subword
-    of x (``first``) or of y (otherwise) running ``start`` -> ``goal``; or
-    None when there is none that short."""
+    of y running ``start`` -> ``loop``; or None when there is none that
+    short."""
     for length in range(1, bound + 1):
-        for v in itertools.product(range(k), repeat=length):
+        for u in itertools.product(range(k), repeat=length):
             p = loop
-            for j in v:
+            for j in u:
                 p = delta[p][j]
             if p == loop and any(
-                j == pivot and goal in _subword_runs(delta, start, v[:i] if first else v[i + 1 :])
-                for i, j in enumerate(v)
+                j == pivot and loop in _subword_runs(delta, start, u[i + 1 :])
+                for i, j in enumerate(u)
             ):
                 return length
     return None
 
 
 def test_loop_search_finds_a_shortest_loop_by_brute_force():
-    # every word up to the bound, in both modes, against the search;
-    # among the shortest loop words, ties go by breadth-first discovery
-    # order, which is not alphabet order: here "ba" also qualifies
-    assert _loop_search(((0, 1), (0, 0)), "ab", 0, 0, 0, 1, True) == ("bb", "")
+    # every word up to the bound, on the automaton and on its square,
+    # against the search; among the shortest loop words, ties go by
+    # breadth-first discovery order, which is not alphabet order: here
+    # "ba" also qualifies
+    assert _loop_search(((0, 1), (0, 0)), "ab", 0, 0, 1) == ("bb", "")
     rng = random.Random(2207)
     bound = 6
     results = Counter()
@@ -537,49 +503,24 @@ def test_loop_search_finds_a_shortest_loop_by_brute_force():
         s1, s2, t3, t4 = (rng.randrange(n) for _ in range(4))
         pivot = rng.randrange(len(letters))
         square = _square(d)
-        for delta, loop, start, goal, first in (
-            (d.delta, s1, s1, s2, True),
-            (square, t3 * n + t4, s1 * n + s2, t3 * n + t4, False),
+        for delta, loop, start in (
+            (d.delta, s2, s1),
+            (square, t3 * n + t4, s1 * n + s2),
         ):
-            found = _loop_search(delta, letters, loop, start, goal, pivot, first)
-            want = _shortest_loop_by_brute_force(
-                delta, len(letters), loop, start, goal, pivot, first, bound
-            )
-            results[first, found is not None] += 1
+            found = _loop_search(delta, letters, loop, start, pivot)
+            want = _shortest_loop_by_brute_force(delta, len(letters), loop, start, pivot, bound)
+            results[delta is square, found is not None] += 1
             if found is None:
-                assert want is None, (d, loop, start, goal, pivot, first)
+                assert want is None, (d, loop, start, pivot)
                 continue
-            v, e = found
-            assert want == (len(v) if len(v) <= bound else None), (d, loop, start, goal, first)
+            u, e = found
+            assert want == (len(u) if len(u) <= bound else None), (d, loop, start)
             run = start
             for a in e:
                 run = delta[run][letters.index(a)]
-            assert run == goal
-            embedded = e + letters[pivot] if first else letters[pivot] + e
-            assert is_subword(embedded, v)
+            assert run == loop
+            assert is_subword(letters[pivot] + e, u)
     assert min(results.values()) > 30, results
-
-
-def test_p1_search_places_the_pivot_only_at_the_goal(monkeypatch):
-    # the pivot comes last in P1, so it is placed only with the embedded
-    # run at its goal: on mk_witness(3), looping at the start state with
-    # goal 2, the search enqueues 17 nodes and finds nothing; placing the
-    # pivot anywhere would enqueue 26
-    enqueued = []
-
-    class CountingDeque(deque):
-        def __init__(self, nodes=()):
-            super().__init__(nodes)
-            enqueued.extend(self)
-
-        def append(self, node):
-            enqueued.append(node)
-            super().append(node)
-
-    monkeypatch.setattr(patterns, "deque", CountingDeque)
-    assert _p1_search(mk_witness(3), 0, 2, "a") is None
-    assert len(enqueued) == 17
-    assert {q for _, q, placed in enqueued if placed} == {2}
 
 
 def test_decision_procedure_agrees_with_pattern_search():
@@ -625,6 +566,33 @@ def test_decision_procedure_is_polynomial_on_the_witness_family():
         started = time.perf_counter()
         assert is_piecewise_testable(mk_witness(k))
         assert time.perf_counter() - started < 1.0, k
+
+
+def _forward_with_self_loops(rng, n, alphabet):
+    """The minimal automaton of a random one with n states whose every
+    step is a self-loop with probability 0.35, else an edge to one of the
+    next five states; the last state has only self-loops, and each state
+    accepts with probability 1/2."""
+    rows = tuple(
+        tuple(
+            s if s == n - 1 or rng.random() < 0.35 else rng.randint(s + 1, min(s + 5, n - 1))
+            for _ in alphabet.letters
+        )
+        for s in range(n)
+    )
+    accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
+    return minimize(Dfa(alphabet, n, rows, 0, accepting))
+
+
+def test_detect_p1_is_polynomial_without_a_cycle():
+    # no P1 witness exists on these, so an exhaustive search over every
+    # (letter, s1, s2) ran all its loop searches: 0.7-2.5 s each
+    acyclic = _forward_with_self_loops(random.Random(1), 34, Alphabet("abc"))
+    assert acyclic.n_states == 29 and not is_piecewise_testable(acyclic)
+    for d in (mk_witness(48), complement(mk_witness(48)), acyclic):
+        started = time.perf_counter()
+        assert detect_p1(d) is None
+        assert time.perf_counter() - started < 0.1, d.n_states
 
 
 def test_classify_witness_is_polynomial_on_a_chain_into_a_cycle():
