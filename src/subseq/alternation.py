@@ -342,8 +342,8 @@ def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     automaton only when m_plus < 1, and a pattern search runs on ``dfa``
     itself, only when that verdict is no.  The witness is ``detect_p3``'s:
     the polynomial P1 search's when the minimal automaton has a cycle
-    through distinct states, the exhaustive P2 search's otherwise, where
-    no P1 witness exists.
+    through distinct states, the polynomial P2 construction's otherwise,
+    where no P1 witness exists.
     """
     return _classify(dfa, _walk(minimize(dfa)), name)
 

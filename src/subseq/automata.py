@@ -13,7 +13,8 @@ minimize to structurally identical values; golden tests rely on that.
 
 One component pass, ``_components`` (Tarjan, SIAM J. Comput. 1972),
 answers every cycle question: ``_topological_order`` reads off it whether
-every cycle is a self-loop, and ``patterns`` which letters loop at a state.
+every cycle is a self-loop, and ``patterns`` which letters loop at a state,
+of the automaton or of its square.
 
 All types are immutable after construction and operations are pure
 functions, so values can be shared freely between threads.
@@ -311,40 +312,44 @@ def is_empty(dfa: Dfa) -> bool:
     return True
 
 
-def _components(delta, start: int) -> tuple[dict[int, int], list[int]]:
+def _components(delta, starts: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """Strongly connected components of the states reachable from
-    ``start`` in the transition table ``delta``: each state's component,
+    ``starts`` in the transition table ``delta``: each state's component,
     named by its root, and the roots in the order their components close,
     which is a reverse topological order of the components.  Tarjan's
     algorithm with an explicit stack of (state, successors left), so deep
     automata need no recursion."""
-    index = {start: 0}
-    low = {start: 0}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
     component: dict[int, int] = {}
-    roots = []
-    open_states = [start]
-    work = [(start, iter(delta[start]))]
-    while work:
-        s, successors = work[-1]
-        for t in successors:
-            if t not in index:
-                index[t] = low[t] = len(index)
-                open_states.append(t)
-                work.append((t, iter(delta[t])))
-                break
-            if t not in component and index[t] < low[s]:
-                low[s] = index[t]
-        else:
-            work.pop()
-            if work and low[s] < low[work[-1][0]]:
-                low[work[-1][0]] = low[s]
-            if low[s] == index[s]:
-                roots.append(s)
-                while True:
-                    t = open_states.pop()
-                    component[t] = s
-                    if t == s:
-                        break
+    roots, open_states, work = [], [], []
+    for start in starts:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        open_states.append(start)
+        work.append((start, iter(delta[start])))
+        while work:
+            s, successors = work[-1]
+            for t in successors:
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    open_states.append(t)
+                    work.append((t, iter(delta[t])))
+                    break
+                if t not in component and index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    roots.append(s)
+                    while True:
+                        t = open_states.pop()
+                        component[t] = s
+                        if t == s:
+                            break
     return component, roots
 
 
@@ -354,7 +359,7 @@ def _topological_order(dfa: Dfa) -> list[int] | None:
     ``_components`` when every component is a single state.  ``dfa`` must
     be minimal, as every caller's is, so every state is reachable and the
     order holds them all."""
-    component, roots = _components(dfa.delta, dfa.start)
+    component, roots = _components(dfa.delta, [dfa.start])
     return roots[::-1] if len(roots) == len(component) else None
 
 

@@ -21,8 +21,8 @@ distinguishable exactly when they reach different states of the minimal
 automaton (Myhill-Nerode), so one minimization filters every candidate
 pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
-in alphabet order, states in index order, breadth-first shortest loop
-words, ties broken by breadth-first discovery order, not alphabet order.
+in alphabet order, states in index order, and breadth-first searches that
+try the letters in alphabet order.
 
 There is one P1 search (``_cycle_witness``), polynomial: a P1 witness
 with y = ε, so s2 = s1, whose loop v is found by one breadth-first search
@@ -34,16 +34,20 @@ reads the changing letter.  If not, every letter of a loop at s1 loops at
 s1's minimal state, so do the y and pivot it embeds, and s2, s3 are not
 distinguishable.
 
-The P2 search (``_detect_p2``) stays exhaustive: one loop search
-(``_loop_search``) per candidate, in order, up to the first success, on
-the square automaton, whose state p·n + q steps both p and q on the same
-letter: a loop at both t3 and t4 is a loop at (t3, t4), and the runs
-s1 -> t3 and s2 -> t4 on one word are one run (s1, s2) -> (t3, t4).  Its
-nodes map one to one, with the same moves in the same order, onto those
-of a search over the automaton itself that tracks two loop runs, two runs
-of z and the pivot flag, so both return the same words.  ``detect_p3``
-and ``classify`` report the P1 witness when there is one, the P2 one
-otherwise (``_witness``), as does the P3 line of ``patterns``.
+There is one P2 construction (``_detect_p2``), polynomial, on the square
+automaton, whose node p·n + q steps p and q on the same letter, so a loop
+at (t3, t4) loops at both.  Let B be the letters whose steps stay inside
+the component of (t3, t4): every loop there reads a word over B, and
+every word over B embeds in one that walks to a node whose step on the
+next letter stays inside, takes it, and at the end walks back.  So
+(s1, s1·a) has a P2 witness ending at (t3, t4) exactly when t3 and t4 are
+distinguishable, a is in B, and a word z over B leads there.  One
+component pass over the nodes reachable from every (s1, s1·a) gives each
+target its B, one backward search per B marks the (s1, a) with a witness,
+and for the first, s1 then a, a breadth-first search over B gives the
+least target and z.  ``detect_p3`` and ``classify`` report the P1 witness
+when there is one, the P2 one otherwise (``_witness``), as does the P3
+line of ``patterns``.
 
 There is one replay: the third pattern's equations, on a witness's
 third-pattern form (``_as_p3``), which holds exactly when the witness
@@ -141,18 +145,23 @@ def _access_words(dfa: Dfa, minimal: Dfa) -> tuple[dict[int, str], dict[int, int
     """Shortest word from the start state to each reachable state, and the
     state of the minimal automaton each stands for: two reachable states
     are distinguishable exactly when theirs differ."""
-    letters = dfa.alphabet.letters
-    words = {dfa.start: ""}
-    classes = {dfa.start: minimal.start}
-    queue = deque([dfa.start])
+    words = _words(dfa.delta, dfa.alphabet.letters, dfa.start, -1)
+    return words, {s: minimal.run(w) for s, w in words.items()}
+
+
+def _words(delta, letters: str, start: int, allowed: int) -> dict[int, str]:
+    """Shortlex-least word from ``start`` to each node it reaches on the
+    letters whose bit is set in ``allowed`` (-1: all), in breadth-first
+    discovery order, letters in alphabet order."""
+    words = {start: ""}
+    queue = deque(words)
     while queue:
         s = queue.popleft()
-        for j, t in enumerate(dfa.delta[s]):
-            if t not in words:
+        for j, t in enumerate(delta[s]):
+            if allowed >> j & 1 and t not in words:
                 words[t] = words[s] + letters[j]
-                classes[t] = minimal.delta[classes[s]][j]
                 queue.append(t)
-    return words, classes
+    return words
 
 
 def _separator(dfa: Dfa, p: int, q: int) -> str:
@@ -172,15 +181,17 @@ def _separator(dfa: Dfa, p: int, q: int) -> str:
                 queue.append(target)
 
 
-def _loop_letters(delta, start: int) -> set[tuple[int, int]]:
-    """(state, letter index) pairs, over the states reachable from
-    ``start``, such that some loop at the state reads the letter: its
-    component in ``_components`` has a step on that letter inside it."""
-    component, _ = _components(delta, start)
-    inner = {
-        (c, j) for s, c in component.items() for j, t in enumerate(delta[s]) if component[t] == c
-    }
-    return {(s, j) for s, c in component.items() for j in range(len(delta[s])) if (c, j) in inner}
+def _loop_letters(delta, starts) -> tuple[dict[int, int], dict[int, int]]:
+    """The component in ``_components`` of each node reachable from
+    ``starts``, and each component's letter mask: bit j is set when some
+    step on letter j stays inside, so some loop at each node reads it."""
+    component, roots = _components(delta, starts)
+    masks = dict.fromkeys(roots, 0)
+    for s, c in component.items():
+        for j, t in enumerate(delta[s]):
+            if component[t] == c:
+                masks[c] |= 1 << j
+    return component, masks
 
 
 def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
@@ -200,15 +211,15 @@ def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     access, classes = _access_words(dfa, minimal)
     reachable = sorted(access)
     letters = dfa.alphabet.letters
-    live = None
+    masks = None
     for j, a in enumerate(letters):
         for s1 in reachable:
             s3 = dfa.delta[s1][j]
-            if classes[s1] == classes[s3] or (live is not None and (s1, j) not in live):
+            if classes[s1] == classes[s3] or (masks and not masks[component[s1]] >> j & 1):
                 continue
             v = _loop_reading(dfa.delta, letters, s1, j)
             if v is None:
-                live = _loop_letters(dfa.delta, dfa.start)
+                component, masks = _loop_letters(dfa.delta, [dfa.start])
                 continue
             return PatternWitness(
                 kind="P1",
@@ -241,54 +252,6 @@ def _loop_reading(delta, letters: str, s1: int, pivot: int) -> str | None:
     return None
 
 
-def _loop_search(
-    delta, letters: str, loop: int, start: int, pivot: int
-) -> tuple[str, str] | None:
-    """Words (u, e) with u looping at ``loop``, e running ``start`` ->
-    ``loop``, and the pivot letter followed by e embedded in u.
-
-    Breadth-first search over (loop run, embedded run, pivot placed).
-    Every consumed letter extends u; the pivot may be placed once, and
-    after it a letter may also extend e.  Success means both runs are at
-    ``loop`` with the pivot placed.  Shortest u; ties broken by
-    breadth-first discovery order, deterministic; None when no such pair
-    of words exists.
-    """
-    origin = (loop, start, False)
-    target = (loop, loop, True)
-    parents: dict[tuple[int, int, bool], tuple | None] = {origin: None}
-    queue = deque([origin])
-    while queue:
-        node = queue.popleft()
-        p, q, placed = node
-        for j, forward in enumerate(delta[p]):
-            moves: list[tuple[tuple[int, int, bool], bool]] = [((forward, q, placed), False)]
-            if placed:
-                moves.append(((forward, delta[q][j], True), True))
-            elif j == pivot:
-                moves.append(((forward, q, True), False))
-            for step, into_e in moves:
-                if step not in parents:
-                    parents[step] = (node, j, into_e)
-                    if step == target:
-                        return _rebuild_two_words(parents, step, letters)
-                    queue.append(step)
-    return None
-
-
-def _rebuild_two_words(parents, node, letters) -> tuple[str, str]:
-    all_parts: list[str] = []
-    marked_parts: list[str] = []
-    current = node
-    while parents[current] is not None:
-        previous, j, marked = parents[current]
-        all_parts.append(letters[j])
-        if marked:
-            marked_parts.append(letters[j])
-        current = previous
-    return "".join(reversed(all_parts)), "".join(reversed(marked_parts))
-
-
 def detect_p1(dfa: Dfa) -> PatternWitness | None:
     """First pattern: a loop at s1 embeds y plus the pivot letter, and the
     pivot step out of delta(s1, y) changes some later acceptance.  Here
@@ -306,37 +269,68 @@ def detect_p2(dfa: Dfa) -> PatternWitness | None:
 
 
 def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+    """The module docstring's P2 construction: the first reachable s1, then
+    letter a, with a witness, and the least target (t3, t4) it reaches."""
     access, classes = _access_words(dfa, minimal)
-    reachable = sorted(access)
-    n = dfa.n_states
-    letters = dfa.alphabet.letters
-    square = [
-        tuple(g * n + h for g, h in zip(row_p, row_q))
-        for row_p in dfa.delta
-        for row_q in dfa.delta
-    ]
-    for s1 in reachable:
+    n, letters = dfa.n_states, dfa.alphabet.letters
+    square = [tuple(g * n + h for g, h in zip(p, q)) for p in dfa.delta for q in dfa.delta]
+    sources = [s1 * n + s2 for s1 in sorted(access) for s2 in dfa.delta[s1]]
+    component, masks = _loop_letters(square, sources)
+    targets: dict[int, list[int]] = {}
+    back: list[dict[int, set[int]]] = [{} for _ in letters]
+    for node, c in component.items():
+        if classes[node // n] != classes[node % n]:
+            targets.setdefault(masks[c], []).append(node)
+        for j, t in enumerate(square[node]):
+            back[j].setdefault(t, set()).add(node)
+    # per mask, the nodes with a path over its letters into its targets
+    live: dict[int, set[int]] = {}
+    for mask, group in targets.items():
+        marked = live[mask] = set(group)
+        stack = list(group)
+        while stack:
+            t = stack.pop()
+            for j, predecessors in enumerate(back):
+                if mask >> j & 1:
+                    fresh = predecessors.get(t, set()) - marked
+                    marked |= fresh
+                    stack.extend(fresh)
+    for s1 in sorted(access):
         for j, a in enumerate(letters):
-            s2 = dfa.delta[s1][j]
-            for t3 in reachable:
-                for t4 in reachable:
-                    if classes[t3] == classes[t4]:
-                        continue
-                    pair = t3 * n + t4
-                    found = _loop_search(square, letters, pair, s1 * n + s2, j)
-                    if found is None:
-                        continue
-                    u, z = found
-                    return PatternWitness(
-                        kind="P2",
-                        letter=a,
-                        x=access[s1],
-                        z=z,
-                        u=u,
-                        z_prime=_separator(dfa, t3, t4),
-                        states=(s1, s2, t3, t4),
-                    )
+            source = s1 * n + dfa.delta[s1][j]
+            reached = {}
+            for mask, marked in live.items():
+                if mask >> j & 1 and source in marked:
+                    words = _words(square, letters, source, mask)
+                    reached.update((t, words[t]) for t in targets[mask] if t in words)
+            if reached:
+                target = min(reached)
+                t3, t4 = divmod(target, n)
+                return PatternWitness(
+                    kind="P2",
+                    letter=a,
+                    x=access[s1],
+                    z=reached[target],
+                    u=_loop_through(square, letters, component, masks, target, a + reached[target]),
+                    z_prime=_separator(dfa, t3, t4),
+                    states=(s1, dfa.delta[s1][j], t3, t4),
+                )
     return None
+
+
+def _loop_through(square, letters: str, component, masks, target: int, word: str) -> str:
+    """A loop at ``target`` that embeds ``word``, whose letters all loop
+    there: for each letter c, a shortest walk to the nearest node whose
+    c-step stays in the component, that step, and at the end a walk back."""
+    home, node, parts = component[target], target, []
+    for c in word:
+        j = letters.index(c)
+        words = _words(square, letters, node, masks[home])
+        p = next(p for p in words if component[square[p][j]] == home)
+        parts.append(words[p] + c)
+        node = square[p][j]
+    parts.append(_words(square, letters, node, masks[home])[target])
+    return "".join(parts)
 
 
 def detect_p3(dfa: Dfa) -> PatternWitness | None:
@@ -362,7 +356,7 @@ def is_piecewise_testable(dfa: Dfa) -> bool:
     Newman's lemma local confluence is confluence: every state reaches
     exactly one state that loops on both letters, and q is confluent
     exactly when q.a and q.b reach the same one.  ``detect_p3`` decides
-    the same question by its two searches, the P2 one exhaustive.
+    the same question by its P1 search and its P2 construction.
     """
     minimal = minimize(dfa)
     return _is_piecewise_testable(minimal, _topological_order(minimal))

@@ -28,11 +28,11 @@ reference for the library's split-based one.  The witness replay with one
 equation list per pattern kind is the reference for the library's single
 replay of the third-pattern form.  The exhaustive P1 search over every
 (letter, s1, s2), with its detector, is the independent oracle for
-whether a P1 witness exists; the P2 loop search over the automaton
-itself, with its detector, is the reference for the library's search on
-the square automaton; and the access words with a
-minimal-automaton run per state are the reference for the detectors'
-single breadth-first search that yields both.  The P1 witness, spelled
+whether a P1 witness exists; the exhaustive P2 loop search over the
+automaton itself, with its detector, is the independent oracle for
+whether a P2 witness exists, against the library's construction on the
+square automaton; and the access words with a minimal-automaton run per
+state are the reference for the detectors' access words and classes.  The P1 witness, spelled
 out by its definition with plain reachability and shortlex enumeration
 of loop words, is the reference for the one P1 search.  A report serializer that
 spells out every key is the reference for the one that reads the

@@ -422,7 +422,6 @@ def test_operations_keep_tables_complete():
 def _check_cycle_questions(dfa):
     """``_topological_order`` of the minimal automaton and ``_loop_letters``
     of ``dfa`` against their definitions; returns whether the order exists."""
-    reach = {s: _reach(dfa, s) for s in _reach(dfa, dfa.start)}
     minimal = minimize(dfa)
     order = _topological_order(minimal)
     closed = [_reach(minimal, s) for s in range(minimal.n_states)]
@@ -433,15 +432,27 @@ def _check_cycle_questions(dfa):
         position = {s: i for i, s in enumerate(order)}
         for s, row in enumerate(minimal.delta):
             assert all(position[s] < position[t] for t in row if t != s), dfa
-    loops = {
-        (s, j)
-        for s in reach
-        for p in reach[s]
-        for j, t in enumerate(dfa.delta[p])
-        if s in reach[t]
-    }
-    assert _loop_letters(dfa.delta, dfa.start) == loops, dfa
+    # from the start state, and from every state with the last first, so
+    # that later roots fall into components an earlier one closed
+    for starts in ([dfa.start], range(dfa.n_states - 1, -1, -1)):
+        reach = {s: _reach(dfa, s) for s in set().union(*(_reach(dfa, s) for s in starts))}
+        loops = {
+            (s, j)
+            for s in reach
+            for p in reach[s]
+            for j, t in enumerate(dfa.delta[p])
+            if s in reach[t]
+        }
+        assert _letter_pairs(*_loop_letters(dfa.delta, starts)) == loops, (dfa, starts)
     return order is not None
+
+
+def _letter_pairs(component, masks):
+    """(state, letter index) pairs whose letter has its bit set in the mask
+    of the state's component."""
+    return {
+        (s, j) for s, c in component.items() for j in range(masks[c].bit_length()) if masks[c] >> j & 1
+    }
 
 
 def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
@@ -466,8 +477,8 @@ def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
     corpus = witness_corpus() + randoms
     for d in corpus:
         ordered += _check_cycle_questions(d)
-    # one pass per order and one per loop-letter set
-    assert len(passes) == 2 * len(corpus)
+    # one pass per order and one per loop-letter set, of each start
+    assert len(passes) == 3 * len(corpus)
     assert 2000 < ordered < len(corpus) - 2000
 
 
@@ -479,7 +490,9 @@ def test_component_pass_does_not_recurse():
     chain = Dfa(AB, n, tuple((min(s + 1, n - 1), s) for s in range(n)), 0, frozenset({n - 1}))
     assert minimize(chain) == chain
     assert _topological_order(chain) == list(range(n))
-    assert _loop_letters(chain.delta, 0) == {(s, 1) for s in range(n)} | {(n - 1, 0)}
+    chain_loops = {(s, 1) for s in range(n)} | {(n - 1, 0)}
+    assert _letter_pairs(*_loop_letters(chain.delta, [0])) == chain_loops
     cycle = Dfa(AB, n, tuple(((s + 1) % n, s) for s in range(n)), 0, frozenset({0}))
     assert _topological_order(cycle) is None
-    assert _loop_letters(cycle.delta, 0) == {(s, j) for s in range(n) for j in (0, 1)}
+    cycle_loops = {(s, j) for s in range(n) for j in (0, 1)}
+    assert _letter_pairs(*_loop_letters(cycle.delta, [0])) == cycle_loops

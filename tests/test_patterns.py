@@ -22,7 +22,6 @@ from subseq.patterns import (
     _detect_p2,
     _is_piecewise_testable,
     _loop_letters,
-    _loop_search,
     _separator,
     detect_p1,
     detect_p2,
@@ -42,13 +41,13 @@ from helpers import (
     distinguishing_words,
     random_dfa,
     reference_access_classes,
-    reference_coupled_loop_search,
     reference_cycle_witness,
     reference_detect_p1,
     reference_detect_p2,
     reference_holds_in,
     reference_is_piecewise_testable,
     reverse_det,
+    strongly_connected_dfa,
     witness_corpus,
     words_up_to,
 )
@@ -345,9 +344,8 @@ def _forward_dfa(rng, n_states, alphabet):
 
 def _self_loop_acyclic_corpus():
     """320 seeded automata over ``ab`` and ``abc`` with 2-7 states whose
-    only cycles are self-loops: P1 cannot fire there, so the P2 search
-    runs to its first witness, or through every candidate pair when the
-    language is piecewise testable."""
+    only cycles are self-loops: P1 cannot fire there, so every witness is
+    a P2 one, built from the square automaton's components."""
     rng = random.Random(1901)
     return [_self_loop_acyclic(rng, 2, 7) for _ in range(320)]
 
@@ -362,22 +360,82 @@ def _self_loop_acyclic(rng, least, most):
     return Dfa(alphabet, n, rows, 0, accepting)
 
 
+def _check_p2_against_its_reference(d):
+    """``detect_p2``'s witness, checked: there is one exactly when the
+    exhaustive reference finds one, and it replays."""
+    got = detect_p2(d)
+    assert (got is None) == (reference_detect_p2(d) is None), d
+    assert got is None or (got.kind == "P2" and got.holds_in(d)), (d, got)
+    return got
+
+
 def test_detectors_match_the_two_search_references():
     # the one P1 search finds a witness exactly when the exhaustive search
     # over every (letter, s1, s2) does, and it is the cycle witness; the
-    # P2 detector returns the exhaustive reference's witness byte for byte
+    # P2 construction finds one exactly when the exhaustive reference
+    # does, and every witness of either replays
     found = Counter()
     for d in witness_corpus() + _self_loop_acyclic_corpus():
-        first, second = reference_detect_p1(d), reference_detect_p2(d)
         got = detect_p1(d)
-        assert (got is None) == (first is None), d
+        assert (got is None) == (reference_detect_p1(d) is None), d
         assert got == reference_cycle_witness(d), d
         assert got is None or got.holds_in(d), d
-        assert detect_p2(d) == second, d
+        second = _check_p2_against_its_reference(d)
         assert detect_p3(d) == _as_p3(d, got or second), d
-        found["P1", first is not None] += 1
+        found["P1", got is not None] += 1
         found["P2", second is not None] += 1
     assert min(found.values()) > 500, found
+
+
+def _with_copies(rng, dfa):
+    """An automaton with every state of ``dfa`` twice over, each edge
+    going to either copy of its target: same language, not minimal."""
+    n = dfa.n_states
+    rows = tuple(
+        tuple(t + n * rng.randrange(2) for t in dfa.delta[s % n]) for s in range(2 * n)
+    )
+    accepting = frozenset(s for s in range(2 * n) if s % n in dfa.accepting)
+    return Dfa(dfa.alphabet, 2 * n, rows, dfa.start, accepting)
+
+
+def test_p2_construction_matches_the_exhaustive_reference():
+    # acyclic minimal automata, with non-minimal copies of the small ones,
+    # whose square automaton has components of more than one node, and
+    # strongly connected ones, where it may have one large component
+    rng = random.Random(3101)
+    acyclic = [
+        _forward_with_self_loops(rng, rng.randint(3, 10), rng.choice((AB, Alphabet("abc"))))
+        for _ in range(200)
+    ]
+    corpus = acyclic + [_with_copies(rng, d) for d in acyclic if d.n_states <= 4]
+    corpus += [
+        strongly_connected_dfa(rng, rng.randint(2, 6), rng.choice((AB, Alphabet("abc"))))
+        for _ in range(200)
+    ]
+    found = Counter(_check_p2_against_its_reference(d) is not None for d in corpus)
+    assert min(found.values()) > 100, found
+
+
+def test_p2_construction_is_polynomial():
+    # the exhaustive search ran one loop search per (s1, a, t3, t4): 29 s
+    # of classify at 28-31 acyclic states, and 1.6 s to search every
+    # candidate of the 16-state piecewise-testable input
+    acyclic = _forward_with_self_loops(random.Random(1), 34, Alphabet("abc"))
+    assert acyclic.n_states == 29 and not is_piecewise_testable(acyclic)
+    started = time.perf_counter()
+    assert classify(acyclic).pattern_witness is not None
+    assert time.perf_counter() - started < 0.5
+    rng = random.Random(5)
+    draws = (_forward_with_self_loops(rng, 21, AB) for _ in itertools.count())
+    testable = next(d for d in draws if d.n_states >= 15 and is_piecewise_testable(d))
+    assert testable.n_states == 16
+    started = time.perf_counter()
+    assert detect_p2(testable) is None
+    assert time.perf_counter() - started < 0.1, testable.n_states
+    cyclic = strongly_connected_dfa(random.Random(3102), 90, Alphabet("abc"))
+    started = time.perf_counter()
+    assert detect_p2(cyclic) is not None
+    assert time.perf_counter() - started < 1.0
 
 
 def _cyclic(dfa):
@@ -426,101 +484,6 @@ def test_classify_skips_p1_on_acyclic_inputs(monkeypatch):
     assert witnesses == [detect_p3(d) for d in corpus]
     assert witnesses[0] is not None
     assert sum(w is not None for w in witnesses) > 220
-
-
-def _square(dfa):
-    n = dfa.n_states
-    return [
-        tuple(dfa.delta[p][j] * n + dfa.delta[q][j] for j in range(len(dfa.alphabet)))
-        for p in range(n)
-        for q in range(n)
-    ]
-
-
-def test_loop_search_matches_both_references():
-    # the search on the automaton itself, on every argument tuple, and on
-    # its square automaton of state pairs, on a seeded sample of tuples,
-    # against the P2 search it replaced: on the automaton, looping at t
-    # from s is the coupled search with both loops at t and both runs from s
-    rng = random.Random(1902)
-    results = Counter()
-    for d in witness_corpus()[::11] + _self_loop_acyclic_corpus():
-        n, letters = d.n_states, d.alphabet.letters
-        square = _square(d)
-        for s, t in itertools.product(range(n), repeat=2):
-            for j in range(len(letters)):
-                want = reference_coupled_loop_search(d, s, s, t, t, j)
-                assert _loop_search(d.delta, letters, t, s, j) == want
-        for _ in range(12):
-            s1, t3, t4 = (rng.randrange(n) for _ in range(3))
-            j = rng.randrange(len(letters))
-            s2 = d.delta[s1][j]
-            want = reference_coupled_loop_search(d, s1, s2, t3, t4, j)
-            got = _loop_search(square, letters, t3 * n + t4, s1 * n + s2, j)
-            assert got == want, (d, s1, t3, t4, j)
-            results[want is not None] += 1
-    assert min(results.values()) > 1000, results
-
-
-def _subword_runs(delta, start, word):
-    """States that some subword of ``word`` leads to from ``start``."""
-    states = {start}
-    for j in word:
-        states |= {delta[s][j] for s in states}
-    return states
-
-
-def _shortest_loop_by_brute_force(delta, k, loop, start, pivot, bound):
-    """Length of the shortest u of at most ``bound`` letters, over k
-    letters, that loops at ``loop`` and splits as x·pivot·y with a subword
-    of y running ``start`` -> ``loop``; or None when there is none that
-    short."""
-    for length in range(1, bound + 1):
-        for u in itertools.product(range(k), repeat=length):
-            p = loop
-            for j in u:
-                p = delta[p][j]
-            if p == loop and any(
-                j == pivot and loop in _subword_runs(delta, start, u[i + 1 :])
-                for i, j in enumerate(u)
-            ):
-                return length
-    return None
-
-
-def test_loop_search_finds_a_shortest_loop_by_brute_force():
-    # every word up to the bound, on the automaton and on its square,
-    # against the search; among the shortest loop words, ties go by
-    # breadth-first discovery order, which is not alphabet order: here
-    # "ba" also qualifies
-    assert _loop_search(((0, 1), (0, 0)), "ab", 0, 0, 1) == ("bb", "")
-    rng = random.Random(2207)
-    bound = 6
-    results = Counter()
-    for _ in range(240):
-        d = random_dfa(rng, rng.randint(2, 5), rng.choice((AB, Alphabet("abc"))))
-        n, letters = d.n_states, d.alphabet.letters
-        s1, s2, t3, t4 = (rng.randrange(n) for _ in range(4))
-        pivot = rng.randrange(len(letters))
-        square = _square(d)
-        for delta, loop, start in (
-            (d.delta, s2, s1),
-            (square, t3 * n + t4, s1 * n + s2),
-        ):
-            found = _loop_search(delta, letters, loop, start, pivot)
-            want = _shortest_loop_by_brute_force(delta, len(letters), loop, start, pivot, bound)
-            results[delta is square, found is not None] += 1
-            if found is None:
-                assert want is None, (d, loop, start, pivot)
-                continue
-            u, e = found
-            assert want == (len(u) if len(u) <= bound else None), (d, loop, start)
-            run = start
-            for a in e:
-                run = delta[run][letters.index(a)]
-            assert run == loop
-            assert is_subword(letters[pivot] + e, u)
-    assert min(results.values()) > 30, results
 
 
 def test_decision_procedure_agrees_with_pattern_search():
