@@ -1,7 +1,10 @@
 """Deterministic-automaton algebra everything else is built on: ordered
 alphabets, complete deterministic automata, canonical minimization,
 boolean products, complement and emptiness.  The one nondeterministic
-construction the hierarchy needs, the upward closure, lives in ``subword``.
+construction the hierarchy needs, the upward closure, lives in ``subword``
+and comes out minimal by construction, in the canonical form of
+``minimize``; every other automaton that needs it, the level walk's
+products included, is minimized here, by Hopcroft's refinement.
 
 Deterministic automata are complete by construction: the transition table
 is dense, so completeness is structural, and every operation returns a

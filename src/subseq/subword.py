@@ -18,7 +18,9 @@ word read so far has an accepted subword, so has every extension of it,
 so such a subset has the residual Σ* and nothing past it needs building.
 Every state may stay put on every letter, so a subset contains the one it
 was reached from, and it steps only the states it adds to that one: the
-rest of its step is its predecessor's, already built.
+rest of its step is its predecessor's, already built.  As subsets only
+grow, the subset automaton has no cycle but self-loops, and the closure is
+built minimal in one bottom-up pass over it, with no Hopcroft refinement.
 """
 
 from __future__ import annotations
@@ -74,59 +76,111 @@ def upward_closure(dfa: Dfa) -> Dfa:
 
     These are the words the input accepts when it may skip letters at
     will, that is, with a self-loop on every letter at every state; this
-    is the subset construction of that machine, done directly.  Subsets
-    are bit masks on the input states, built breadth-first from {start} in
-    alphabet order, only the reachable ones, and S steps on letter a to
-    S | S.a through the per-state masks (1 << s) | (1 << s.a).
+    is the subset construction of that machine, done directly, and minimal
+    by construction, with no call to ``minimize``.
 
-    A subset only grows: a subset T first reached from S contains S, and
-    the image of a union is the union of the images, so T's step on every
-    letter is S's, OR-ed with the masks of the states in T & ~S.  Each new
-    subset therefore records the subset that reached it and that one's
-    targets, shared by its siblings and never changed, and steps only the
-    states it adds; the record is dropped once the subset is expanded, so
-    the records held follow the breadth-first frontier.
+    Subsets are bit masks on the input states, built depth-first from
+    {start} with an explicit stack, and S steps on letter a to S | S.a
+    through the per-state masks (1 << s) | (1 << s.a).  A subset only
+    grows: a subset T first reached from S contains S, and the image of a
+    union is the union of the images, so T's step on every letter is S's,
+    OR-ed with the masks of the states in T & ~S, and T steps only the
+    states it adds.  A subset that meets the accepting states is not
+    expanded: reaching it means the word read so far has an accepted
+    subword, which stays a subword of every extension, so its residual is
+    Σ*, and every accepting subset is in that one class.  The number of
+    subsets can still be exponential in the states.
 
-    A subset that meets the accepting states is not expanded: it gets a
-    row of self-loops.  Reaching it means the word read so far has an
-    accepted subword, which stays a subword of every extension, so its
-    residual is Σ*; every accepting subset is one absorbing state of the
-    minimal result, and the loops give that same minimal automaton while
-    the subsets beyond them are never built.  The number of subsets can
-    still be exponential in the states; the result is minimized.
+    Since subsets only grow, every cycle of the subset automaton is a
+    self-loop, and the search finishes a subset after every other subset
+    it steps to.  A finishing subset S, which rejects, builds its row of
+    successor classes with each self-loop marked, and takes its class in
+    this order (Revuz, TCS 1992, for automata with no cycles at all):
+
+    1. the class that a register, keyed on marked rows, holds for its row;
+    2. else a successor class c other than Σ* whose row is the marked row
+       with the marks read as c: S is equivalent to a larger subset;
+    3. else a new class, whose row is the marked row with the marks read
+       as the new class.
+
+    The rule is exact.  Quotienting an automaton whose only cycles are
+    self-loops leaves only self-loop cycles, so the class of S is either
+    the class of one of its successors, which rule 2 finds, or a class
+    whose transitions back into itself are exactly the self-loops of S.
+    The first subset of such a class had no successor in it, so it
+    registered the same marked row, and rule 1 finds it.  Rules 1 and 2
+    match only rows that agree letter for letter, so the class they give
+    is S's, and Σ*, which accepts, is never the class of a rejecting S.
+
+    The classes reached are then numbered breadth-first from the start's,
+    with letters in alphabet order, as ``minimize`` numbers its blocks, so
+    the result is the value ``minimize`` gives on the subset automaton.
     """
+    classes, rows = _subset_classes(dfa)
+    canonical = [-1] * len(rows)
+    first = classes[1 << dfa.start]
+    canonical[first] = 0
+    order = [first]
+    out = []
+    for c in order:
+        row = []
+        for t in rows[c]:
+            if canonical[t] < 0:
+                canonical[t] = len(order)
+                order.append(t)
+            row.append(canonical[t])
+        out.append(tuple(row))
+    accepting = frozenset({canonical[0]}) if canonical[0] >= 0 else frozenset()
+    return _unchecked_dfa(dfa.alphabet, len(order), tuple(out), 0, accepting)
+
+
+def _subset_classes(dfa: Dfa) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """The subsets ``upward_closure`` reaches, each with its class, keyed
+    by its bit mask on the input states, and the row of successor classes
+    of each class.  Class 0 is Σ*, the class of every accepting subset."""
     width = len(dfa.alphabet)
     move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
     accept_mask = sum(1 << s for s in dfa.accepting)
-    ids = {1 << dfa.start: 0}
-    subsets = [1 << dfa.start]
-    # seeds[i]: the subset that first reached subset i, and its targets
-    seeds: list[tuple[int, list[int]] | None] = [(0, [0] * width)]
-    rows = []
-    for i, mask in enumerate(subsets):
-        base, inherited = seeds[i]
-        seeds[i] = None
-        if mask & accept_mask:
-            rows.append((i,) * width)
-            continue
-        targets = inherited.copy()
-        added = mask & ~base
-        while added:
-            low = added & -added
-            added ^= low
-            for j, bits in enumerate(move[low.bit_length() - 1]):
-                targets[j] |= bits
-        seed = (mask, targets)
-        row = []
-        for target in targets:
-            if target not in ids:
-                ids[target] = len(subsets)
-                subsets.append(target)
-                seeds.append(seed)
-            row.append(ids[target])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, mask in enumerate(subsets) if mask & accept_mask)
-    return minimize(_unchecked_dfa(dfa.alphabet, len(subsets), tuple(rows), 0, accepting))
+    rows = [(0,) * width]
+    start = 1 << dfa.start
+    if start & accept_mask:
+        return {start: 0}, rows
+    classes: dict[int, int] = {}
+    register: dict[tuple[int, ...], int] = {}
+    targets = move[dfa.start]
+    # the open subsets, each with its targets and an iterator over them
+    work = [(start, targets, iter(targets))]
+    while work:
+        mask, targets, untried = work[-1]
+        for target in untried:
+            if target == mask or target in classes:
+                continue
+            if target & accept_mask:
+                classes[target] = 0
+                continue
+            stepped = targets.copy()
+            added = target & ~mask
+            while added:
+                low = added & -added
+                added ^= low
+                for j, bits in enumerate(move[low.bit_length() - 1]):
+                    stepped[j] |= bits
+            work.append((target, stepped, iter(stepped)))
+            break
+        else:
+            work.pop()
+            marked = tuple([-1 if t == mask else classes[t] for t in targets])
+            c = register.get(marked)
+            if c is None:
+                for c in marked:
+                    if c > 0 and rows[c] == tuple(c if t < 0 else t for t in marked):
+                        break
+                else:
+                    c = len(rows)
+                    rows.append(tuple(c if t < 0 else t for t in marked))
+                register[marked] = c
+            classes[mask] = c
+    return classes, rows
 
 
 def _is_upward_closed(dfa: Dfa, order: list[int] | None) -> bool:

@@ -384,10 +384,11 @@ def reference_upward_closure(dfa: Dfa) -> Dfa:
 
 
 def reference_closure_subsets(dfa: Dfa) -> Dfa:
-    """The raw subset automaton of subword.upward_closure before its final
-    minimize, built by stepping every state of every subset on every
+    """The subset automaton whose minimal form subword.upward_closure
+    builds, breadth-first, stepping every state of every subset on every
     letter; the reference for the library's construction, which steps only
-    the states a subset adds to the one that first reached it."""
+    the states a subset adds to the one that first reached it and gives
+    each subset its class as it goes."""
     move = [[(1 << s) | (1 << t) for t in row] for s, row in enumerate(dfa.delta)]
     accept_mask = sum(1 << s for s in dfa.accepting)
     ids = {1 << dfa.start: 0}

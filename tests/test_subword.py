@@ -40,6 +40,7 @@ from helpers import (
     equivalent,
     lang_slice,
     naive_is_subword,
+    oracle_corpus,
     random_dfa,
     reference_closure_subsets,
     reference_is_upward_closed,
@@ -47,6 +48,7 @@ from helpers import (
     single_word,
     strongly_connected_dfa,
     walk_decomposition,
+    witness_corpus,
     words_up_to,
 )
 from subseq.alternation import mk_witness
@@ -165,18 +167,49 @@ def _closed_by_walks(monkeypatch, machines):
     return [args[0] for args in closures]
 
 
+def _full_steps(d, mask):
+    """The subset ``mask`` steps to on each letter when every one of its
+    states steps, as in ``reference_closure_subsets``."""
+    targets = [mask] * len(d.alphabet)
+    for s, row in enumerate(d.delta):
+        if mask >> s & 1:
+            for j, t in enumerate(row):
+                targets[j] |= 1 << t
+    return targets
+
+
+def _check_subset_classes(d):
+    """Check the subset -> class map that upward_closure renumbers against
+    the construction that steps every state of every subset: the subsets
+    reached are the reference's, every accepting subset is in the Σ* class
+    0, and every class row is what each of its rejecting subsets steps to.
+    Returns the map and the class rows."""
+    classes, rows = subword._subset_classes(d)
+    accept_mask = sum(1 << s for s in d.accepting)
+    assert rows[0] == (0,) * len(d.alphabet), d
+    for mask, c in classes.items():
+        if mask & accept_mask:
+            assert c == 0, d
+            continue
+        assert c > 0, d
+        assert rows[c] == tuple(classes[t] for t in _full_steps(d, mask)), d
+    # closed under the steps of rejecting subsets, and no larger
+    assert len(classes) == reference_closure_subsets(d).n_states, d
+    return classes, rows
+
+
+def _check_closure(d):
+    # the closure against the general subset construction, against the
+    # minimized reference subset automaton, and its subset classes
+    closed = upward_closure(d)
+    assert closed == reference_upward_closure(d), d
+    assert closed == minimize(reference_closure_subsets(d)), d
+    _check_subset_classes(d)
+
+
 def _check_closures_of_walks(monkeypatch, machines):
-    # the minimized closure against the general subset construction, and
-    # the raw subset automaton handed to minimize, where each subset steps
-    # only the states it adds to the one that first reached it, against
-    # the one that steps every state of every subset: equal state for
-    # state, before minimize can hide a difference
-    closed = _closed_by_walks(monkeypatch, machines)
-    raw = []
-    monkeypatch.setattr(subword, "minimize", lambda d: raw.append(d) or minimize(d))
-    for d in closed:
-        assert upward_closure(d) == reference_upward_closure(d), d
-        assert raw.pop() == reference_closure_subsets(d), d
+    for d in _closed_by_walks(monkeypatch, machines):
+        _check_closure(d)
 
 
 def test_upward_closure_matches_reference_on_strongly_connected_walks(monkeypatch):
@@ -192,30 +225,68 @@ def test_upward_closure_matches_reference_on_boolean_combination_walks(monkeypat
     _check_closures_of_walks(monkeypatch, boolean_combinations(random.Random(3), 6, 4, 6))
 
 
-def test_upward_closure_stops_at_accepting_subsets(monkeypatch):
-    # an accepting subset has the residual Σ*: the raw subset automaton
-    # handed to minimize loops on every letter there and expands it no
-    # further
-    raw = []
-    monkeypatch.setattr(subword, "minimize", lambda d: raw.append(d) or minimize(d))
-    rng = random.Random(206)
+@st.composite
+def small_dfas(draw):
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(*[state] * len(alphabet)), min_size=n, max_size=n))
+    accepting = draw(st.frozensets(state))
+    return Dfa(alphabet, n, tuple(rows), draw(state), accepting)
+
+
+@given(small_dfas())
+def test_upward_closure_matches_reference_on_random_small_dfas(d):
+    _check_closure(d)
+    # the closure is its own closure, and already in minimize's form
+    closed = upward_closure(d)
+    assert upward_closure(closed) == closed == minimize(closed)
+
+
+def test_upward_closure_calls_no_minimize(monkeypatch):
+    # the closure comes out minimal by construction, with no Hopcroft pass
+    calls = count_calls(monkeypatch, minimize)
+    rng = random.Random(209)
     for _ in range(30):
         upward_closure(strongly_connected_dfa(rng, rng.randint(2, 8)))
-    upward_closure(mk_witness(4))
+    for k in range(1, 5):
+        upward_closure(mk_witness(k))
+    assert calls == []
+
+
+def test_upward_closure_stops_at_accepting_subsets():
+    # an accepting subset has the residual Σ*: it is in the class that
+    # loops on every letter, and no subset is reached only through it
+    rng = random.Random(206)
+    machines = [strongly_connected_dfa(rng, rng.randint(2, 8)) for _ in range(30)]
+    machines.append(mk_witness(4))
     stops = 0
-    for d in raw:
-        for q in d.accepting:
-            assert d.delta[q] == (q,) * len(d.alphabet), d
-            stops += 1
+    for d in machines:
+        classes, rows = _check_subset_classes(d)
+        accept_mask = sum(1 << s for s in d.accepting)
+        stepped = {1 << d.start}
+        for mask in classes:
+            if mask & accept_mask:
+                stops += 1
+            else:
+                stepped.update(_full_steps(d, mask))
+        assert set(classes) == stepped, d
     # the corpus reaches accepting subsets, more than one per closure
-    assert stops > len(raw)
+    assert stops > len(machines)
 
 
 def test_upward_closure_subset_count_of_a_boolean_combination(monkeypatch):
-    # the states that the closures of one classify hand to minimize,
-    # summed: 31,734 when accepting subsets were expanded like any other
+    # the subsets that the closures of one classify reach, summed: 31,734
+    # when accepting subsets were expanded like any other
     sizes = []
-    monkeypatch.setattr(subword, "minimize", lambda d: sizes.append(d.n_states) or minimize(d))
+    subset_classes = subword._subset_classes
+
+    def counted(d):
+        classes, rows = subset_classes(d)
+        sizes.append(len(classes))
+        return classes, rows
+
+    monkeypatch.setattr(subword, "_subset_classes", counted)
     d = boolean_combinations(random.Random(5), 6, 5, 6)[1]
     assert d.n_states == 114
     report = classify(d)
@@ -405,6 +476,8 @@ CORPORA = {
     "abc-1-2-states": lambda: [d for n in (1, 2) for d in all_dfas(n, ABC)],
     "random-1-7-states": lambda: list(_random_dfas(205, 3000, 7)),
     "random-1-12-states": lambda: list(_random_dfas(206, 2000, 12)),
+    "witness-corpus": witness_corpus,
+    "oracle-corpus": oracle_corpus,
 }
 
 
@@ -475,13 +548,19 @@ def test_pruned_insertion_search_agrees_with_all_pairs_search(corpus, size, n_cl
 
 @pytest.mark.parametrize(
     "corpus, size",
-    [("ab-1-3-states", 5898), ("abc-1-2-states", 258), ("random-1-12-states", 2000)],
+    [
+        ("ab-1-3-states", 5898),
+        ("abc-1-2-states", 258),
+        ("random-1-12-states", 2000),
+        ("witness-corpus", 6198),
+        ("oracle-corpus", 469),
+    ],
 )
 def test_upward_closure_agrees_with_general_subset_construction(corpus, size):
     dfas = CORPORA[corpus]()
     assert len(dfas) == size
     for d in dfas:
-        assert upward_closure(d) == reference_upward_closure(d), d
+        _check_closure(d)
 
 
 def _union_of_random_ideals(k):
