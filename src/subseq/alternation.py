@@ -21,9 +21,7 @@ and a tuple-state construction that guesses the whole chain at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .automata import (
     Alphabet,
@@ -60,20 +58,28 @@ __all__ = [
     "reassemble_normal_form",
 ]
 
-@total_ordering
-@dataclass(frozen=True, eq=True)
-class AlternationMeasure:
+class _MeasureFields(NamedTuple):
+    value: int | None
+
+
+class AlternationMeasure(_MeasureFields):
     """Maximal alternation depth: a finite integer >= -1, or infinite.
 
     -1 means not even a depth-0 chain exists (the base level is empty);
     None encodes infinity and compares greater than every finite value.
     """
 
-    value: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < -1:
-            raise InputError(f"alternation depth {self.value} out of range")
+    def __new__(cls, value: int | None) -> AlternationMeasure:
+        if value is not None and value < -1:
+            raise InputError(f"alternation depth {value} out of range")
+        return tuple.__new__(cls, (value,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> AlternationMeasure:
+        # ``_replace`` builds its result here: keep it checked
+        return cls(*iterable)
 
     @classmethod
     def finite(cls, n: int) -> "AlternationMeasure":
@@ -87,12 +93,23 @@ class AlternationMeasure:
     def is_finite(self) -> bool:
         return self.value is not None
 
-    def __lt__(self, other: "AlternationMeasure") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
+    # tuple defines every ordering, so all four are spelled out here: the
+    # tuple's own would order (None,) against (3,) and raise TypeError
+    @property
+    def _rank(self) -> float:
+        return float("inf") if self.value is None else self.value
+
+    def __lt__(self, other: AlternationMeasure) -> bool:
+        return self._rank < other._rank
+
+    def __le__(self, other: AlternationMeasure) -> bool:
+        return self._rank <= other._rank
+
+    def __gt__(self, other: AlternationMeasure) -> bool:
+        return self._rank > other._rank
+
+    def __ge__(self, other: AlternationMeasure) -> bool:
+        return self._rank >= other._rank
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
@@ -153,8 +170,7 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
     return l_plus(complement(dfa), m)
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(NamedTuple):
     """One level walk of the minimal automaton ``minimal``, after one
     piecewise-testability verdict, ``finite``.  On a yes, ``walked`` is
     all of ``_levels`` and each measure is its side's chain length less
@@ -268,8 +284,7 @@ def reassemble_normal_form(levels: list[Dfa], alphabet: Alphabet) -> Dfa:
     return minimize(result)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Full verdict for one language: what ``classify`` decides, and the
     class verdicts that the criterion (L is in the k-th class exactly when
     m_plus < k) reads off the two measures, so no two of them disagree."""

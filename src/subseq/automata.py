@@ -26,8 +26,7 @@ functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlphabetMismatchError, InputError
 
@@ -99,8 +98,15 @@ class Alphabet:
         return f"Alphabet({''.join(self.letters)!r})"
 
 
-@dataclass(frozen=True)
-class Dfa:
+class _DfaFields(NamedTuple):
+    alphabet: Alphabet
+    n_states: int
+    delta: tuple[tuple[int, ...], ...]
+    start: int
+    accepting: frozenset[int]
+
+
+class Dfa(_DfaFields):
     """Complete deterministic finite automaton.
 
     ``delta[s][j]`` is the successor of state ``s`` on the j-th letter of
@@ -108,29 +114,38 @@ class Dfa:
     letter, so there is no way to leave a transition undefined.
     """
 
-    alphabet: Alphabet
-    n_states: int
-    delta: tuple[tuple[int, ...], ...]
-    start: int
-    accepting: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_states < 1:
+    def __new__(
+        cls,
+        alphabet: Alphabet,
+        n_states: int,
+        delta: tuple[tuple[int, ...], ...],
+        start: int,
+        accepting: frozenset[int],
+    ) -> Dfa:
+        if n_states < 1:
             raise InputError("automaton needs at least one state")
-        if len(self.delta) != self.n_states:
+        if len(delta) != n_states:
             raise InputError("transition table must have one row per state")
-        width = len(self.alphabet)
-        for s, row in enumerate(self.delta):
+        width = len(alphabet)
+        for s, row in enumerate(delta):
             if len(row) != width:
                 raise InputError(f"state {s}: transition row must cover every letter")
             for t in row:
-                if not 0 <= t < self.n_states:
+                if not 0 <= t < n_states:
                     raise InputError(f"state {s}: transition target {t} out of range")
-        if not 0 <= self.start < self.n_states:
-            raise InputError(f"start state {self.start} out of range")
-        for s in self.accepting:
-            if not 0 <= s < self.n_states:
+        if not 0 <= start < n_states:
+            raise InputError(f"start state {start} out of range")
+        for s in accepting:
+            if not 0 <= s < n_states:
                 raise InputError(f"accepting state {s} out of range")
+        return tuple.__new__(cls, (alphabet, n_states, delta, start, accepting))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Dfa:
+        # ``_replace`` builds its result here: keep it checked
+        return cls(*iterable)
 
     def step(self, state: int, letter: str) -> int:
         return self.delta[state][self.alphabet.index(letter)]
@@ -156,12 +171,8 @@ def _unchecked_dfa(
     accepting: frozenset[int],
 ) -> Dfa:
     """A ``Dfa`` from values the caller built valid, without the checks of
-    ``__post_init__``, which visit every transition."""
-    dfa = object.__new__(Dfa)
-    dfa.__dict__.update(
-        alphabet=alphabet, n_states=n_states, delta=delta, start=start, accepting=accepting
-    )
-    return dfa
+    ``Dfa.__new__``, which visit every transition."""
+    return tuple.__new__(Dfa, (alphabet, n_states, delta, start, accepting))
 
 
 def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:

@@ -79,9 +79,8 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import getitem, xor
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .alternation import _Walk, _shifts, _walk
 from .automata import Alphabet, Dfa, minimize
@@ -128,8 +127,7 @@ def enumerate_words(alphabet: Alphabet, max_len: int, cap: int = DEFAULT_WORD_CA
     return words
 
 
-@dataclass(frozen=True)
-class BoundedChainTable:
+class BoundedChainTable(NamedTuple):
     """Alternation depths for every word up to a length bound.
 
     ``plus_depth[w]`` is the length of the longest membership-alternating

@@ -61,7 +61,7 @@ equations hold trivially, y + a never embeds in ε, and P2's remain.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .automata import Dfa, _components, _topological_order, minimize
 from .subword import is_subword
@@ -75,8 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(NamedTuple):
     """Concrete instantiation of one of the three forbidden patterns.
 
     Word slots a pattern kind does not use stay empty, and ``states``
@@ -116,7 +115,7 @@ class PatternWitness:
         )
 
 
-_WITNESS_FIELDS = tuple(f.name for f in fields(PatternWitness) if f.name != "kind")
+_WITNESS_FIELDS = tuple(name for name in PatternWitness._fields if name != "kind")
 
 
 def _witness_fields(w: PatternWitness) -> dict:
@@ -134,10 +133,10 @@ def _as_p3(dfa: Dfa, w: PatternWitness | None) -> PatternWitness | None:
     if w.kind == "P1":
         s1, s2, s3 = w.states
         states = (s1, s2, s3, dfa.run(w.z, s2), dfa.run(w.z, s3))
-        return replace(w, kind="P3", u="", z_prime="", states=states)
+        return w._replace(kind="P3", u="", z_prime="", states=states)
     if w.kind == "P2":
         s1, s2, s3, s4 = w.states
-        return replace(w, kind="P3", v="", y="", states=(s1, s1, s2, s3, s4))
+        return w._replace(kind="P3", v="", y="", states=(s1, s1, s2, s3, s4))
     raise ValueError(f"unknown pattern kind {w.kind!r}")
 
 

@@ -26,7 +26,7 @@ built minimal in one bottom-up pass over it, with no Hopcroft refinement.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .automata import Alphabet, Dfa, _topological_order, _unchecked_dfa, complement, minimize
 from .errors import NotUpwardClosedError
@@ -309,8 +309,11 @@ def is_co_level_one_half(dfa: Dfa) -> bool:
     return is_level_one_half(complement(dfa))
 
 
-@dataclass(frozen=True)
-class IdealDecomposition:
+class _DecompositionFields(NamedTuple):
+    words: tuple[str, ...]
+
+
+class IdealDecomposition(_DecompositionFields):
     """An upward closed language written as a union of shuffle ideals.
 
     ``words`` is an antichain under the subword order (no word embeds in
@@ -318,15 +321,21 @@ class IdealDecomposition:
     same language always decompose to the same value.
     """
 
-    words: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for w in self.words:
-            for v in self.words:
+    def __new__(cls, words: tuple[str, ...]) -> IdealDecomposition:
+        for w in words:
+            for v in words:
                 if w != v and is_subword(w, v):
                     raise ValueError(
                         f"decomposition is not an antichain: {w!r} embeds in {v!r}"
                     )
+        return tuple.__new__(cls, (words,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> IdealDecomposition:
+        # ``_replace`` builds its result here: keep it checked
+        return cls(*iterable)
 
 
 def decompose_level_half(dfa: Dfa) -> IdealDecomposition:

@@ -36,7 +36,7 @@ state are the reference for the detectors' access words and classes.  The P1 wit
 out by its definition with plain reachability and shortlex enumeration
 of loop words, is the reference for the one P1 search.  A report serializer that
 spells out every key is the reference for the one that reads the
-dataclass fields.  A breadth-first joinability search per state and
+record's fields.  A breadth-first joinability search per state and
 letter pair is the reference for the piecewise-testability test's single
 pass per letter pair.
 """
@@ -1092,7 +1092,7 @@ def reference_is_piecewise_testable(minimal: Dfa) -> bool:
 
 def reference_report_dict(self: ClassificationReport) -> dict:
     """``ClassificationReport.to_dict`` with every key and witness slot
-    spelled out, the reference for the one that reads the dataclass
+    spelled out, the reference for the one that reads the record's
     fields."""
     witness = None
     if self.pattern_witness is not None:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -20,7 +22,9 @@ from subseq.alternation import (
 )
 from subseq.automata import (
     Alphabet,
+    Dfa,
     _topological_order,
+    _unchecked_dfa,
     complement,
     difference,
     empty_language,
@@ -32,8 +36,10 @@ from subseq.automata import (
 )
 from subseq.cli import export, main
 from subseq.errors import InfiniteMeasureError, InputError, NotUpwardClosedError
+from subseq.oracle import chain_table
 from subseq.patterns import _access_words, _as_p3, detect_p3, is_piecewise_testable
 from subseq.subword import (
+    IdealDecomposition,
     decompose_level_half,
     is_co_level_one_half,
     is_level_one_half,
@@ -90,6 +96,62 @@ def test_measure_ordering_and_edges():
     assert str(AlternationMeasure.finite(2)) == "2"
     with pytest.raises(InputError):
         AlternationMeasure.finite(-2)
+    # every operator against a key read off the definition: finite values
+    # in their order, infinity above them all
+    values = [-1, 0, 1, 5, None]
+    measures = [AlternationMeasure(v) for v in values]
+
+    def key(m):
+        return (1, 0) if m.value is None else (0, m.value)
+
+    for a, b in itertools.product(measures, repeat=2):
+        assert (a < b) == (key(a) < key(b)), (a, b)
+        assert (a <= b) == (key(a) <= key(b)), (a, b)
+        assert (a > b) == (key(a) > key(b)), (a, b)
+        assert (a >= b) == (key(a) >= key(b)), (a, b)
+        assert (a == b) == (key(a) == key(b)), (a, b)
+    for order in itertools.permutations(measures):
+        assert sorted(order) == measures
+        assert sorted(order, reverse=True) == measures[::-1]
+
+
+def test_records_keep_their_checks_and_stay_immutable():
+    with pytest.raises(InputError):
+        AlternationMeasure(-2)
+    with pytest.raises(ValueError, match="not an antichain"):
+        IdealDecomposition(("a", "ab"))
+    d = mk_witness(3)
+    fields = (d.alphabet, d.n_states, d.delta, d.start, d.accepting)
+    unchecked = _unchecked_dfa(*fields)
+    assert unchecked == Dfa(*fields) == d
+    assert type(unchecked) is Dfa and hash(unchecked) == hash(d)
+    # _replace goes through the same checks as the constructor
+    with pytest.raises(InputError):
+        d._replace(start=d.n_states)
+    with pytest.raises(InputError):
+        AlternationMeasure(3)._replace(value=-2)
+    with pytest.raises(ValueError, match="not an antichain"):
+        IdealDecomposition(("ab",))._replace(words=("a", "ab"))
+    report = classify(ab_star())
+    assert report.pattern_witness is not None
+    records = [
+        (d, "start", 1),
+        (report.pattern_witness, "letter", "b"),
+        (report, "m_plus", AlternationMeasure(0)),
+        (AlternationMeasure(2), "value", 3),
+        (IdealDecomposition(("a",)), "words", ()),
+        (chain_table(d.accepts, d.alphabet, 2), "max_len", 3),
+    ]
+    for record, name, value in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = value
+        assert getattr(record, name) == before
+    for record in (d, report, classify(mk_witness(4))):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record), record
 
 
 def test_chain_nfa_level_zero_is_upward_closure():
@@ -541,7 +603,7 @@ def test_classify_agrees_with_the_public_functions(tmp_path, capsys):
 
 
 def test_report_dict_matches_the_explicit_serializer():
-    # to_dict reads the dataclass fields; the reference spells out each key
+    # to_dict reads the record's fields; the reference spells out each key
     # and witness slot, so a dropped, renamed or unconverted value shows
     for d in witness_corpus():
         report = classify(d)

@@ -756,3 +756,21 @@ def test_python_dash_m_subseq_runs_the_cli():
     assert result.returncode == 0
     assert result.stderr == ""
     assert parse_dfa(result.stdout) == mk_witness(2)
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
+    # the package's import time, and none of it is used; -S keeps the
+    # modules that site's own hooks load out of the check
+    src = str(Path(__file__).parent.parent / "src")
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = "import sys, subseq, subseq.cli; print(*[m for m in sys.argv[1:] if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *unwanted],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

@@ -2,7 +2,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from subseq.alternation import AlternationMeasure, m_plus, mk_witness
@@ -300,12 +299,12 @@ def _corrupted(rng, w, d):
     the alphabet."""
     letters = d.alphabet.letters
     for slot in ("x", "v", "y", "z", "u", "z_prime"):
-        yield replace(w, **{slot: _edit(rng, getattr(w, slot), letters)})
-    yield replace(w, letter=rng.choice([c for c in letters if c != w.letter]))
+        yield w._replace(**{slot: _edit(rng, getattr(w, slot), letters)})
+    yield w._replace(letter=rng.choice([c for c in letters if c != w.letter]))
     for i, s in enumerate(w.states):
         t = rng.choice([t for t in range(d.n_states + 2) if t != s])
-        yield replace(w, states=w.states[:i] + (t,) + w.states[i + 1 :])
-    yield replace(w, kind=rng.choice([k for k in ("P1", "P2", "P3", "P4") if k != w.kind]))
+        yield w._replace(states=w.states[:i] + (t,) + w.states[i + 1 :])
+    yield w._replace(kind=rng.choice([k for k in ("P1", "P2", "P3", "P4") if k != w.kind]))
 
 
 def test_replay_of_the_third_pattern_form_matches_the_three_branch_replay():
