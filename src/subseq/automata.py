@@ -4,15 +4,19 @@ boolean products, complement and emptiness.  The one nondeterministic
 construction the hierarchy needs, the upward closure, lives in ``subword``
 and comes out minimal by construction, in the canonical form of
 ``minimize``; every other automaton that needs it, the level walk's
-products included, is minimized here, by Hopcroft's refinement.
+products included, is minimized here, by Moore's and Hopcroft's
+refinements.
 
 Deterministic automata are complete by construction: the transition table
 is dense, so completeness is structural, and every operation returns a
-machine that is still complete.  Minimization is Hopcroft's partition
-refinement, O(k·n log n) for k letters and n states, followed by a
-breadth-first renumbering from the start state following alphabet order.
-The renumbering, not the order of the splits, makes equal languages
-minimize to structurally identical values; golden tests rely on that.
+machine that is still complete.  Minimization refines the partition in
+Moore rounds, each one pass over the whole table, and hands chain-like
+inputs, which Moore would peel one state per round, over to Hopcroft's
+refinement; O(k·n log n) for k letters and n states in all.  A
+breadth-first renumbering from the start state following alphabet order
+follows.  The renumbering, not the order of the splits, makes equal
+languages minimize to structurally identical values; golden tests rely on
+that.
 
 One component pass, ``_components`` (Tarjan, SIAM J. Comput. 1972),
 answers every cycle question: ``_topological_order`` reads off it whether
@@ -153,10 +157,15 @@ class Dfa(_DfaFields):
     def run(self, word: str, start: int | None = None) -> int:
         """State reached from ``start`` (default: the start state) on ``word``."""
         state = self.start if start is None else start
-        index = self.alphabet.index
+        index = self.alphabet._index
         delta = self.delta
-        for ch in word:
-            state = delta[state][index(ch)]
+        try:
+            for ch in word:
+                state = delta[state][index[ch]]
+        except KeyError:
+            # raises the InputError that names the letter and the alphabet
+            self.alphabet.index(ch)
+            raise
         return state
 
     def accepts(self, word: str) -> bool:
@@ -182,68 +191,122 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
         )
 
 
+def _hopcroft(dfa: Dfa, block: list[int], ids: dict[tuple[int, ...], int]) -> int:
+    """Hopcroft's refinement of the partition ``block`` (state -> block id)
+    left by a Moore round whose keys ``ids`` maps to the block ids, each
+    key led by the state's block of the round before.  Refines ``block``
+    in place to the coarsest congruence and returns its number of blocks.
+
+    The round left every block stable under each block of the round
+    before: states with one key step into the same old blocks.  A set of
+    states stable under a union and under all but one of its disjoint
+    parts is stable under the last part too, since in a deterministic
+    automaton that part's preimage is the union's minus the others'.  So
+    the first pending set holds, of each old block that split, all its
+    parts but the largest; an old block that did not split is a block
+    already, and nothing is pending for it.  Each queued part is at most
+    half its old block, as every later one is at most half of its.
+    """
+    delta = dfa.delta
+    blocks: list[set[int]] = [set() for _ in ids]
+    for s, b in enumerate(block):
+        blocks[b].add(s)
+    parts: dict[int, list[int]] = {}
+    for key, b in ids.items():
+        parts.setdefault(key[0], []).append(b)
+    pending = []
+    for split in parts.values():
+        split.remove(max(split, key=lambda b: len(blocks[b])))
+        pending += split
+
+    # Pop a pending block B and split every block by the preimage a⁻¹B,
+    # for every letter a.  A split keeps the larger part under the old id
+    # and queues the smaller one, so a pending id still covers the larger
+    # part, and a settled whole with its queued part settles the larger
+    # part too.  A state is queued only when its block at least halves, so
+    # O(log n) times, and costs its k preimage lists each time.
+    inverse = [[[] for _ in delta] for _ in dfa.alphabet]
+    for s, row in enumerate(delta):
+        for pre, t in zip(inverse, row):
+            pre[t].append(s)
+    while pending:
+        splitter = tuple(blocks[pending.pop()])
+        for pre in inverse:
+            touched: dict[int, list[int]] = {}
+            for t in splitter:
+                for p in pre[t]:
+                    if block[p] in touched:
+                        touched[block[p]].append(p)
+                    else:
+                        touched[block[p]] = [p]
+            for b, hit in touched.items():
+                members = blocks[b]
+                if len(hit) == len(members):
+                    continue
+                part = set(hit)
+                if 2 * len(part) <= len(members):
+                    members -= part
+                else:
+                    part, blocks[b] = members - part, part
+                pending.append(len(blocks))
+                for p in part:
+                    block[p] = len(blocks)
+                blocks.append(part)
+    return len(blocks)
+
+
 def minimize(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal automaton in canonical form.
 
-    Hopcroft's partition refinement over all states, in O(k·n log n) for
-    k letters and n states, then a breadth-first renumbering from the
-    start state with letters in alphabet order.  The refinement fixes only
-    which states merge; the renumbering fixes their numbers and is the
-    only reachability pass, dropping the blocks no reachable state is in,
-    so two inputs with the same language come out structurally equal
-    whatever order the blocks were split in.  Idempotent.
+    Moore's refinement over all states, handing over to Hopcroft's on
+    chain-like inputs, in O(k·n log n) for k letters and n states, then a
+    breadth-first renumbering from the start state with letters in
+    alphabet order.  The refinement fixes only which states merge; the
+    renumbering fixes their numbers and is the only reachability pass,
+    dropping the blocks no reachable state is in, so two inputs with the
+    same language come out structurally equal whatever order the blocks
+    were split in.  Idempotent.
+
+    A Moore round splits every block by the blocks of its states'
+    successors, in one pass over the table; random automata need
+    O(log n) rounds on average (Bassino, David and Nicaud, STACS 2009).
+    A chain peeled one state per round would need n of them, so after a
+    round that splits off a single block while fewer than n/4 exist, or
+    after ``n.bit_length() + 2`` rounds, ``_hopcroft`` finishes the job.
     """
     n = dfa.n_states
     delta = dfa.delta
-
-    # Start from {accepting, rejecting}; pop a pending block B and split
-    # every block by the preimage a⁻¹B, for every letter a.  A split keeps
-    # the larger part under the old id and queues the smaller one, so a
-    # pending id still covers the larger part, and a settled whole with its
-    # queued part settles the larger part too.  A state is queued only
-    # when its block at least halves, so O(log n) times, and costs its k
-    # preimage lists each time.
     final = dfa.accepting
-    block = [1] * n
-    for s in final:
-        block[s] = 0
-    blocks = [set(final), set(range(n)) - final]
+    block = [0] * n
+    count = 1
+    # one block is stable already: every state has the same language
     if 0 < len(final) < n:
-        inverse = [[[] for _ in delta] for _ in dfa.alphabet]
-        for s, row in enumerate(delta):
-            for pre, t in zip(inverse, row):
-                pre[t].append(s)
-        pending = [0 if 2 * len(final) <= n else 1]
-        while pending:
-            splitter = tuple(blocks[pending.pop()])
-            for pre in inverse:
-                touched: dict[int, list[int]] = {}
-                for t in splitter:
-                    for p in pre[t]:
-                        if block[p] in touched:
-                            touched[block[p]].append(p)
-                        else:
-                            touched[block[p]] = [p]
-                for b, hit in touched.items():
-                    members = blocks[b]
-                    if len(hit) == len(members):
-                        continue
-                    part = set(hit)
-                    if 2 * len(part) <= len(members):
-                        members -= part
-                    else:
-                        part, blocks[b] = members - part, part
-                    pending.append(len(blocks))
-                    for p in part:
-                        block[p] = len(blocks)
-                    blocks.append(part)
+        for s in final:
+            block[s] = 1
+        count = 2
+        columns = list(zip(*delta))
+        rounds_left = n.bit_length() + 2
+        while count < n:
+            ids: dict[tuple[int, ...], int] = {}
+            block = [
+                ids.setdefault(key, len(ids))
+                for key in zip(block, *[map(block.__getitem__, c) for c in columns])
+            ]
+            split, count = len(ids) - count, len(ids)
+            rounds_left -= 1
+            # a partition of singletons is stable without another round
+            if split == 0 or count == n:
+                break
+            if (split == 1 and 4 * count < n) or rounds_left == 0:
+                count = _hopcroft(dfa, block, ids)
+                break
 
     # the final partition is a congruence, so any member represents its block
-    representative = [-1] * len(blocks)
+    representative = [-1] * count
     for s, b in enumerate(block):
         representative[b] = s
 
-    canonical = [-1] * len(blocks)
+    canonical = [-1] * count
     canonical[block[dfa.start]] = 0
     block_order = [block[dfa.start]]
     rows = []

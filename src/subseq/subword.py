@@ -20,7 +20,7 @@ Every state may stay put on every letter, so a subset contains the one it
 was reached from, and it steps only the states it adds to that one: the
 rest of its step is its predecessor's, already built.  As subsets only
 grow, the subset automaton has no cycle but self-loops, and the closure is
-built minimal in one bottom-up pass over it, with no Hopcroft refinement.
+built minimal in one bottom-up pass over it, with no partition refinement.
 """
 
 from __future__ import annotations

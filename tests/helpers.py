@@ -16,8 +16,10 @@ the oracle's comparison with one stepping pass per automaton, its
 spread by lazy iterators and its depths by one list max per word, the
 references for its joint pass over state tuples, its slice copies and
 its depth lanes,
-Moore's minimization, the reference for the library's Hopcroft
-one, the unpruned all-pairs insertion search, the reference for the
+Moore's minimization over the reachable states, one state at a time,
+the reference for the library's whole-table rounds and their handover
+to Hopcroft's refinement, the unpruned all-pairs insertion search,
+the reference for the
 library's search that skips pairs settled by reachability, a backward
 all-pairs table of separating words, the reference for the pattern
 detectors' minimal-automaton classes and their separating words, and a
@@ -457,7 +459,9 @@ def moore_minimize(dfa: Dfa) -> Dfa:
     """Minimal automaton by Moore's refinement, one full pass over the
     states per round that splits a block, so O(k·n²) on long chains; the
     same breadth-first renumbering as ``minimize``, so the two agree
-    structurally.  The reference for the library's Hopcroft refinement."""
+    structurally.  The reference for the library's refinement, which runs
+    these rounds over the whole table at once and hands chains over to
+    Hopcroft's."""
     width = len(dfa.alphabet)
     order = [dfa.start]
     seen = {dfa.start}

@@ -8,6 +8,7 @@ from subseq.automata import (
     Alphabet,
     Dfa,
     _components,
+    _hopcroft,
     _topological_order,
     complement,
     empty_language,
@@ -95,6 +96,24 @@ def test_run_rejects_foreign_letters():
     ideal = shuffle_ideal("a", AB)
     with pytest.raises(InputError):
         ideal.run("ac")
+
+
+def test_run_and_accepts_name_the_foreign_letter():
+    # ``run`` reads the alphabet's index itself and falls back to
+    # ``Alphabet.index`` only for its error, which must stay the same
+    ideal = shuffle_ideal("a", AB)
+    with pytest.raises(InputError) as expected:
+        AB.index("c")
+    assert str(expected.value) == "letter 'c' is not in alphabet 'ab'"
+    for call in (
+        lambda: ideal.run("ac"),
+        lambda: ideal.run("c", 1),
+        lambda: ideal.accepts("abc"),
+    ):
+        with pytest.raises(InputError) as raised:
+            call()
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.__suppress_context__
 
 
 def test_determinize_no_accepting_state_gives_empty_language():
@@ -201,10 +220,52 @@ def test_minimize_agrees_with_moore_on_random_dfas():
             assert minimize(d) == moore_minimize(d)
 
 
+def _core_with_chain(rng: random.Random, alphabet: Alphabet) -> Dfa:
+    """A random core of 1-20 states and a chain tail of 5-120 states on the
+    first letter, whose last state steps back into the core; the tail's
+    other letters lead into the core or along the chain.  Sometimes every
+    state gets a twin with the same language, and the start is anywhere."""
+    width = len(alphabet)
+    core, tail = rng.randint(1, 20), rng.randint(5, 120)
+    n = core + tail
+    rows = [[rng.randrange(core) for _ in range(width)] for _ in range(core)]
+    along = rng.random() < 0.5
+    for s in range(core, n):
+        nxt = s + 1 if s + 1 < n else rng.randrange(core)
+        rows.append([nxt] + [nxt if along else rng.randrange(core) for _ in range(width - 1)])
+    # a sparse accepting tail is peeled one state per Moore round
+    density = rng.choice((0.0, 0.02, 0.5))
+    accepting = {s for s in range(core) if rng.random() < 0.5}
+    accepting |= {s for s in range(core, n) if rng.random() < density}
+    if rng.random() < 0.5:
+        rows += [[t + n * rng.randint(0, 1) for t in row] for row in rows]
+        accepting |= {s + n for s in accepting}
+        n *= 2
+    return dfa_from_rows(rows, accepting, start=rng.randrange(n), alphabet=alphabet)
+
+
+def test_minimize_agrees_with_moore_with_and_without_handover(monkeypatch):
+    # Moore rounds alone finish the random cores; a chain peeled one state
+    # per round hands the partition over to Hopcroft's loop, which must
+    # start from the right pending blocks to reach the same partition
+    handovers = count_calls(monkeypatch, _hopcroft)
+    rng = random.Random(104)
+    outcomes = set()
+    for letters in ("a", "ab", "abc"):
+        alphabet = Alphabet(letters)
+        for _ in range(80):
+            d = _core_with_chain(rng, alphabet)
+            before = len(handovers)
+            assert minimize(d) == moore_minimize(d)
+            outcomes.add(len(handovers) > before)
+    assert outcomes == {False, True}
+
+
 def test_minimize_scales_on_long_chains():
-    # Moore refinement needs one round per state on these chains and takes
-    # seconds at half this length; 4000 states also exceed the default
-    # recursion limit, so the refinement must not recurse.
+    # Moore rounds alone need one round per state on these chains and take
+    # seconds at half this length, so ``minimize`` must hand them over to
+    # Hopcroft's refinement; 4000 states also exceed the default recursion
+    # limit, so the refinement must not recurse.
     rng = random.Random(103)
     ideal = shuffle_ideal("".join(rng.choice("ab") for _ in range(4000)), AB)
     witness = mk_witness(4000)

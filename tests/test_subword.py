@@ -244,7 +244,7 @@ def test_upward_closure_matches_reference_on_random_small_dfas(d):
 
 
 def test_upward_closure_calls_no_minimize(monkeypatch):
-    # the closure comes out minimal by construction, with no Hopcroft pass
+    # the closure comes out minimal by construction, with no refinement pass
     calls = count_calls(monkeypatch, minimize)
     rng = random.Random(209)
     for _ in range(30):
