@@ -262,10 +262,10 @@ def test_minimize_agrees_with_moore_with_and_without_handover(monkeypatch):
 
 
 def test_minimize_scales_on_long_chains():
-    # Moore rounds alone need one round per state on these chains and take
-    # seconds at half this length, so ``minimize`` must hand them over to
-    # Hopcroft's refinement; 4000 states also exceed the default recursion
-    # limit, so the refinement must not recurse.
+    # Moore rounds alone need one round per state on these chains, O(n²)
+    # in all, so ``minimize`` must hand them over to Hopcroft's
+    # refinement; 4000 states also exceed the default recursion limit, so
+    # the refinement must not recurse.
     rng = random.Random(103)
     ideal = shuffle_ideal("".join(rng.choice("ab") for _ in range(4000)), AB)
     witness = mk_witness(4000)
