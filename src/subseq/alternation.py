@@ -11,11 +11,11 @@ over the upward closed languages (plus measure below k).
 Both chains come from one walk of the side whose start rejects ε; the
 other side is Σ* followed by it (``_levels``, ``_shifts``).  ``_walk``
 decides piecewise testability once and walks to the end only on a yes;
-every measure here, and the oracle's comparison, read one ``_Walk`` of
-the minimal automaton, which each public function builds once.  The
-walk stays within minimized automata, one step per level, and stops at
-the first empty level.  The tests check it against two separate walks
-and a tuple-state construction that guesses the whole chain at once.
+every measure here, and the oracle's comparison, read one ``_Walk``,
+which each public function builds once from its input, minimizing it
+once.  The walk stays within minimized automata, one step per level, and
+stops at the first empty level.  The tests check it against two separate
+walks and a tuple-state construction that guesses the whole chain at once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .automata import (
     Alphabet,
     Dfa,
+    _minimize,
     _topological_order,
     complement,
     difference,
@@ -171,15 +172,17 @@ def l_minus(dfa: Dfa, m: int) -> Dfa:
 
 
 class _Walk(NamedTuple):
-    """One level walk of the minimal automaton ``minimal``, after one
-    piecewise-testability verdict, ``finite``.  On a yes, ``walked`` is
-    all of ``_levels`` and each measure is its side's chain length less
-    one; on a no, the walk would never end, both measures are infinite
-    (level 1 is closed under complement) and ``walked`` is a prefix.
-    ``order`` is the verdict's ``_topological_order``, None when some
-    cycle is not a self-loop."""
+    """One level walk of ``minimal``, the input's minimal automaton, whose
+    state ``classes[s]`` has input state s's language (``_minimize``),
+    after one piecewise-testability verdict, ``finite``.  On a yes,
+    ``walked`` is all of ``_levels`` and each measure is its side's chain
+    length less one; on a no, the walk would never end, both measures are
+    infinite (level 1 is closed under complement) and ``walked`` is a
+    prefix.  ``order`` is the verdict's ``_topological_order``, None when
+    some cycle is not a self-loop."""
 
     minimal: Dfa
+    classes: list[int]
     order: list[int] | None
     finite: bool
     walked: tuple[Dfa, ...]
@@ -193,12 +196,14 @@ class _Walk(NamedTuple):
         )
 
 
-def _walk(minimal: Dfa, depth: int = 0) -> _Walk:
-    """The walk of ``minimal``: to its end if piecewise testable, else ``depth`` levels."""
+def _walk(dfa: Dfa, depth: int = 0) -> _Walk:
+    """The walk of ``dfa``'s one minimization: to its end if piecewise
+    testable, else ``depth`` levels."""
+    minimal, classes = _minimize(dfa)
     order = _topological_order(minimal)
     finite = _is_piecewise_testable(minimal, order)
     walked = tuple(itertools.islice(_levels(minimal), None if finite else depth))
-    return _Walk(minimal, order, finite, walked)
+    return _Walk(minimal, classes, order, finite, walked)
 
 
 def m_plus(dfa: Dfa) -> AlternationMeasure:
@@ -211,12 +216,12 @@ def m_plus(dfa: Dfa) -> AlternationMeasure:
     bound exponential in the automaton size would then settle infinity,
     which is not a practical algorithm.)
     """
-    return _walk(minimize(dfa)).measures[0]
+    return _walk(dfa).measures[0]
 
 
 def m_minus(dfa: Dfa) -> AlternationMeasure:
     """Chain depth starting outside: the plus measure of the complement."""
-    return _walk(minimize(dfa)).measures[1]
+    return _walk(dfa).measures[1]
 
 
 def in_boolean_level(dfa: Dfa, k: int, side: str = "plus") -> bool:
@@ -262,7 +267,7 @@ def normal_form_decomposition(dfa: Dfa) -> list[Dfa]:
     InfiniteMeasureError when the language is not piecewise testable,
     since then no finite chain exists.
     """
-    walk = _walk(minimize(dfa))
+    walk = _walk(dfa)
     if not walk.finite:
         raise InfiniteMeasureError("language has unbounded alternation depth")
     shift = _shifts(walk.minimal.start in walk.minimal.accepting)[1]
@@ -351,28 +356,29 @@ def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
 def classify(dfa: Dfa, name: str = "language") -> ClassificationReport:
     """Run every classification the toolkit offers on one automaton.
 
-    Every stage reads the one minimal automaton built here and one level
-    walk of it, whose verdict settles both measures; the class verdicts
-    follow from the measures, the decomposition is read off the minimal
-    automaton only when m_plus < 1, and a pattern search runs on ``dfa``
-    itself, only when that verdict is no.  The witness is ``detect_p3``'s:
-    the polynomial P1 search's when the minimal automaton has a cycle
-    through distinct states, the polynomial P2 construction's otherwise,
-    where no P1 witness exists.
+    Every stage reads one level walk of the one minimization made here,
+    whose verdict settles both measures; the class verdicts follow from
+    the measures, the decomposition is read off the minimal automaton only
+    when m_plus < 1, and a pattern search runs on ``dfa`` itself, with the
+    walk's classes of its states, only when that verdict is no.  The
+    witness is ``detect_p3``'s: the polynomial P1 search's when the
+    minimal automaton has a cycle through distinct states, the polynomial
+    P2 construction's otherwise, where no P1 witness exists.
     """
-    return _classify(dfa, _walk(minimize(dfa)), name)
+    return _classify(dfa, _walk(dfa), name)
 
 
 def _classify(dfa: Dfa, walk: _Walk, name: str) -> ClassificationReport:
-    """``classify`` reading its measures, the minimal automaton and its
-    topological order off ``walk``, any ``_walk`` of ``minimize(dfa)``."""
+    """``classify`` reading its measures, the minimal automaton, its
+    topological order and the classes of ``dfa``'s states off ``walk``,
+    any ``_walk(dfa)``."""
     plus, minus = walk.measures
     decomposition = None
     if plus < AlternationMeasure.finite(1):
         decomposition = _minimal_words(walk.minimal, walk.order)
     witness = None
     if not walk.finite:
-        witness = _witness(dfa, walk.minimal)
+        witness = _witness(dfa, walk.classes)
         if witness is None:
             raise AssertionError(
                 f"piecewise-testability verdicts disagree on {name!r}: "

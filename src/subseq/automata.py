@@ -29,7 +29,6 @@ functions, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlphabetMismatchError, InputError
@@ -274,6 +273,12 @@ def minimize(dfa: Dfa) -> Dfa:
     round that splits off a single block while fewer than n/4 exist, or
     after ``n.bit_length() + 2`` rounds, ``_hopcroft`` finishes the job.
     """
+    return _minimize(dfa)[0]
+
+
+def _minimize(dfa: Dfa) -> tuple[Dfa, list[int]]:
+    """``minimize``, and each input state's class: the state of the result
+    with its language, -1 when no reachable state has that language."""
     n = dfa.n_states
     delta = dfa.delta
     final = dfa.accepting
@@ -322,7 +327,8 @@ def minimize(dfa: Dfa) -> Dfa:
     accepting = frozenset(
         canonical[b] for b in block_order if representative[b] in dfa.accepting
     )
-    return _unchecked_dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
+    minimal = _unchecked_dfa(dfa.alphabet, len(block_order), tuple(rows), 0, accepting)
+    return minimal, list(map(canonical.__getitem__, block))
 
 
 def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
@@ -331,21 +337,17 @@ def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
     Only state pairs reachable from the joint start are materialized.
     """
     _require_same_alphabet(d1, d2)
-    width = len(d1.alphabet)
     start = (d1.start, d2.start)
     ids = {start: 0}
     pairs = [start]
     rows = []
-    queue = deque(pairs)
-    while queue:
-        p, q = queue.popleft()
+    # the pairs in order of discovery are the breadth-first queue
+    for p, q in pairs:
         row = []
-        for j in range(width):
-            target = (d1.delta[p][j], d2.delta[q][j])
+        for target in zip(d1.delta[p], d2.delta[q]):
             if target not in ids:
                 ids[target] = len(pairs)
                 pairs.append(target)
-                queue.append(target)
             row.append(ids[target])
         rows.append(tuple(row))
     accepting = frozenset(

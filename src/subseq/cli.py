@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
-from .automata import Alphabet, Dfa, _unchecked_dfa, minimize
+from .automata import Alphabet, Dfa, _minimize, _unchecked_dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_MAX_M, DEFAULT_WORD_CAP, _compare, cross_check
 from .patterns import PatternWitness, _as_p3, _cycle_witness, _detect_p2, _witness_fields
@@ -297,7 +297,7 @@ def _cmd_classify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
-        walk = _walk(minimize(dfa), 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
+        walk = _walk(dfa, 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
         report = _classify(dfa, walk, path.stem)
         entry = report.to_dict() if args.json else _render_report(report, args.witness)
         if args.oracle_check is not None:
@@ -330,7 +330,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mplus(args) -> int:
     dfa = _read_dfa(args.file)
-    plus, minus = _walk(minimize(dfa)).measures
+    plus, minus = _walk(dfa).measures
     if args.json:
         sys.stdout.write(
             _json_dump({"m_plus": plus.json_value(), "m_minus": minus.json_value()})
@@ -342,8 +342,8 @@ def _cmd_mplus(args) -> int:
 
 def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
-    minimal = minimize(dfa)
-    first, second = _cycle_witness(dfa, minimal), _detect_p2(dfa, minimal)
+    classes = _minimize(dfa)[1]
+    first, second = _cycle_witness(dfa, classes), _detect_p2(dfa, classes)
     witnesses = {"P1": first, "P2": second, "P3": _as_p3(dfa, first or second)}
     if args.json:
         payload = {

@@ -83,7 +83,7 @@ from operator import getitem, xor
 from typing import Callable, NamedTuple, Sequence
 
 from .alternation import _Walk, _shifts, _walk
-from .automata import Alphabet, Dfa, minimize
+from .automata import Alphabet, Dfa
 from .errors import InputError, WordCapExceededError
 
 __all__ = [
@@ -279,12 +279,12 @@ def cross_check(
     """
     if max_m < 0:
         raise InputError(f"level bound must be nonnegative, got {max_m}")
-    return _compare(dfa, _walk(minimize(dfa), max_m + 1), max_len, max_m, cap)
+    return _compare(dfa, _walk(dfa, max_m + 1), max_len, max_m, cap)
 
 
 def _compare(dfa: Dfa, walk: _Walk, max_len: int, max_m: int, cap: int) -> list[str]:
-    """``cross_check`` against ``walk``, a ``_walk`` of ``minimize(dfa)``
-    that holds at least max_m + 1 levels or ends before."""
+    """``cross_check`` against ``walk``, any ``_walk`` of ``dfa`` that
+    holds at least max_m + 1 levels or ends before."""
     k = len(dfa.alphabet)
     n_words = _word_count(k, max_len, cap)
     bits, rows = _joint((dfa, *walk.walked[: max_m + 1]), max_len)

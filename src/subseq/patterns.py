@@ -16,9 +16,10 @@ for them extract that evidence when the test says no, and serve as an
 independent cross-check of the test.
 
 Each detector returns a fully instantiated witness (words and states) that
-can be replayed against the automaton, or None.  Two reachable states are
-distinguishable exactly when they reach different states of the minimal
-automaton (Myhill-Nerode), so one minimization filters every candidate
+can be replayed against the automaton, or None.  Two states are
+distinguishable exactly when their classes differ, the states of the
+minimal automaton with their languages (Myhill-Nerode), which the one
+minimization, ``_minimize``, lists.  The classes filter every candidate
 pair, and a separating word is searched only for the pair a witness
 names; it is the shortlex-least one.  Detection is deterministic: letters
 in alphabet order, states in index order, and breadth-first searches that
@@ -63,7 +64,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .automata import Dfa, _components, _topological_order, minimize
+from .automata import Dfa, _components, _minimize, _topological_order, minimize
 from .subword import is_subword
 
 __all__ = [
@@ -140,14 +141,6 @@ def _as_p3(dfa: Dfa, w: PatternWitness | None) -> PatternWitness | None:
     raise ValueError(f"unknown pattern kind {w.kind!r}")
 
 
-def _access_words(dfa: Dfa, minimal: Dfa) -> tuple[dict[int, str], dict[int, int]]:
-    """Shortest word from the start state to each reachable state, and the
-    state of the minimal automaton each stands for: two reachable states
-    are distinguishable exactly when theirs differ."""
-    words = _words(dfa.delta, dfa.alphabet.letters, dfa.start, -1)
-    return words, {s: minimal.run(w) for s, w in words.items()}
-
-
 def _words(delta, letters: str, start: int, allowed: int) -> dict[int, str]:
     """Shortlex-least word from ``start`` to each node it reaches on the
     letters whose bit is set in ``allowed`` (-1: all), in breadth-first
@@ -193,7 +186,7 @@ def _loop_letters(delta, starts) -> tuple[dict[int, int], dict[int, int]]:
     return component, masks
 
 
-def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+def _cycle_witness(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
     """The P1 witness with y = ε and s2 = s1 on an input whose minimal
     automaton has a cycle through distinct states, None on any other
     input, where no P1 witness exists (see the module docstring).
@@ -207,9 +200,9 @@ def _cycle_witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
     the searches and the component pass take O(k·n) steps; the
     separator's search over state pairs, O(k·n²), is the largest.
     """
-    access, classes = _access_words(dfa, minimal)
-    reachable = sorted(access)
     letters = dfa.alphabet.letters
+    access = _words(dfa.delta, letters, dfa.start, -1)
+    reachable = sorted(access)
     masks = None
     for j, a in enumerate(letters):
         for s1 in reachable:
@@ -257,21 +250,21 @@ def detect_p1(dfa: Dfa) -> PatternWitness | None:
     y = ε, so s2 = s1: the first letter a, then the first reachable s1 whose
     a-step changes minimal state and some loop at s1 reads a, with v the
     shortlex-least such loop (``_cycle_witness``)."""
-    return _cycle_witness(dfa, minimize(dfa))
+    return _cycle_witness(dfa, _minimize(dfa)[1])
 
 
 def detect_p2(dfa: Dfa) -> PatternWitness | None:
     """Second pattern: a pivot step out of s1, then a shared word z driving
     both sides into a distinguishable pair of states that jointly loop on a
     word embedding the pivot followed by z."""
-    return _detect_p2(dfa, minimize(dfa))
+    return _detect_p2(dfa, _minimize(dfa)[1])
 
 
-def _detect_p2(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
+def _detect_p2(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
     """The module docstring's P2 construction: the first reachable s1, then
     letter a, with a witness, and the least target (t3, t4) it reaches."""
-    access, classes = _access_words(dfa, minimal)
     n, letters = dfa.n_states, dfa.alphabet.letters
+    access = _words(dfa.delta, letters, dfa.start, -1)
     square = [tuple(g * n + h for g, h in zip(p, q)) for p in dfa.delta for q in dfa.delta]
     sources = [s1 * n + s2 for s1 in sorted(access) for s2 in dfa.delta[s1]]
     component, masks = _loop_letters(square, sources)
@@ -336,12 +329,12 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
     """Third pattern, subsuming the other two: a P1 or P2 witness is one in
     its third-pattern form, and conversely the third pattern forces one of
     the other two to be present, so the disjunction is exact."""
-    return _witness(dfa, minimize(dfa))
+    return _witness(dfa, _minimize(dfa)[1])
 
 
-def _witness(dfa: Dfa, minimal: Dfa) -> PatternWitness | None:
-    """``detect_p3`` on ``minimal``, the minimal automaton of ``dfa``."""
-    return _as_p3(dfa, _cycle_witness(dfa, minimal) or _detect_p2(dfa, minimal))
+def _witness(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
+    """``detect_p3`` given ``classes``, each state's class from ``_minimize``."""
+    return _as_p3(dfa, _cycle_witness(dfa, classes) or _detect_p2(dfa, classes))
 
 
 def is_piecewise_testable(dfa: Dfa) -> bool:

@@ -59,8 +59,6 @@ def shuffle_ideal(word: str, alphabet: Alphabet) -> Dfa:
     final state is absorbing and accepting.  shuffle_ideal("", a) accepts
     every word over a.
     """
-    for ch in word:
-        alphabet.index(ch)
     n = len(word)
     width = len(alphabet)
     rows = []

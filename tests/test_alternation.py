@@ -37,7 +37,7 @@ from subseq.automata import (
 from subseq.cli import export, main
 from subseq.errors import InfiniteMeasureError, InputError, NotUpwardClosedError
 from subseq.oracle import chain_table
-from subseq.patterns import _access_words, _as_p3, detect_p3, is_piecewise_testable
+from subseq.patterns import _as_p3, _words, detect_p3, is_piecewise_testable
 from subseq.subword import (
     IdealDecomposition,
     decompose_level_half,
@@ -251,7 +251,7 @@ def test_walk_to_depth_zero_builds_no_level(monkeypatch):
     inf = AlternationMeasure.infinite()
     for m in machines:
         walk = _walk(m, 0)
-        assert walk == _Walk(m, None, False, ())
+        assert walk == _Walk(m, [0, 1], None, False, ())
         assert walk.measures == (inf, inf)
     assert (len(complements), len(universals), len(closures)) == (0, 0, 0)
 
@@ -481,11 +481,11 @@ def _agrees_with_the_two_walks(d) -> bool:
     # measures and the normal form; the rest: both measures infinite and
     # the first 3 levels per side
     if not is_piecewise_testable(d):
-        walk = _walk(minimize(d), 3)
+        walk = _walk(d, 3)
         assert walk.measures == two_walk_measures(d), d
         assert _sides_of(walk, 3) == two_walk_chains(d, 3), d
         return False
-    walk = _walk(minimize(d))
+    walk = _walk(d)
     chains = _sides_of(walk)
     assert chains == two_walk_chains(d), d
     assert walk.measures == two_walk_measures(d), d
@@ -579,7 +579,8 @@ def test_classify_agrees_with_the_public_functions(tmp_path, capsys):
     corpus += [d for n in (1, 2) for d in all_dfas(n, abc)]
     rng = random.Random(15)
     randoms = [random_dfa(rng, rng.randint(2, 8)) for _ in range(300)]
-    assert sum(len(_access_words(d, minimize(d))[0]) < d.n_states for d in randoms) > 100
+    reachable = (_words(d.delta, d.alphabet.letters, d.start, -1) for d in randoms)
+    assert sum(len(words) < d.n_states for words, d in zip(reachable, randoms)) > 100
     path = tmp_path / "language.dfa"
     for d in corpus + randoms:
         report = classify(d)

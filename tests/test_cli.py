@@ -11,7 +11,7 @@ import pytest
 
 from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _walk, mk_witness
-from subseq.automata import Alphabet, Dfa, _topological_order, complement, minimize
+from subseq.automata import Alphabet, Dfa, _minimize, _topological_order, complement, minimize
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, _cycle_witness, _detect_p2, _is_piecewise_testable
@@ -392,11 +392,12 @@ def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
 def test_each_library_entry_minimizes_the_input_once(
     capsys, monkeypatch, argv, inputs, expected
 ):
-    # every other call minimizes a step of the level walk, a closed level
-    # intersected with the language or its complement; the closures come
-    # out minimal and call minimize nowhere: on m3.dfa, the 3 steps
-    # between its 4 closures
-    calls = count_calls(monkeypatch, minimize)
+    # ``minimize`` calls ``_minimize`` too, so this counts every
+    # minimization; every other call minimizes a step of the level walk, a
+    # closed level intersected with the language or its complement; the
+    # closures come out minimal and call minimize nowhere: on m3.dfa, the 3
+    # steps between its 4 closures
+    calls = count_calls(monkeypatch, _minimize)
     parsed = []
 
     def parse(text):
@@ -488,7 +489,7 @@ def _walk_of_m1():
     # the comparison reads the walked levels and measures of mk_witness(1)
     # when it checks mk_witness(2), so they disagree with its bounded sets;
     # both reject ε, so the shifted side is the same
-    walk = _walk(minimize(mk_witness(1)))
+    walk = _walk(mk_witness(1))
     assert (walk.finite, len(walk.walked)) == (True, 1)
     return walk
 
@@ -503,7 +504,7 @@ _SWAPPED_PROBLEMS = (
 
 def test_cli_oracle_check_prints_each_mismatch(capsys, monkeypatch):
     walk = _walk_of_m1()
-    monkeypatch.setattr(oracle, "_walk", lambda minimal, depth=0: walk)
+    monkeypatch.setattr(oracle, "_walk", lambda dfa, depth=0: walk)
     assert main(["oracle-check", str(FIXTURES / "m2.dfa"), "--max-len", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "".join(f"MISMATCH: {p}\n" for p in _SWAPPED_PROBLEMS)

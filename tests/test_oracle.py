@@ -467,7 +467,7 @@ def test_wide_lanes_give_the_closed_form_depths():
 
 def _compare_both(d, max_len, max_m):
     # the joint pass and the reference on one walk, which may be substituted
-    walk = _walk(minimize(d), max_m + 1)
+    walk = _walk(d, max_m + 1)
     problems = _compare(d, walk, max_len, max_m, DEFAULT_WORD_CAP)
     assert problems == reference_compare(d, walk, max_len, max_m, DEFAULT_WORD_CAP), (d, max_m)
     return problems

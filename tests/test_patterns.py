@@ -8,6 +8,7 @@ from subseq.alternation import AlternationMeasure, m_plus, mk_witness
 from subseq.automata import (
     Alphabet,
     Dfa,
+    _minimize,
     _topological_order,
     complement,
     minimize,
@@ -15,13 +16,13 @@ from subseq.automata import (
 )
 from subseq.patterns import (
     PatternWitness,
-    _access_words,
     _as_p3,
     _cycle_witness,
     _detect_p2,
     _is_piecewise_testable,
     _loop_letters,
     _separator,
+    _words,
     detect_p1,
     detect_p2,
     detect_p3,
@@ -38,6 +39,7 @@ from helpers import (
     count_calls,
     dfa_from_rows,
     distinguishing_words,
+    equivalent,
     random_dfa,
     reference_access_classes,
     reference_cycle_witness,
@@ -124,10 +126,20 @@ def _separates(d, z, p, q):
 def test_classes_and_separators_agree_with_the_reference_table():
     # Myhill-Nerode: reachable states are distinguishable exactly when
     # they reach different states of the minimal automaton, and the
-    # separator is the shortlex-least word that tells them apart
+    # separator is the shortlex-least word that tells them apart.  Every
+    # state's class is the minimal state with its language; an unreachable
+    # state's is -1 only when no reachable state has its language
     for d in _separation_corpus():
-        access, classes = _access_words(d, minimize(d))
-        assert (access, classes) == reference_access_classes(d), d
+        access = _words(d.delta, d.alphabet.letters, d.start, -1)
+        minimal, classes = _minimize(d)
+        assert (access, {s: classes[s] for s in access}) == reference_access_classes(d), d
+        starts = [d._replace(start=s) for s in access]
+        for s, c in enumerate(classes):
+            here = d._replace(start=s)
+            if c >= 0:
+                assert equivalent(here, minimal._replace(start=c)), (d, s)
+            else:
+                assert not any(equivalent(here, other) for other in starts), (d, s)
         table = distinguishing_words(d)
         reachable = sorted(access)
         for i, p in enumerate(reachable):
@@ -457,7 +469,7 @@ def test_cycle_witness_matches_its_reference(monkeypatch):
     passes = count_calls(monkeypatch, _loop_letters)
     for d in witness_corpus() + randoms:
         passes.clear()
-        got = _cycle_witness(d, minimize(d))
+        got = _cycle_witness(d, _minimize(d)[1])
         assert len(passes) <= 1, d
         assert got == reference_cycle_witness(d), d
         assert (got is not None) == _cyclic(d), d
@@ -571,6 +583,49 @@ def test_classify_witness_is_polynomial_on_a_chain_into_a_cycle():
     assert report.pattern_witness == PatternWitness(
         kind="P3", letter="a", x="a" * 400, v="aa", states=(400, 400, 401, 400, 401)
     )
+
+
+def _tail_into_two_cycle(n):
+    """States 0..n-1 over ``ab``: a steps s to s + 1 and b stays, but state
+    n - 1 steps back to n - 2 on a; only n - 1 accepts."""
+    rows = tuple((s + 1 if s < n - 1 else n - 2, s) for s in range(n))
+    return Dfa(AB, n, rows, 0, frozenset({n - 1}))
+
+
+def test_detectors_read_classes_without_replaying_access_words(monkeypatch):
+    # each state's class comes from the one minimization: replaying every
+    # access word in the minimal automaton ran once per reachable state,
+    # 2,011 runs for this classify and 502 for the detect_p1; what is left
+    # is the witness's replay
+    runs, run = [], Dfa.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(args)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dfa, "run", counted)
+    tail = _tail_into_two_cycle(2000)
+    assert classify(tail).pattern_witness is not None
+    assert len(runs) <= 20
+    runs.clear()
+    assert detect_p1(mk_witness(500)) is None
+    assert runs == []
+
+
+def test_detectors_are_linear_on_long_chains():
+    # the access-word replay cost the length of every access word: 1.2 s
+    # for this classify and 0.96 s for the detect_p1
+    tail = _tail_into_two_cycle(8000)
+    started = time.perf_counter()
+    report = classify(tail)
+    assert time.perf_counter() - started < 0.5
+    assert report.pattern_witness == PatternWitness(
+        kind="P3", letter="a", x="a" * 7998, v="aa", states=(7998, 7998, 7999, 7998, 7999)
+    )
+    chain = mk_witness(8000)
+    started = time.perf_counter()
+    assert detect_p1(chain) is None
+    assert time.perf_counter() - started < 0.5
 
 
 def test_classify_is_fast_on_a_deep_piecewise_testable_language():

@@ -118,6 +118,9 @@ def test_shuffle_ideal_is_already_minimal_and_canonical():
 def test_shuffle_ideal_rejects_foreign_letters():
     with pytest.raises(InputError):
         shuffle_ideal("ax", AB)
+    # the first foreign letter is the one named
+    with pytest.raises(InputError, match="^letter 'x' is not in alphabet 'ab'$"):
+        shuffle_ideal("axy", AB)
 
 
 def test_upward_closure_fixes_ideals():
@@ -162,7 +165,7 @@ def _closed_by_walks(monkeypatch, machines):
     # every automaton the level walks close, to depth 4 on each side
     closures = count_calls(monkeypatch, upward_closure)
     for d in machines:
-        _walk(minimize(d), 4)
+        _walk(d, 4)
     monkeypatch.undo()
     return [args[0] for args in closures]
 
