@@ -11,7 +11,15 @@ Automaton file format, one machine per file ('#' starts a comment line):
     0 b 0
     ...
 
-followed by exactly one transition line per (state, letter) pair.
+followed by exactly one transition line per (state, letter) pair.  The
+file is UTF-8 text, and its lines end in LF, CRLF or a lone CR.
+
+On the small inputs most calls get, the fixed cost of one ``main`` call
+would outweigh the classification, so it is kept small: the file is read
+as bytes and decoded whole, a command line that starts with a command goes
+to that command's own parser (``_parse_args``), and JSON output comes from
+a small renderer (``_json_dump``) with the bytes ``json.dumps(obj,
+sort_keys=True, indent=2)`` gives.
 
 Exit codes: 0 success, 1 input error, 2 word-cap exceeded or a usage
 error (an unknown option or a malformed argument; argparse prints a usage
@@ -24,17 +32,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
 from .automata import Alphabet, Dfa, _minimize, _unchecked_dfa, minimize
 from .errors import InputError, ParseError, ToolkitError, WordCapExceededError
 from .oracle import DEFAULT_MAX_M, DEFAULT_WORD_CAP, _compare, cross_check
-from .patterns import PatternWitness, _as_p3, _cycle_witness, _detect_p2, _witness_fields
+from .patterns import PatternWitness, _access, _as_p3, _cycle_witness, _detect_p2, _witness_fields
 from .subword import decompose_level_half, upward_closure
 
 __all__ = [
@@ -234,13 +242,66 @@ def _render_report(report: ClassificationReport, show_witness: bool) -> str:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for the str-keyed dicts, lists, strings, ints, bools and None that the
+    commands print: under ``indent`` json runs its pure-Python encoder,
+    which costs more than this walk."""
+    parts: list[str] = []
+    _render_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render_json(obj, newline: str, emit) -> None:
+    """Emit ``obj`` as JSON whose nested lines start with ``newline``."""
+    if isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key in sorted(obj):
+            emit(opening)
+            emit(encode_basestring_ascii(key))
+            emit(": ")
+            _render_json(obj[key], inner, emit)
+            opening = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for value in obj:
+            emit(opening)
+            _render_json(value, inner, emit)
+            opening = "," + inner
+        emit(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _read_dfa(path: str | Path) -> Dfa:
-    """Read and parse one automaton file; every failure names the file."""
+    """Read and parse one automaton file; every failure names the file.
+
+    The file is read as bytes and decoded whole: ``parse_dfa`` splits
+    lines at ``\\r\\n`` and a lone ``\\r`` as universal newlines would,
+    and a text-mode read costs more than the parse of a small file.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text ({exc.reason} at byte {exc.start})", path=path
@@ -343,7 +404,8 @@ def _cmd_mplus(args) -> int:
 def _cmd_patterns(args) -> int:
     dfa = _read_dfa(args.file)
     classes = _minimize(dfa)[1]
-    first, second = _cycle_witness(dfa, classes), _detect_p2(dfa, classes)
+    access = _access(dfa)
+    first, second = _cycle_witness(dfa, classes, access), _detect_p2(dfa, classes, access)
     witnesses = {"P1": first, "P2": second, "P3": _as_p3(dfa, first or second)}
     if args.json:
         payload = {
@@ -417,6 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's own parser by name, for ``main``; argparse itself
+    # reads no attribute of this name
+    parser._commands = sub.choices
 
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("file", nargs="?", metavar="FILE")
@@ -481,8 +546,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, in less time when argv starts with a
+    command: its own parser reads the rest, as the whole parser would hand
+    it on.  An argv that does not start with a command, or that leaves
+    something over, goes through the whole parser, for argparse's own
+    usage and error text."""
+    parser = _parser()
+    if argv and argv[0] in parser._commands:
+        args, rest = parser._commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except WordCapExceededError as exc:

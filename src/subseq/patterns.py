@@ -156,6 +156,12 @@ def _words(delta, letters: str, start: int, allowed: int) -> dict[int, str]:
     return words
 
 
+def _access(dfa: Dfa) -> dict[int, str]:
+    """The shortlex-least word to each reachable state, in ``_words``'
+    order: the access words every witness starts from."""
+    return _words(dfa.delta, dfa.alphabet.letters, dfa.start, -1)
+
+
 def _separator(dfa: Dfa, p: int, q: int) -> str:
     """Shortlex-least word whose runs from the distinguishable states p and
     q disagree on acceptance: breadth-first search over state pairs driven
@@ -186,7 +192,7 @@ def _loop_letters(delta, starts) -> tuple[dict[int, int], dict[int, int]]:
     return component, masks
 
 
-def _cycle_witness(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
+def _cycle_witness(dfa: Dfa, classes: list[int], access: dict[int, str]) -> PatternWitness | None:
     """The P1 witness with y = ε and s2 = s1 on an input whose minimal
     automaton has a cycle through distinct states, None on any other
     input, where no P1 witness exists (see the module docstring).
@@ -199,9 +205,9 @@ def _cycle_witness(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
     names are searched.  So at most one search fails, and the candidates,
     the searches and the component pass take O(k·n) steps; the
     separator's search over state pairs, O(k·n²), is the largest.
+    ``access`` is ``_access(dfa)``.
     """
     letters = dfa.alphabet.letters
-    access = _words(dfa.delta, letters, dfa.start, -1)
     reachable = sorted(access)
     masks = None
     for j, a in enumerate(letters):
@@ -250,21 +256,21 @@ def detect_p1(dfa: Dfa) -> PatternWitness | None:
     y = ε, so s2 = s1: the first letter a, then the first reachable s1 whose
     a-step changes minimal state and some loop at s1 reads a, with v the
     shortlex-least such loop (``_cycle_witness``)."""
-    return _cycle_witness(dfa, _minimize(dfa)[1])
+    return _cycle_witness(dfa, _minimize(dfa)[1], _access(dfa))
 
 
 def detect_p2(dfa: Dfa) -> PatternWitness | None:
     """Second pattern: a pivot step out of s1, then a shared word z driving
     both sides into a distinguishable pair of states that jointly loop on a
     word embedding the pivot followed by z."""
-    return _detect_p2(dfa, _minimize(dfa)[1])
+    return _detect_p2(dfa, _minimize(dfa)[1], _access(dfa))
 
 
-def _detect_p2(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
+def _detect_p2(dfa: Dfa, classes: list[int], access: dict[int, str]) -> PatternWitness | None:
     """The module docstring's P2 construction: the first reachable s1, then
-    letter a, with a witness, and the least target (t3, t4) it reaches."""
+    letter a, with a witness, and the least target (t3, t4) it reaches;
+    ``access`` is ``_access(dfa)``."""
     n, letters = dfa.n_states, dfa.alphabet.letters
-    access = _words(dfa.delta, letters, dfa.start, -1)
     square = [tuple(g * n + h for g, h in zip(p, q)) for p in dfa.delta for q in dfa.delta]
     sources = [s1 * n + s2 for s1 in sorted(access) for s2 in dfa.delta[s1]]
     component, masks = _loop_letters(square, sources)
@@ -313,15 +319,23 @@ def _detect_p2(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
 def _loop_through(square, letters: str, component, masks, target: int, word: str) -> str:
     """A loop at ``target`` that embeds ``word``, whose letters all loop
     there: for each letter c, a shortest walk to the nearest node whose
-    c-step stays in the component, that step, and at the end a walk back."""
+    c-step stays in the component, that step, and at the end a walk back.
+    Each node's search runs once, however often the walk comes back to it."""
     home, node, parts = component[target], target, []
+    searches: dict[int, dict[int, str]] = {}
+
+    def words_from(start: int) -> dict[int, str]:
+        if start not in searches:
+            searches[start] = _words(square, letters, start, masks[home])
+        return searches[start]
+
     for c in word:
         j = letters.index(c)
-        words = _words(square, letters, node, masks[home])
+        words = words_from(node)
         p = next(p for p in words if component[square[p][j]] == home)
         parts.append(words[p] + c)
         node = square[p][j]
-    parts.append(_words(square, letters, node, masks[home])[target])
+    parts.append(words_from(node)[target])
     return "".join(parts)
 
 
@@ -333,8 +347,10 @@ def detect_p3(dfa: Dfa) -> PatternWitness | None:
 
 
 def _witness(dfa: Dfa, classes: list[int]) -> PatternWitness | None:
-    """``detect_p3`` given ``classes``, each state's class from ``_minimize``."""
-    return _as_p3(dfa, _cycle_witness(dfa, classes) or _detect_p2(dfa, classes))
+    """``detect_p3`` given ``classes``, each state's class from ``_minimize``;
+    both searches share one table of access words."""
+    access = _access(dfa)
+    return _as_p3(dfa, _cycle_witness(dfa, classes, access) or _detect_p2(dfa, classes, access))
 
 
 def is_piecewise_testable(dfa: Dfa) -> bool:

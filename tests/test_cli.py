@@ -1,13 +1,16 @@
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _walk, mk_witness
@@ -638,6 +641,54 @@ def test_one_level_bound_serves_every_oracle_entry(monkeypatch, capsys):
     assert [args[3] for args in compares] == [bound, bound]
 
 
+# strings with quotes, backslashes, control characters, non-ASCII letters
+# and characters outside the BMP, then any text
+json_strings = st.text(st.sampled_from('a"\\/\x00\n\x1f\x7fé\u2028\U0001f600')) | st.text()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_strings, inner)
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_dump_matches_json_dumps(value):
+    assert cli._json_dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_dump_rejects_what_it_does_not_render():
+    with pytest.raises(TypeError, match="Object of type float is not JSON serializable"):
+        cli._json_dump({"x": [0.5]})
+
+
+def _text_read_error(path):
+    """The message of the parent's text-mode read, as the reference."""
+    try:
+        path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff" + fixture_text("m2.dfa").encode(),
+        b"# caf\xe9\r\n" + fixture_text("m2.dfa").encode(),
+        fixture_text("m2.dfa").replace("\n", "\r").encode() + b"# \xe2\x82",
+        fixture_text("m2.dfa").replace("\n", "\r\n").encode() + b"# \xed\xa0\x80\r\n",
+    ],
+    ids=["first-byte", "after-crlf", "truncated-at-end", "surrogate"],
+)
+def test_non_utf8_message_names_the_byte_as_a_text_read_does(tmp_path, data):
+    bad = tmp_path / "bad.dfa"
+    bad.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        cli._read_dfa(bad)
+    assert str(err.value) == _text_read_error(bad)
+
+
 def test_cli_non_utf8_file_is_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "latin1.dfa"
     bad.write_bytes(b"# caf\xe9\n" + fixture_text("m2.dfa").encode())
@@ -741,6 +792,79 @@ def test_usage_errors_exit_2_with_a_usage_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("usage: subseq ")
     assert captured.err.endswith(f"error: {message}\n")
+
+
+# command lines for the parse, none of which opens a file: every command's
+# valid forms, with abbreviated options and the --x=y form; then help per
+# command, "--", and each kind of usage error
+VALID_ARGVS = [
+    ["classify", "m3.dfa"],
+    ["classify", "m3.dfa", "--json", "--witness"],
+    ["classify", "--oracle-check", "3", "m3.dfa"],
+    ["classify", "--oracle-check=3", "m3.dfa"],
+    ["classify", "--batch", "corpus", "--json"],
+    ["classify"],
+    ["mplus", "m3.dfa", "--json"],
+    ["patterns", "m3.dfa"],
+    ["closure", "m3.dfa", "-o", "out.dfa"],
+    ["decompose", "--json", "m3.dfa"],
+    ["oracle-check", "m3.dfa", "--max-len", "4", "--max-m=2"],
+    ["export", "m3.dfa", "--format", "dot", "--minimize", "--output=out.dot"],
+    ["gen-mk", "3", "--alphabet", "abc", "--letter", "b"],
+    ["gen-mk", "-3"],
+    ["classify", "m3.dfa", "--js"],
+    ["classify", "--bat", "corpus"],
+    ["oracle-check", "m3.dfa", "--max-l", "4"],
+    ["export", "m3.dfa", "--form=dot"],
+    ["mplus", "--", "--json"],
+    ["classify", "--", "m3.dfa"],
+]
+PARSE_ARGVS = VALID_ARGVS + [
+    *([command, "-h"] for command in cli._parser()._commands),
+    ["classify", "--he"],
+    ["oracle-check", "m2.dfa", "--max-len", "six"],
+    ["export", "m3.dfa", "--format", "svg"],
+    ["mplus"],
+    ["classify", "m3.dfa", "--bogus"],
+    ["classify", "--bogus", "m3.dfa"],
+    ["mplus", "m3.dfa", "extra"],
+    ["frobnicate", "m3.dfa"],
+    ["-h"],
+    ["--he"],
+    ["--", "classify", "m3.dfa"],
+    [],
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parse_args_agrees_with_the_whole_parser(argv):
+    # exit code, stdout, stderr and namespace, against a parser built anew
+    got = _parse_outcome(cli._parse_args, argv)
+    assert got == _parse_outcome(cli.build_parser().parse_args, argv)
+
+
+def test_parse_args_leaves_a_command_line_to_its_command_parser(monkeypatch):
+    # the whole parser runs only for what its command's parser does not
+    # take: no command, or an argument left over
+    whole = []
+    monkeypatch.setattr(cli._parser(), "parse_args", whole.append)
+    for argv in VALID_ARGVS:
+        assert cli._parse_args(argv).command == argv[0]
+    assert whole == []
+    for argv in (["classify", "m3.dfa", "--bogus"], ["frobnicate"], []):
+        assert cli._parse_args(argv) is None
+    assert whole == [["classify", "m3.dfa", "--bogus"], ["frobnicate"], []]
 
 
 def test_python_dash_m_subseq_runs_the_cli():

@@ -2,7 +2,8 @@
 
 Every (fixture, command) pair is run in-process and its exit code, stdout
 and stderr are compared with the stored golden values in
-``golden/cli.json``; ``main`` must build its argument parser once per
+``golden/cli.json``, and so are those of copies of the fixtures whose lines
+end in CRLF or a lone CR; ``main`` must build its argument parser once per
 process across them.  Regenerate them (only when an output change is
 intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -49,10 +50,10 @@ def case_id(fixture, command):
     return " ".join([command[0], fixture] + command[1:])
 
 
-def run_case(fixture, command):
+def run_case(fixture, command, directory=FIXTURES):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command[0], str(FIXTURES / fixture)] + command[1:])
+        code = main([command[0], str(directory / fixture)] + command[1:])
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -67,6 +68,19 @@ def test_cli_output_matches_golden(fixture, command):
 def test_golden_file_covers_exactly_the_cases():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(case_id(f, c) for f, c in CASES)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_lone_cr_copies_match_the_golden_output(tmp_path, newline):
+    # the file is read as bytes, so its line ends reach parse_dfa as they
+    # are; every case's output is still the LF original's
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for path in FIXTURES.glob("*.dfa"):
+        data = path.read_bytes()
+        assert b"\r" not in data
+        (tmp_path / path.name).write_bytes(data.replace(b"\n", newline))
+    for fixture, command in CASES:
+        assert run_case(fixture, command, tmp_path) == golden[case_id(fixture, command)]
 
 
 def test_main_builds_its_parser_once(monkeypatch):

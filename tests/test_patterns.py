@@ -16,6 +16,7 @@ from subseq.automata import (
 )
 from subseq.patterns import (
     PatternWitness,
+    _access,
     _as_p3,
     _cycle_witness,
     _detect_p2,
@@ -28,7 +29,7 @@ from subseq.patterns import (
     detect_p3,
     is_piecewise_testable,
 )
-from subseq.cli import classify, parse_dfa
+from subseq.cli import classify, main, parse_dfa
 from subseq.subword import is_subword, shuffle_ideal
 
 from helpers import (
@@ -469,7 +470,7 @@ def test_cycle_witness_matches_its_reference(monkeypatch):
     passes = count_calls(monkeypatch, _loop_letters)
     for d in witness_corpus() + randoms:
         passes.clear()
-        got = _cycle_witness(d, _minimize(d)[1])
+        got = _cycle_witness(d, _minimize(d)[1], _access(d))
         assert len(passes) <= 1, d
         assert got == reference_cycle_witness(d), d
         assert (got is not None) == _cyclic(d), d
@@ -610,6 +611,22 @@ def test_detectors_read_classes_without_replaying_access_words(monkeypatch):
     runs.clear()
     assert detect_p1(mk_witness(500)) is None
     assert runs == []
+
+
+def test_witness_runs_each_breadth_first_search_once(monkeypatch, capsys):
+    # one table of access words serves both searches, and the P2 loop's
+    # walk searches from each node once: on a_first, whose P2 loop walks
+    # from node 7 for both of its letters and back, classify searched
+    # (3 states, start 0) twice and (9 square nodes, start 7) three times
+    a_first = Path(__file__).parent / "fixtures" / "a_first.dfa"
+    searches = count_calls(monkeypatch, _words)
+    expected = [(3, 0, -1), (9, 1, 3), (9, 7, 3)]
+    assert classify(parse_dfa(a_first.read_text())).pattern_witness is not None
+    assert [(len(delta), start, allowed) for delta, _, start, allowed in searches] == expected
+    searches.clear()
+    assert main(["patterns", str(a_first)]) == 0
+    assert "P2: kind=P2" in capsys.readouterr().out
+    assert [(len(delta), start, allowed) for delta, _, start, allowed in searches] == expected
 
 
 def test_detectors_are_linear_on_long_chains():
