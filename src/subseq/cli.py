@@ -36,7 +36,6 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .alternation import ClassificationReport, _classify, _walk, classify, mk_witness
 from .automata import Alphabet, Dfa, _minimize, _unchecked_dfa, minimize
@@ -292,7 +291,7 @@ def _render_json(obj, newline: str, emit) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _read_dfa(path: str | Path) -> Dfa:
+def _read_dfa(path: str) -> Dfa:
     """Read and parse one automaton file; every failure names the file.
 
     The file is read as bytes and decoded whole: ``parse_dfa`` splits
@@ -331,20 +330,33 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.write(text)
+
+
+def _dfa_files(directory: str) -> list[str]:
+    """The entries of ``directory`` whose names end in ``.dfa``, hidden
+    ones and directories included, sorted by name and joined to
+    ``directory`` as typed; none when it is missing or not a directory.
+    An empty name lists the working directory."""
+    try:
+        names = os.listdir(directory or ".")
+    except OSError:
+        return []
+    return [os.path.join(directory, name) for name in sorted(names) if name.endswith(".dfa")]
 
 
 def _cmd_classify(args) -> int:
     if args.batch:
         if args.file is not None:
             raise InputError("classify takes a FILE or --batch DIR, not both")
-        paths = sorted(Path(args.batch).glob("*.dfa"))
+        paths = _dfa_files(args.batch)
         if not paths:
             raise InputError(f"no .dfa files in {args.batch!r}")
     else:
         if args.file is None:
             raise InputError("classify needs a FILE or --batch DIR")
-        paths = [Path(args.file)]
+        paths = [args.file]
 
     # each file's report in the one form that gets printed
     entries: list = []
@@ -359,7 +371,7 @@ def _cmd_classify(args) -> int:
             failed = True
             continue
         walk = _walk(dfa, 0 if args.oracle_check is None else DEFAULT_MAX_M + 1)
-        report = _classify(dfa, walk, path.stem)
+        report = _classify(dfa, walk, os.path.splitext(os.path.basename(path))[0])
         entry = report.to_dict() if args.json else _render_report(report, args.witness)
         if args.oracle_check is not None:
             try:

@@ -316,7 +316,11 @@ class IdealDecomposition(_DecompositionFields):
 
     ``words`` is an antichain under the subword order (no word embeds in
     another), sorted by length then alphabetically; two automata for the
-    same language always decompose to the same value.
+    same language always decompose to the same value.  The constructor
+    checks the antichain on the pairs with len(w) < len(v) alone: a
+    subword of v as long as v is v itself, so it raises on exactly the
+    inputs a check of every pair of distinct words raises on, naming the
+    same pair, and makes no subword test when the words have one length.
     """
 
     __slots__ = ()
@@ -324,7 +328,7 @@ class IdealDecomposition(_DecompositionFields):
     def __new__(cls, words: tuple[str, ...]) -> IdealDecomposition:
         for w in words:
             for v in words:
-                if w != v and is_subword(w, v):
+                if len(w) < len(v) and is_subword(w, v):
                     raise ValueError(
                         f"decomposition is not an antichain: {w!r} embeds in {v!r}"
                     )
@@ -342,17 +346,14 @@ def decompose_level_half(dfa: Dfa) -> IdealDecomposition:
     The returned words are the subword-minimal members of the language,
     computed on its minimal automaton, which once the check passes is also
     that of its upward closure.  Let Min(q) be the minimal words of the
-    residual language L_q: [""] when q accepts, otherwise the
-    subword-minimal words among a + w with q.a != q and w in Min(q.a).
-    In an upward closed language L_q is contained in L_{q.a}, so states on
-    a cycle have equal residuals, and in a minimal automaton every cycle
-    is a self-loop; the states therefore have a topological order, and
-    Min is filled in one pass in reverse of it.  A word starting with a
-    self-loop letter is never minimal, since the word without that letter
-    is still in L_q; and if a + w is minimal in L_q, w is minimal in
-    L_{q.a}.
-    Every residual of a union of k ideals is a union of at most k ideals,
-    so |Min(q)| <= k and the pass is polynomial in the states and k.
+    residual language L_q.  In an upward closed language L_q is contained
+    in L_{q.a}, so states on a cycle have equal residuals, and in a
+    minimal automaton every cycle is a self-loop; the states therefore
+    have a topological order, and Min is filled in one pass in reverse of
+    it (see ``_minimal_words`` for the rule), with at most one run of the
+    automaton per candidate word and no subword test.  Every residual of a
+    union of k ideals is a union of at most k ideals, so |Min(q)| <= k and
+    the pass is polynomial in the states and k.
 
     Raises NotUpwardClosedError, carrying the shortlex-least word of the
     upward closure that the language rejects, when the language is not
@@ -371,16 +372,49 @@ def decompose_level_half(dfa: Dfa) -> IdealDecomposition:
 
 
 def _minimal_words(closed: Dfa, order: list[int]) -> tuple[str, ...]:
-    """The Min(q) pass of ``decompose_level_half``, on its minimal automaton."""
+    """The Min(q) pass of ``decompose_level_half``, on its minimal automaton.
+
+    Min(q) is [""] when q accepts.  Otherwise it is exactly the words
+    a + w with q.a != q, w in Min(q.a) and w not in L_q, and whether w
+    is in L_q is one run of w from q.  Every minimal word of L_q has
+    this form: it cannot start with a self-loop letter, since the word
+    without that letter is still in L_q, and if a + w is minimal in L_q,
+    w is minimal in L_{q.a}.  Conversely, a proper subword of a + w is
+    either a + w'' with w'' a proper subword of w, and w'' is not in
+    L_{q.a} because w is minimal there, or a subword of w itself; and if
+    w is not in L_q, no subword of w is, because L_q is upward closed.
+    The words a + w are distinct, so the kept list needs no
+    deduplication.
+
+    When a is the only letter that leaves q, every candidate is kept with
+    no run: reading w from q stays at q until w's first a, then reads a
+    proper subword of w from q.a, which is not in L_{q.a}.  So a long
+    chain, where every state has one such letter, costs one string per
+    state and no run, and stays linear in the states, where a run per
+    state would make the ideal of one long word quadratic.
+
+    The lists are left unsorted on the way; only the start state's words
+    are sorted, by length then alphabetically.  With |Min(q)| <= k, a
+    state costs at most k runs per letter that leaves it, each no longer
+    than the longest minimal word, where the pruning by subword tests it
+    replaces cost up to k^2 tests per state.
+    """
     letters = closed.alphabet.letters
+    accepting = closed.accepting
+    run = closed.run
     minimal: dict[int, list[str]] = {}
     for q in reversed(order):
-        kept = [""] if q in closed.accepting else []
-        candidates = {
-            a + w for a, t in zip(letters, closed.delta[q]) if t != q for w in minimal[t]
-        }
-        for w in sorted(candidates, key=lambda w: (len(w), w)):
-            if not any(is_subword(u, w) for u in kept):
-                kept.append(w)
-        minimal[q] = kept
-    return tuple(minimal[closed.start])
+        if q in accepting:
+            minimal[q] = [""]
+            continue
+        moves = [(a, t) for a, t in zip(letters, closed.delta[q]) if t != q]
+        if len(moves) == 1:
+            a, t = moves[0]
+            minimal[q] = [a + w for w in minimal[t]]
+        else:
+            minimal[q] = [
+                a + w for a, t in moves for w in minimal[t] if run(w, q) not in accepting
+            ]
+    words = minimal[closed.start]
+    words.sort(key=lambda w: (len(w), w))
+    return tuple(words)

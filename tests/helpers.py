@@ -24,9 +24,12 @@ library's search that skips pairs settled by reachability, a backward
 all-pairs table of separating words, the reference for the pattern
 detectors' minimal-automaton classes and their separating words, and a
 separate level walk per side, the reference for the single walk that
-gives both chains, and a parser of the automaton file format that keeps a
-(token, column) pair per token and a (state, letter) table, the
-reference for the library's split-based one.  The witness replay with one
+gives both chains, the minimal words of each residual by pairwise
+subword pruning and the antichain check over every ordered pair, the
+references for the decomposition's one run per candidate and its check
+over length-increasing pairs, and a parser of the automaton file format
+that keeps a (token, column) pair per token and a (state, letter)
+table, the reference for the library's split-based one.  The witness replay with one
 equation list per pattern kind is the reference for the library's single
 replay of the third-pattern form.  The exhaustive P1 search over every
 (letter, s1, s2), with its detector, is the independent oracle for
@@ -721,6 +724,36 @@ def walk_decomposition(dfa: Dfa) -> tuple[str, ...]:
     minimal = [w for w in found if not any(u != w and is_subword(u, w) for u in found)]
     minimal.sort(key=lambda w: (len(w), w))
     return tuple(minimal)
+
+
+def reference_minimal_words(closed: Dfa, order: list[int]) -> tuple[str, ...]:
+    """Min(start) of an upward closed minimal automaton by pruning: at each
+    state, in reverse topological order, sort the candidates a + w with
+    q.a != q and w in Min(q.a) by length, and keep those that no kept word
+    embeds in.  The reference for the library's pass, which keeps a + w
+    when one run shows w outside L_q."""
+    letters = closed.alphabet.letters
+    minimal: dict[int, list[str]] = {}
+    for q in reversed(order):
+        kept = [""] if q in closed.accepting else []
+        candidates = {
+            a + w for a, t in zip(letters, closed.delta[q]) if t != q for w in minimal[t]
+        }
+        for w in sorted(candidates, key=lambda w: (len(w), w)):
+            if not any(is_subword(u, w) for u in kept):
+                kept.append(w)
+        minimal[q] = kept
+    return tuple(minimal[closed.start])
+
+
+def reference_embedded_pair(words) -> tuple[str, str] | None:
+    """The first ordered pair (w, v) of different words of ``words`` with w
+    a subword of v, trying every pair; None for an antichain."""
+    for w in words:
+        for v in words:
+            if w != v and is_subword(w, v):
+                return w, v
+    return None
 
 
 _TOKEN = re.compile(r"\S+")

@@ -732,6 +732,67 @@ def test_cli_batch_reads_files_like_single_file_mode(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
+FILE_COMMANDS = ["classify", "mplus", "patterns", "closure", "decompose", "oracle-check", "export"]
+
+
+def test_every_command_names_its_file_as_typed(capsys, monkeypatch, tmp_path):
+    assert set(cli._parser()._commands) - set(FILE_COMMANDS) == {"gen-mk"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.dfa").write_text("alphabet: ab\nstates: 2\nstart: 0\naccepting: 1\n    0 a 7\n")
+    for command in FILE_COMMANDS:
+        assert main([command, "./bad.dfa"]) == 1
+        assert capsys.readouterr().err == "error: ./bad.dfa: line 5, column 9: unknown state 7\n"
+        assert main([command, "./missing.dfa"]) == 1
+        assert capsys.readouterr().err.startswith("error: ./missing.dfa: "), command
+    # a batch names each file as its directory was typed
+    assert main(["classify", "--batch", "."]) == 1
+    assert capsys.readouterr().err == "error: ./bad.dfa: line 5, column 9: unknown state 7\n"
+
+
+def test_classify_reports_the_file_stem_as_the_language(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("one.dfa", "sub/two.dfa", "sub/three.x.dfa", "sub/.hidden.dfa", "sub/plain"):
+        (tmp_path / name).write_text(export(mk_witness(1)))
+    for path, stem in [
+        ("one.dfa", "one"),
+        ("./sub/two.dfa", "two"),
+        (str(tmp_path / "sub" / "three.x.dfa"), "three.x"),
+        ("sub/.hidden.dfa", ".hidden"),
+        ("sub/plain", "plain"),
+    ]:
+        assert main(["classify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["language"] == stem
+
+
+def test_batch_lists_the_files_a_dfa_glob_lists(monkeypatch, tmp_path):
+    # os.listdir in place of Path(DIR).glob("*.dfa"): hidden names and
+    # directories count, the match is case-sensitive, and the names sort
+    for name in ("b.dfa", ".hidden.dfa", ".dfa", "a b.dfa", "é.dfa", "A.dfa", "x.DFA", "y.dfa.txt", "z"):
+        (tmp_path / name).write_text("")
+    (tmp_path / "d.dfa").mkdir()
+    (tmp_path / "e").mkdir()
+    (tmp_path / "e" / "nested.dfa").write_text("")
+
+    def names(directory):
+        return [os.path.basename(path) for path in cli._dfa_files(directory)]
+
+    def globbed(directory):
+        return [path.name for path in sorted(Path(directory).glob("*.dfa"))]
+
+    directory = str(tmp_path)
+    assert names(directory) == globbed(directory) == [
+        ".dfa", ".hidden.dfa", "A.dfa", "a b.dfa", "b.dfa", "d.dfa", "é.dfa"
+    ]
+    assert cli._dfa_files(directory)[0] == os.path.join(directory, ".dfa")
+    assert cli._dfa_files(directory + "/")[0] == directory + "/.dfa"
+    for missing in (str(tmp_path / "nope"), str(tmp_path / "b.dfa"), str(tmp_path / "e" / "nope")):
+        assert names(missing) == globbed(missing) == []
+    monkeypatch.chdir(tmp_path / "e")
+    assert cli._dfa_files("") == ["nested.dfa"]
+    assert names("") == globbed("") == names(".") == ["nested.dfa"]
+
+
 def test_cli_batch_rejects_a_file_as_well(capsys, tmp_path):
     (tmp_path / "one.dfa").write_text(export(mk_witness(1)))
     assert main(["classify", str(FIXTURES / "m2.dfa"), "--batch", str(tmp_path)]) == 1
@@ -892,10 +953,12 @@ def test_python_dash_m_subseq_runs_the_cli():
 
 def test_importing_the_cli_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize: about a third of
-    # the package's import time, and none of it is used; -S keeps the
-    # modules that site's own hooks load out of the check
+    # the package's import time, and none of it is used; pathlib, with the
+    # fnmatch and urllib it loads, would serve a few calls that os and
+    # open make; -S keeps the modules that site's own hooks load out of
+    # the check
     src = str(Path(__file__).parent.parent / "src")
-    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
     code = "import sys, subseq, subseq.cli; print(*[m for m in sys.argv[1:] if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, *unwanted],

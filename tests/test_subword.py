@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from subseq.automata import (
     union,
     universal_language,
 )
-from subseq.cli import classify, export, main
+from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, NotUpwardClosedError
 from subseq.subword import (
     IdealDecomposition,
@@ -43,7 +44,9 @@ from helpers import (
     oracle_corpus,
     random_dfa,
     reference_closure_subsets,
+    reference_embedded_pair,
     reference_is_upward_closed,
+    reference_minimal_words,
     reference_upward_closure,
     single_word,
     strongly_connected_dfa,
@@ -405,6 +408,88 @@ def test_decompose_agrees_with_path_walk_on_random_unions_of_ideals():
         )
         got = decompose_level_half(language).words
         assert got == walk_decomposition(language) == tuple(expected), words
+
+
+def _union_of(words, alphabet=AB):
+    language = shuffle_ideal(words[0], alphabet)
+    for w in words[1:]:
+        language = minimize(union(language, shuffle_ideal(w, alphabet)))
+    return language
+
+
+def _three_ideals():
+    # its state 1, reached by "a", drops the candidate "ab": "b" alone
+    # already reaches the accepting sink from there
+    text = (Path(__file__).parent / "fixtures" / "three_ideals.dfa").read_text(encoding="utf-8")
+    return parse_dfa(text)
+
+
+SIX_OF_LENGTH_THREE = ("aab", "aba", "abb", "baa", "bab", "bba")
+
+
+def test_minimal_words_match_the_pruning_reference_at_every_state():
+    # every state as a start, so every residual's Min is compared
+    rng = random.Random(209)
+    small = list({upward_closure(d) for n in (1, 2, 3) for d in all_dfas(n)})
+    for i in range(120):
+        alphabet = AB if i % 2 == 0 else ABC
+        letters = "".join(alphabet.letters)
+        words = [
+            "".join(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        small.append(_union_of(words, alphabet))
+    small += [_three_ideals(), _union_of(SIX_OF_LENGTH_THREE)]
+    states = 0
+    for closed in small:
+        order = _topological_order(closed)
+        for q in range(closed.n_states):
+            rooted = closed._replace(start=q)
+            assert subword._minimal_words(rooted, order) == reference_minimal_words(rooted, order)
+            states += 1
+    assert states == 311
+    for closed in (_union_of_random_ideals(12)[1], shuffle_ideal(_long_word()[:300], AB)):
+        closed = minimize(closed)
+        order = _topological_order(closed)
+        assert subword._minimal_words(closed, order) == reference_minimal_words(closed, order)
+
+
+@given(st.lists(st.text(alphabet="ab", max_size=4), max_size=6))
+def test_antichain_check_matches_the_check_over_every_pair(words):
+    words = tuple(words)
+    pair = reference_embedded_pair(words)
+    if pair is None:
+        assert IdealDecomposition(words).words == words
+    else:
+        message = f"decomposition is not an antichain: {pair[0]!r} embeds in {pair[1]!r}"
+        with pytest.raises(ValueError) as err:
+            IdealDecomposition(words)
+        assert str(err.value) == message
+
+
+def test_decompose_tests_subwords_only_across_lengths(monkeypatch):
+    # the Min pass runs the automaton instead of testing subwords, and the
+    # antichain check skips pairs of one length
+    calls = count_calls(monkeypatch, is_subword)
+    assert decompose_level_half(_union_of(SIX_OF_LENGTH_THREE)).words == SIX_OF_LENGTH_THREE
+    assert calls == []
+    three = _three_ideals()
+    assert three == minimize(_union_of(["ab", "ba", "aaa"]))
+    assert decompose_level_half(three).words == ("ab", "ba", "aaa")
+    assert calls == [("ab", "aaa"), ("ba", "aaa")]
+
+
+def test_minimal_words_runs_no_word_on_a_chain(monkeypatch):
+    # every state of a single word's ideal has one letter that leaves it,
+    # so no candidate needs a run, and the pass stays linear in the states
+    runs = []
+    run = Dfa.run
+    monkeypatch.setattr(Dfa, "run", lambda self, *args: runs.append(args) or run(self, *args))
+    word = _long_word()
+    assert decompose_level_half(shuffle_ideal(word, AB)).words == (word,)
+    assert runs == []
+    assert decompose_level_half(_three_ideals()).words == ("ab", "ba", "aaa")
+    assert runs
 
 
 def test_decompose_is_polynomial_on_a_union_of_two_letter_powers():
