@@ -190,33 +190,20 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
         )
 
 
-def _hopcroft(dfa: Dfa, block: list[int], ids: dict[tuple[int, ...], int]) -> int:
-    """Hopcroft's refinement of the partition ``block`` (state -> block id)
-    left by a Moore round whose keys ``ids`` maps to the block ids, each
-    key led by the state's block of the round before.  Refines ``block``
-    in place to the coarsest congruence and returns its number of blocks.
+def _hopcroft(dfa: Dfa, block: list[int], count: int) -> int:
+    """Hopcroft's refinement of the partition ``block`` (state -> block id
+    in ``range(count)``).  Refines ``block`` in place to the coarsest
+    congruence that refines it and returns its number of blocks.
 
-    The round left every block stable under each block of the round
-    before: states with one key step into the same old blocks.  A set of
-    states stable under a union and under all but one of its disjoint
-    parts is stable under the last part too, since in a deterministic
-    automaton that part's preimage is the union's minus the others'.  So
-    the first pending set holds, of each old block that split, all its
-    parts but the largest; an old block that did not split is a block
-    already, and nothing is pending for it.  Each queued part is at most
-    half its old block, as every later one is at most half of its.
+    Every block starts pending: splitting by all of them is one O(k·n)
+    pass over the preimages, and the halving rule below keeps the rest
+    O(k·n log n).
     """
     delta = dfa.delta
-    blocks: list[set[int]] = [set() for _ in ids]
+    blocks: list[set[int]] = [set() for _ in range(count)]
     for s, b in enumerate(block):
         blocks[b].add(s)
-    parts: dict[int, list[int]] = {}
-    for key, b in ids.items():
-        parts.setdefault(key[0], []).append(b)
-    pending = []
-    for split in parts.values():
-        split.remove(max(split, key=lambda b: len(blocks[b])))
-        pending += split
+    pending = list(range(count))
 
     # Pop a pending block B and split every block by the preimage a⁻¹B,
     # for every letter a.  A split keeps the larger part under the old id
@@ -303,7 +290,7 @@ def _minimize(dfa: Dfa) -> tuple[Dfa, list[int]]:
             if split == 0 or count == n:
                 break
             if (split == 1 and 4 * count < n) or rounds_left == 0:
-                count = _hopcroft(dfa, block, ids)
+                count = _hopcroft(dfa, block, count)
                 break
 
     # the final partition is a congruence, so any member represents its block

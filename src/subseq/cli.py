@@ -347,7 +347,8 @@ def _dfa_files(directory: str) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
-    if args.batch:
+    batch = args.batch is not None
+    if batch:
         if args.file is not None:
             raise InputError("classify takes a FILE or --batch DIR, not both")
         paths = _dfa_files(args.batch)
@@ -365,7 +366,7 @@ def _cmd_classify(args) -> int:
         try:
             dfa = _read_dfa(path)
         except InputError as exc:
-            if not args.batch:
+            if not batch:
                 raise
             print(f"error: {exc}", file=sys.stderr)
             failed = True
@@ -377,7 +378,7 @@ def _cmd_classify(args) -> int:
             try:
                 problems = _compare(dfa, walk, args.oracle_check, DEFAULT_MAX_M, _word_cap())
             except WordCapExceededError as exc:
-                if not args.batch:
+                if not batch:
                     raise
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 capped = True
@@ -395,9 +396,9 @@ def _cmd_classify(args) -> int:
         entries.append(entry)
 
     if args.json:
-        sys.stdout.write(_json_dump(entries if args.batch else entries[0]))
+        sys.stdout.write(_json_dump(entries if batch else entries[0]))
     else:
-        sys.stdout.write("\n".join(entries) if args.batch else entries[0])
+        sys.stdout.write("\n".join(entries) if batch else entries[0])
     return 2 if capped else int(failed)
 
 

@@ -244,10 +244,54 @@ def _core_with_chain(rng: random.Random, alphabet: Alphabet) -> Dfa:
     return dfa_from_rows(rows, accepting, start=rng.randrange(n), alphabet=alphabet)
 
 
+def _moore_rounds(dfa: Dfa, rounds: int) -> tuple[list[int], int]:
+    """The partition {F, Q∖F} after ``rounds`` Moore rounds, numbered
+    0..count-1, with its count."""
+    block = [int(s in dfa.accepting) for s in range(dfa.n_states)]
+    for _ in range(rounds):
+        keys: dict[tuple[int, ...], int] = {}
+        block = [
+            keys.setdefault((b, *map(block.__getitem__, row)), len(keys))
+            for b, row in zip(block, dfa.delta)
+        ]
+    ids: dict[int, int] = {}
+    block = [ids.setdefault(b, len(ids)) for b in block]
+    return block, len(ids)
+
+
+def test_hopcroft_refines_any_moore_partition_to_the_languages():
+    # two states share a block exactly when they accept the same language,
+    # whether the loop starts from {F, Q∖F} or from a partition that Moore
+    # rounds have already split
+    rng = random.Random(105)
+    inputs = [
+        shuffle_ideal("".join(rng.choice("ab") for _ in range(80)), AB),
+        mk_witness(1),
+        mk_witness(3),
+        mk_witness(40),
+    ]
+    for letters in ("a", "ab", "abc"):
+        alphabet = Alphabet(letters)
+        inputs += [_core_with_chain(rng, alphabet) for _ in range(8)]
+        inputs += [random_dfa(rng, rng.randint(1, 24), alphabet) for _ in range(30)]
+    for d in inputs:
+        languages: dict[Dfa, int] = {}
+        expected = [
+            languages.setdefault(moore_minimize(d._replace(start=s)), len(languages))
+            for s in range(d.n_states)
+        ]
+        for rounds in range(4):
+            block, count = _moore_rounds(d, rounds)
+            assert _hopcroft(d, block, count) == len(languages)
+            assert sorted(set(block)) == list(range(len(languages)))
+            # the same blocks, whatever the numbering
+            assert len(set(zip(block, expected))) == len(languages)
+
+
 def test_minimize_agrees_with_moore_with_and_without_handover(monkeypatch):
     # Moore rounds alone finish the random cores; a chain peeled one state
-    # per round hands the partition over to Hopcroft's loop, which must
-    # start from the right pending blocks to reach the same partition
+    # per round hands the partition over to Hopcroft's loop, and both must
+    # reach the same partition
     handovers = count_calls(monkeypatch, _hopcroft)
     rng = random.Random(104)
     outcomes = set()

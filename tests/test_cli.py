@@ -801,6 +801,27 @@ def test_cli_batch_rejects_a_file_as_well(capsys, tmp_path):
     assert captured.err == "error: classify takes a FILE or --batch DIR, not both\n"
 
 
+def test_cli_empty_batch_name_lists_the_working_directory(capsys, monkeypatch, tmp_path):
+    # --batch '' is given, not absent: it names the working directory
+    (tmp_path / "m2.dfa").write_text(fixture_text("m2.dfa"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "m2.dfa", "--json"]) == 0
+    single = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--batch", "", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == [single]
+
+
+def test_cli_empty_batch_name_with_a_file_is_rejected(capsys, monkeypatch, tmp_path):
+    (tmp_path / "m2.dfa").write_text(fixture_text("m2.dfa"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "m2.dfa", "--batch", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classify takes a FILE or --batch DIR, not both\n"
+
+
 def test_cli_batch_json_reports_good_files_past_a_bad_one(capsys, tmp_path):
     (tmp_path / "a.dfa").write_text(export(mk_witness(1)))
     (tmp_path / "b.dfa").write_text("alphabet: ab\nstates: 1\nstart: 0\naccepting:\n0 a 0\n")
