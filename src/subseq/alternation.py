@@ -340,13 +340,19 @@ _REPORT_KEYS = (
 
 def _check_report(report: ClassificationReport, dfa: Dfa) -> None:
     """Internal consistency constraints, asserted on every classification:
-    a present witness must replay in ``dfa``, and finite measures differ by
-    one, ∅ and Σ* included.  One walk gives both measures, so this checks
-    the wiring; the two walks in ``tests/helpers.py`` check the shift lemma.
+    a witness is present exactly when the language is not piecewise
+    testable, a present witness must replay in ``dfa``, and finite
+    measures differ by one, ∅ and Σ* included.  One walk gives both
+    measures, so this checks the wiring; the two walks in
+    ``tests/helpers.py`` check the shift lemma.
     """
     plus, minus = report.m_plus.value, report.m_minus.value
     w = report.pattern_witness
-    ok = (w is None or w.holds_in(dfa)) and (None in (plus, minus) or abs(plus - minus) == 1)
+    ok = (
+        (w is None) == report.piecewise_testable
+        and (w is None or w.holds_in(dfa))
+        and (None in (plus, minus) or abs(plus - minus) == 1)
+    )
     if not ok:
         raise AssertionError(
             f"inconsistent classification for {report.language!r}: {report.to_dict()}"
@@ -376,14 +382,7 @@ def _classify(dfa: Dfa, walk: _Walk, name: str) -> ClassificationReport:
     decomposition = None
     if plus < AlternationMeasure.finite(1):
         decomposition = _minimal_words(walk.minimal, walk.order)
-    witness = None
-    if not walk.finite:
-        witness = _witness(dfa, walk.classes)
-        if witness is None:
-            raise AssertionError(
-                f"piecewise-testability verdicts disagree on {name!r}: "
-                "is_piecewise_testable says no, the pattern search finds no witness"
-            )
+    witness = None if walk.finite else _witness(dfa, walk.classes)
     report = ClassificationReport(name, decomposition, plus, minus, witness)
     _check_report(report, dfa)
     return report

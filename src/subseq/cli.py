@@ -71,12 +71,15 @@ def _int_token(token: str, what: str, line: int) -> int:
 def parse_dfa(text: str) -> Dfa:
     """Parse the native automaton format into a validated complete Dfa.
 
-    Tokens are separated by any run of whitespace; error columns are
-    1-based from the start of the line as it appears in the text.
+    Only LF, CRLF and a lone CR end a line: the other line breaks of
+    ``str.splitlines`` (form feed, U+2028 and the like) are whitespace
+    here.  Tokens are separated by any run of whitespace; error columns
+    are 1-based from the start of the line as it appears in the text.
     """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [
         (i, raw, tokens)
-        for i, raw in enumerate(text.splitlines(), 1)
+        for i, raw in enumerate(text.split("\n"), 1)
         if (tokens := raw.split()) and tokens[0][0] != "#"
     ]
 
@@ -294,9 +297,9 @@ def _render_json(obj, newline: str, emit) -> None:
 def _read_dfa(path: str) -> Dfa:
     """Read and parse one automaton file; every failure names the file.
 
-    The file is read as bytes and decoded whole: ``parse_dfa`` splits
-    lines at ``\\r\\n`` and a lone ``\\r`` as universal newlines would,
-    and a text-mode read costs more than the parse of a small file.
+    The file is read as bytes and decoded whole: ``parse_dfa`` ends lines
+    at ``\\n``, ``\\r\\n`` and a lone ``\\r`` only, and a text-mode read
+    costs more than the parse of a small file.
     """
     try:
         with open(path, "rb") as file:

@@ -1,7 +1,10 @@
 """Brute-force ground truth over bounded word sets.
 
-Everything here works from a bare membership predicate, independent of the
-automata pipeline, so it can cross-check that pipeline on small instances.
+``chain_table`` works from a bare membership predicate, independent of
+the automata pipeline.  ``cross_check``, which checks that pipeline on
+small instances, steps the input and the walked levels together over the
+words (``_joint``) but takes only memberships from them: the chain depths
+it checks the levels against come from the input's memberships alone.
 Chain depths come from dynamic programming over the subword lattice
 restricted to words up to a length bound; single-letter deletions generate
 the covering relation of that lattice, which keeps the tables cheap.  A

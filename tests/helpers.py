@@ -776,10 +776,11 @@ def reference_parse_dfa(text: str) -> Dfa:
     token and a (state, letter) -> target table; the reference that
     ``cli.parse_dfa`` is checked against.  Its columns count from the
     stripped line (on the accepting line, from the text after the key),
-    so only its messages and lines are compared."""
+    so only its messages and lines are compared.  Lines end at LF, CRLF
+    or a lone CR only."""
     lines = [
         (i + 1, stripped)
-        for i, raw in enumerate(text.splitlines())
+        for i, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
         if (stripped := raw.strip()) and not stripped.startswith("#")
     ]
 

@@ -161,6 +161,24 @@ def test_parse_error_columns_match_the_file_examples():
         parse_dfa(indented)
 
 
+@pytest.mark.parametrize(
+    "separator",
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+@pytest.mark.parametrize("parse", [parse_dfa, reference_parse_dfa], ids=["cli", "reference"])
+def test_parse_ends_lines_only_at_lf_crlf_and_cr(parse, separator):
+    # str.splitlines would end a line at each of these; here they are
+    # whitespace, so a comment stays one line and tokens stay apart
+    plain = parse(TWO_STATES + TWO_ROWS)
+    comment = f"# page{separator}break\n"
+    assert parse(comment + TWO_STATES + TWO_ROWS) == plain
+    assert parse(TWO_STATES + TWO_ROWS.replace("0 a 1", f"0{separator}a {separator}1")) == plain
+    with pytest.raises(ParseError) as err:
+        parse(comment + TWO_STATES + "0 a 7\n")
+    assert (err.value.message, err.value.line) == ("unknown state 7", 6)
+
+
 def test_parse_agrees_with_the_reference_on_the_benchmark_corpora(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "benchmark_corpus", Path(__file__).parent.parent / "benchmark" / "corpus.py"
@@ -255,8 +273,21 @@ def test_classify_raises_when_the_verdicts_disagree(monkeypatch):
     # the level walk never ends on a language that is not piecewise
     # testable, so a missing witness must stop classify, not fall through
     monkeypatch.setattr(alternation, "_witness", lambda dfa, minimal: None)
-    with pytest.raises(AssertionError, match="the pattern search finds no witness"):
+    with pytest.raises(
+        AssertionError,
+        match=r"inconsistent classification for 'abstar': "
+        r".*'piecewise_testable': False, 'pattern_witness': None",
+    ):
         classify(ab_star(), name="abstar")
+
+
+def test_classify_raises_when_finite_measures_do_not_differ_by_one(monkeypatch):
+    # one walk gives both measures, one level apart; equal ones mean the
+    # shift between the two sides was lost
+    equal = (AlternationMeasure.finite(1),) * 2
+    monkeypatch.setattr(alternation._Walk, "measures", property(lambda walk: equal))
+    with pytest.raises(AssertionError, match="inconsistent classification for 'm2'"):
+        classify(mk_witness(2), name="m2")
 
 
 def test_classify_raises_when_the_witness_does_not_replay(monkeypatch):

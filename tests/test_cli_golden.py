@@ -6,6 +6,32 @@ and stderr are compared with the stored golden values in
 end in CRLF or a lone CR; ``main`` must build its argument parser once per
 process across them.  Regenerate them (only when an output change is
 intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+
+CI also runs this module, with ``-o pythonpath=``, against the installed
+package.  What each fixture exercises:
+
+- ``a_first``: the only acyclic P2 witness, one with no P1 witness,
+  lifted to its P3 form; the closure of an input that is not piecewise
+  testable.
+- ``a_ideal``: a level-1/2 report with its one-ideal decomposition.
+- ``ab_star``: no piecewise testability, with all three pattern lines,
+  whose P1 lines come from the cycle witness; ``ε`` in the ``--witness``
+  text; an agreeing oracle check whose walk stops after max_m + 1
+  levels; the closure of a cyclic input.
+- ``ba_star``: as ``ab_star``, but the witness's pivot step leaves the
+  loop's component for the rejecting sink.
+- ``co_m3``: a language containing ε, so its plus side is the shifted
+  one: both measures, and an oracle check of the report's walk.
+- ``empty``: m_plus = -1; a closure whose subset construction reaches no
+  accepting subset.
+- ``m2``: ``mk_witness(2)``, the smallest counter witness outside level
+  1/2 on both sides.
+- ``m3``: ``mk_witness(3)``, finite measures 2 and 3; an agreeing oracle
+  check; the closure of a piecewise testable input, whose subset
+  construction stops at the first accepting subset.
+- ``three_ideals``: a decomposition whose Min pass drops a dominated
+  candidate and whose antichain check compares words of two lengths.
+- ``universal``: m_minus = -1; a closure whose start subset accepts.
 """
 
 import io
