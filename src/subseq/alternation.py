@@ -14,8 +14,10 @@ decides piecewise testability once and walks to the end only on a yes;
 every measure here, and the oracle's comparison, read one ``_Walk``,
 which each public function builds once from its input, minimizing it
 once.  The walk stays within minimized automata, one step per level, and
-stops at the first empty level.  The tests check it against two separate
-walks and a tuple-state construction that guesses the whole chain at once.
+stops at the first step with no accepting state, before the empty level
+it leads to is minimized or closed.  The tests check it against two
+separate walks and a tuple-state construction that guesses the whole
+chain at once.
 """
 
 from __future__ import annotations
@@ -138,7 +140,10 @@ def _levels(minimal: Dfa) -> Iterator[Dfa]:
     upward closure of the valid chain endpoints, which even steps push out
     of the walked language and odd steps pull back in.  The complement is
     built once, when the first level is read; the steps intersect with it
-    and ``minimal``, as any other pair gives larger products.
+    and ``minimal``, as any other pair gives larger products.  A product
+    holds only reachable states, so one without an accepting state is
+    empty, and so is the level after it: the walk ends there, without
+    minimizing or closing it.
     """
     outside = complement(minimal)
     if minimal.start in minimal.accepting:
@@ -150,7 +155,10 @@ def _levels(minimal: Dfa) -> Iterator[Dfa]:
         if not closed.accepting:
             return
         yield closed
-        current = minimize(intersection(closed, flip[step % 2]))
+        endpoints = intersection(closed, flip[step % 2])
+        if not endpoints.accepting:
+            return
+        current = minimize(endpoints)
 
 
 def l_plus(dfa: Dfa, m: int) -> Dfa:

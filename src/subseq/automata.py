@@ -19,9 +19,12 @@ languages minimize to structurally identical values; golden tests rely on
 that.
 
 One component pass, ``_components`` (Tarjan, SIAM J. Comput. 1972),
-answers every cycle question: ``_topological_order`` reads off it whether
-every cycle is a self-loop, and ``patterns`` which letters loop at a state,
-of the automaton or of its square.
+answers the cycle questions: ``patterns`` reads off it which letters loop
+at a state, of the automaton or of its square, and ``_topological_order``
+whether every cycle is a self-loop.  The last question needs the pass
+only when no edge from another state enters the start, since on an
+automaton whose start reaches every state such an edge closes a cycle
+through distinct states.
 
 All types are immutable after construction and operations are pure
 functions, so values can be shared freely between threads.
@@ -421,11 +424,20 @@ def _components(delta, starts: Iterable[int]) -> tuple[dict[int, int], list[int]
 
 def _topological_order(dfa: Dfa) -> list[int] | None:
     """States ordered so that every edge s -> t with s != t points forward,
-    None when some cycle is not a self-loop: the reversed roots of
-    ``_components`` when every component is a single state.  ``dfa`` must
-    be minimal, as every caller's is, so every state is reachable and the
-    order holds them all."""
-    component, roots = _components(dfa.delta, [dfa.start])
+    None when some cycle is not a self-loop.
+
+    The start must reach every state, as it does in every caller's
+    automaton, which is minimal; the order then holds them all.  An edge
+    into the start from another state s then closes the cycle start ->
+    ... -> s -> start through two distinct states, so one scan of the
+    table answers None without the component pass.  Otherwise the order
+    is the reversed roots of ``_components``, when every component is a
+    single state."""
+    start = dfa.start
+    for s, row in enumerate(dfa.delta):
+        if start in row and s != start:
+            return None
+    component, roots = _components(dfa.delta, [start])
     return roots[::-1] if len(roots) == len(component) else None
 
 

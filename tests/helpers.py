@@ -43,7 +43,8 @@ of loop words, is the reference for the one P1 search.  A report serializer that
 spells out every key is the reference for the one that reads the
 record's fields.  A breadth-first joinability search per state and
 letter pair is the reference for the piecewise-testability test's single
-pass per letter pair.
+pass per letter pair.  The component pass alone, with no scan for an edge
+into the start, is the reference for the topological order.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from subseq.alternation import (
 from subseq.automata import (
     Alphabet,
     Dfa,
+    _components,
     _topological_order,
     complement,
     intersection,
@@ -1061,6 +1063,14 @@ def _reach(dfa: Dfa, s: int) -> set[int]:
                 seen.add(t)
                 stack.append(t)
     return seen
+
+
+def reference_topological_order(dfa: Dfa) -> list[int] | None:
+    """``_topological_order`` by the component pass alone: the reversed
+    roots of ``_components`` when every component is a single state, None
+    otherwise, without first looking for an edge into the start."""
+    component, roots = _components(dfa.delta, [dfa.start])
+    return roots[::-1] if len(roots) == len(component) else None
 
 
 def reference_cycle_witness(dfa: Dfa) -> PatternWitness | None:

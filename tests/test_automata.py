@@ -38,8 +38,10 @@ from helpers import (
     moore_minimize,
     nfa_is_empty,
     random_dfa,
+    reference_topological_order,
     reverse_det,
     shortest_accepted_word,
+    strongly_connected_dfa,
     symmetric_difference,
     witness_corpus,
     words_up_to,
@@ -560,12 +562,9 @@ def _letter_pairs(component, masks):
     }
 
 
-def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
-    # None exactly when some state reaches itself through a distinct state,
-    # else every edge between distinct states points forward; a letter
-    # loops at s exactly when some p reachable from s steps on it to a
-    # state that reaches s.  Half the random machines only stay put or
-    # move up, so their order exists.
+def _random_machines() -> list[Dfa]:
+    """2,000 seeded machines with 2 to 40 states: half random, half
+    stepping only to the same or a higher state, so their order exists."""
     rng = random.Random(2801)
     randoms = []
     for i in range(2000):
@@ -577,20 +576,61 @@ def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
             randoms.append(Dfa(alphabet, n, rows, 0, accepting))
         else:
             randoms.append(random_dfa(rng, n, alphabet))
+    return randoms
+
+
+def _enters_start(dfa):
+    """Whether some state other than the start steps into the start."""
+    return any(dfa.start in row for s, row in enumerate(dfa.delta) if s != dfa.start)
+
+
+def test_component_pass_answers_both_cycle_questions_by_definition(monkeypatch):
+    # None exactly when some state reaches itself through a distinct state,
+    # else every edge between distinct states points forward; a letter
+    # loops at s exactly when some p reachable from s steps on it to a
+    # state that reaches s
     passes = count_calls(monkeypatch, _components)
     ordered = 0
-    corpus = witness_corpus() + randoms
+    corpus = witness_corpus() + _random_machines()
     for d in corpus:
         ordered += _check_cycle_questions(d)
-    # one pass per order and one per loop-letter set, of each start
-    assert len(passes) == 3 * len(corpus)
+    # one pass per loop-letter set, of each start, and one per order of a
+    # minimal automaton that no other state enters the start of: an edge
+    # into the start answers None without the pass
+    entered = sum(_enters_start(minimize(d)) for d in corpus)
+    assert len(passes) == 3 * len(corpus) - entered == 20_911
     assert 2000 < ordered < len(corpus) - 2000
 
 
-def test_component_pass_does_not_recurse():
+def test_topological_order_equals_the_component_pass_alone():
+    # the scan for an edge into the start changes no order and no None:
+    # on cyclic, acyclic and strongly connected minimal automata, chains
+    # included; every outcome is reached, a cycle with no edge into the
+    # start among them
+    rng = random.Random(2802)
+    connected = [
+        strongly_connected_dfa(rng, rng.randint(2, 40), rng.choice((AB, Alphabet("abc"))))
+        for _ in range(300)
+    ]
+    chains = [mk_witness(k) for k in range(1, 40)] + [shuffle_ideal("ab" * k, AB) for k in range(1, 20)]
+    corpus = witness_corpus() + _random_machines() + connected + chains
+    outcomes = {"ordered": 0, "entered": 0, "cyclic, not entered": 0}
+    for d in corpus:
+        minimal = minimize(d)
+        order = _topological_order(minimal)
+        assert order == reference_topological_order(minimal), d
+        if order is not None:
+            outcomes["ordered"] += 1
+        else:
+            outcomes["entered" if _enters_start(minimal) else "cyclic, not entered"] += 1
+    assert outcomes == {"ordered": 4205, "entered": 3973, "cyclic, not entered": 378}
+
+
+def test_component_pass_does_not_recurse(monkeypatch):
     # 20,000 states, far past the recursion limit: the minimal automaton
-    # of the ideal of a^19999, a chain, and the same states closed into
-    # one a-cycle
+    # of the ideal of a^19999, a chain, the same states closed into one
+    # a-cycle, and a chain into an a-cycle of its second half, which never
+    # steps back into the start, so the order's component pass runs
     n = 20000
     chain = Dfa(AB, n, tuple((min(s + 1, n - 1), s) for s in range(n)), 0, frozenset({n - 1}))
     assert minimize(chain) == chain
@@ -601,3 +641,9 @@ def test_component_pass_does_not_recurse():
     assert _topological_order(cycle) is None
     cycle_loops = {(s, j) for s in range(n) for j in (0, 1)}
     assert _letter_pairs(*_loop_letters(cycle.delta, [0])) == cycle_loops
+    rows = tuple((s + 1 if s < n - 1 else n // 2, s) for s in range(n))
+    tail = Dfa(AB, n, rows, 0, frozenset({n - 1}))
+    assert minimize(tail) == tail
+    passes = count_calls(monkeypatch, _components)
+    assert _topological_order(tail) is None
+    assert len(passes) == 1

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,13 +15,28 @@ from hypothesis import given, strategies as st
 
 from subseq import alternation, cli, oracle
 from subseq.alternation import AlternationMeasure, _walk, mk_witness
-from subseq.automata import Alphabet, Dfa, _minimize, _topological_order, complement, minimize
+from subseq.automata import (
+    Alphabet,
+    Dfa,
+    _components,
+    _minimize,
+    _topological_order,
+    complement,
+    minimize,
+)
 from subseq.cli import classify, export, main, parse_dfa
 from subseq.errors import InputError, ParseError
 from subseq.patterns import PatternWitness, _cycle_witness, _detect_p2, _is_piecewise_testable
 from subseq.subword import _is_upward_closed, shuffle_ideal, upward_closure
 
-from helpers import AB, ab_star, count_calls, reference_parse_dfa, substitute
+from helpers import (
+    AB,
+    ab_star,
+    count_calls,
+    reference_parse_dfa,
+    strongly_connected_dfa,
+    substitute,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -411,15 +427,15 @@ def test_cli_patterns_runs_each_detector_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, inputs, expected",
     [
-        (["classify", "m3.dfa"], 1, 4),
+        (["classify", "m3.dfa"], 1, 3),
         (["classify", "ab_star.dfa"], 1, 1),
-        (["mplus", "m3.dfa"], 1, 4),
-        (["oracle-check", "m3.dfa", "--max-len", "6"], 1, 4),
+        (["mplus", "m3.dfa"], 1, 3),
+        (["oracle-check", "m3.dfa", "--max-len", "6"], 1, 3),
         (["patterns", "m3.dfa"], 1, 1),
         # the report and the oracle check share one minimization and one
         # walk: on ab_star, the 3 steps to the 4 levels the check's levels
         # 0..3 need
-        (["classify", "m3.dfa", "--oracle-check", "6"], 1, 4),
+        (["classify", "m3.dfa", "--oracle-check", "6"], 1, 3),
         (["classify", "ab_star.dfa", "--oracle-check", "6"], 1, 4),
     ],
 )
@@ -429,8 +445,9 @@ def test_each_library_entry_minimizes_the_input_once(
     # ``minimize`` calls ``_minimize`` too, so this counts every
     # minimization; every other call minimizes a step of the level walk, a
     # closed level intersected with the language or its complement; the
-    # closures come out minimal and call minimize nowhere: on m3.dfa, the 3
-    # steps between its 4 closures
+    # closures come out minimal and call minimize nowhere: on m3.dfa, the 2
+    # steps between its 3 nonempty levels; the step after the last one has
+    # no accepting state and ends the walk unminimized
     calls = count_calls(monkeypatch, _minimize)
     parsed = []
 
@@ -451,20 +468,21 @@ def test_classify_closes_a_level_half_language_once_for_its_check(monkeypatch):
     closures = count_calls(monkeypatch, upward_closure)
     report = classify(parse_dfa(fixture_text("a_ideal.dfa")))
     assert report.ideal_decomposition == ("a",)
-    # the level-1/2 checks close nothing; the 2 closures are the one
-    # level walk, over the language: level 0 and the empty level 1 (the
-    # complement's chain is Σ* followed by that walk)
-    assert len(closures) == 2
+    # the level-1/2 checks close nothing; the 1 closure is the one level
+    # walk, over the language: level 0, whose step has no accepting state,
+    # so the empty level 1 is not closed (the complement's chain is Σ*
+    # followed by that walk)
+    assert len(closures) == 1
 
 
-@pytest.mark.parametrize("name, expected", [("ab_star.dfa", 0), ("m3.dfa", 4)])
+@pytest.mark.parametrize("name, expected", [("ab_star.dfa", 0), ("m3.dfa", 3)])
 def test_classify_closes_only_the_level_chains(monkeypatch, name, expected):
     closures = count_calls(monkeypatch, upward_closure)
     report = classify(parse_dfa(fixture_text(name)))
     if report.piecewise_testable:
-        # one walk, on the side that rejects ε: its nonempty levels and
-        # the empty one after them
-        assert expected == min(report.m_plus.value, report.m_minus.value) + 2
+        # one walk, on the side that rejects ε: its nonempty levels, and
+        # not the empty one after them, whose step has no accepting state
+        assert expected == min(report.m_plus.value, report.m_minus.value) + 1
     assert len(closures) == expected
 
 
@@ -497,6 +515,30 @@ def test_classify_sorts_once_outside_level_half(monkeypatch, name):
     assert len(sorts) == 1
 
 
+def test_cli_decides_a_cycle_from_an_edge_into_the_start(capsys, monkeypatch, tmp_path):
+    # every state of a strongly connected automaton reaches the start, so
+    # the order is None from one scan of the table, and every loop search
+    # of the P1 search succeeds, so it never builds its component pass
+    target = tmp_path / "connected.dfa"
+    target.write_text(export(strongly_connected_dfa(random.Random(3004), 30)), encoding="utf-8")
+    passes = count_calls(monkeypatch, _components)
+    assert main(["classify", "--json", str(target)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["m_plus"], report["pattern_witness"]["kind"]) == ("inf", "P3")
+    assert passes == []
+
+
+def test_cli_decompose_orders_an_ideal_in_one_component_pass(capsys, monkeypatch, tmp_path):
+    # the minimal automaton of an ideal is acyclic apart from self-loops,
+    # so no edge enters its start and the order takes the component pass
+    target = tmp_path / "ideal.dfa"
+    target.write_text(export(shuffle_ideal("abbab", AB)), encoding="utf-8")
+    passes = count_calls(monkeypatch, _components)
+    assert main(["decompose", str(target)]) == 0
+    assert "abbab" in capsys.readouterr().out
+    assert len(passes) == 1
+
+
 @pytest.mark.parametrize("name", ["a_ideal.dfa", "empty.dfa", "universal.dfa"])
 def test_classify_decomposes_with_the_verdicts_order(monkeypatch, name):
     # the walk hands on the order its verdict sorted, so the decomposition
@@ -510,13 +552,14 @@ def test_classify_decomposes_with_the_verdicts_order(monkeypatch, name):
 @pytest.mark.parametrize("name", ["m3.dfa", "ab_star.dfa"])
 def test_classify_oracle_check_walks_the_chains_once(capsys, monkeypatch, name):
     # one verdict and one walk serve the report and the oracle check: on
-    # m3, its nonempty levels 0..2 and the empty level 3; on ab_star,
-    # which is not piecewise testable, the 4 levels the check compares
+    # m3, its nonempty levels 0..2, after which the step has no accepting
+    # state; on ab_star, which is not piecewise testable, the 4 levels the
+    # check compares
     closures = count_calls(monkeypatch, upward_closure)
     verdicts = count_calls(monkeypatch, _is_piecewise_testable)
     assert main(["classify", str(FIXTURES / name), "--oracle-check", "6"]) == 0
     assert capsys.readouterr().out.endswith("oracle check (n=6): ok\n")
-    assert (len(closures), len(verdicts)) == (4, 1)
+    assert (len(closures), len(verdicts)) == (3 if name == "m3.dfa" else 4, 1)
 
 
 def _walk_of_m1():

@@ -361,9 +361,10 @@ def test_cross_check_walks_each_level_chain_once(capsys, monkeypatch):
     assert main(["oracle-check", str(FIXTURES / "m3.dfa"), "--max-len", "6"]) == 0
     assert capsys.readouterr().out == "oracle check up to length 6: ok\n"
     # m3 is piecewise testable and rejects ε, so one walk to the end of
-    # its own chain gives both sides: nonempty levels 0..2, then the empty
-    # level 3; the minus chain is Σ* followed by those levels
-    assert len(closures) == 4
+    # its own chain gives both sides: nonempty levels 0..2, then a step
+    # with no accepting state, which ends the walk without closing the
+    # empty level 3; the minus chain is Σ* followed by those levels
+    assert len(closures) == 3
 
 
 def _walk_of_m1(_):

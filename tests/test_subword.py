@@ -297,7 +297,7 @@ def test_upward_closure_subset_count_of_a_boolean_combination(monkeypatch):
     assert d.n_states == 114
     report = classify(d)
     assert report.m_plus.value == 3
-    assert sum(sizes) == 12_974
+    assert sum(sizes) == 12_973
 
 
 def test_classify_is_polynomial_on_a_boolean_combination_with_a_large_closure():
